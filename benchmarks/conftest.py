@@ -18,7 +18,6 @@ primary records.  The sqlite file itself is a local accumulating cache
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
@@ -62,24 +61,6 @@ def pytest_configure(config):
     _SMOKE_RUN = bool(config.getoption("--smoke", default=False))
 
 
-def single_cpu_note() -> str:
-    """One line describing the host's CPU budget, for timing records.
-
-    Speedup-shaped records embed this so a number measured on a
-    single-core container is never read as a regression: one core can
-    neither show parallel speedup nor give the megabatch kernel the
-    memory bandwidth headroom a real workstation has.
-    """
-    cpu_count = os.cpu_count()
-    if (cpu_count or 1) <= 1:
-        return (
-            "CAVEAT: single-CPU host (cpu_count=1) — recorded speedups "
-            "understate multi-core machines; re-record on real "
-            "hardware before comparing releases.\n"
-        )
-    return f"measured on {cpu_count} CPUs.\n"
-
-
 def record_result(name: str, text: str) -> None:
     """Print a result block and persist it under benchmarks/results/.
 
@@ -109,18 +90,6 @@ def record_campaign(name: str, result_set) -> None:
     """
     print(f"\n----- {name} ({result_set.wall_time:.2f}s wall) -----")
     print(result_set.summary())
-    metadata = getattr(result_set, "metadata", None) or {}
-    if metadata.get("single_cpu_caveat"):
-        print(single_cpu_note().rstrip())
-    profile = metadata.get("kernel_profile")
-    if isinstance(profile, dict) and "unsupported" not in profile:
-        phases = "  ".join(
-            f"{phase}={profile[phase]:.3f}s"
-            for phase in ("tape_draw", "decision", "physics", "observe",
-                          "transfer")
-            if phase in profile
-        )
-        print(f"kernel phases [{profile.get('device', '?')}]: {phases}")
     if _SMOKE_RUN:
         return
     RESULTS_DIR.mkdir(exist_ok=True)

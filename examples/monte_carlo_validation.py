@@ -27,12 +27,11 @@ def main() -> None:
 
     model = StatisticalEncounterModel()
     # The estimator runs paired repro.experiments campaigns; backend and
-    # worker count are campaign knobs ("agent" trades speed for the
-    # faithful engine, workers>1 fans encounters across processes
-    # without changing the estimate).
+    # worker count are campaign knobs (the default megabatch kernel;
+    # backend="agent" trades speed for the faithful engine, workers>1
+    # fans encounters across processes without changing the estimate).
     estimator = MonteCarloEstimator(
-        table, model, runs_per_encounter=20,
-        backend="vectorized", workers=2,
+        table, model, runs_per_encounter=20, workers=2,
     )
 
     print("=== Monte-Carlo campaign: 100 encounters x 20 runs x 2 arms ===")

@@ -15,9 +15,9 @@ campaign API:
    would simulate);
 5. demonstrate distributed execution: submit the campaign to a shared
    work queue (nothing enqueues — the store already holds it), then
-   run a fresh campaign on a 2-process worker fleet through
-   ``DistributedExecutor`` and check it matches the in-process run
-   bit for bit;
+   submit a fresh campaign, drain it with a 2-process worker fleet
+   (``run_workers``), collect it, and check it matches the in-process
+   run bit for bit;
 6. demonstrate the fleet as a *backend*: ``backend="distributed"``
    makes a single ``Campaign.run`` target an already-running external
    worker fleet — and when none is live (as here), an automatic
@@ -43,37 +43,28 @@ campaign API:
     waterfall with its critical path, and scrape the fleet-wide
     Prometheus metrics snapshot.
 
-**Choosing a backend.**  ``Campaign(backend=...)`` selects one of the
-registered simulation backends.  Measured on a 50-scenario × 100-run
-campaign (the paper's GA-evaluation shape, test-resolution table,
-single core; regenerate with ``pytest benchmarks/bench_campaign.py``
-and ``pytest benchmarks/bench_batch_kernel.py``):
+**Choosing a backend.**  ``Campaign(backend=...)`` selects one of two
+simulation behaviours:
 
-- ``"agent"``            — one faithful agent-based simulation per run:
-  96.7 s.  Full scrutiny: traces, advisory timelines.
-- ``"vectorized"``       — all runs of one scenario advance as one
-  NumPy array: 2.4 s.
-- ``"vectorized-batch"`` — whole chunks of scenarios flattened into a
-  single lane array, with every scenario's disturbance/sensor noise
-  pre-drawn into tapes (the megabatch path, default everywhere):
-  0.59 s — ~1.3x over the pre-tape kernel on this single-core box.
-- ``"vectorized-batch-gpu"`` — the same megabatch kernel on an
-  accelerator array namespace (CuPy, auto-detected).  Noise tapes are
-  still drawn on host, so results stay bitwise comparable; with no
-  usable device it **warns and falls back** to the CPU kernel with
-  identical results (its provenance then reads ``vectorized-batch``).
+- ``"agent"``            — one faithful agent-based simulation per run.
+  Full scrutiny: traces, advisory timelines.  Slow.
+- ``"vectorized-batch"`` — the megabatch kernel, default everywhere:
+  whole chunks of scenarios flattened into a single lane array, with
+  every scenario's disturbance/sensor noise pre-drawn into tapes, so a
+  scenario's bits never depend on which scenarios share its chunk.
 
-``"vectorized-batch"`` replays the exact per-scenario noise streams of
-``"vectorized"``, so the two produce bitwise-identical campaigns; the
-agent engine agrees statistically (both properties are under test).
-Very large campaigns can stream records without materializing the list
-via ``Campaign.iter_records(seed=...)``.
+``"vectorized"`` is a legacy alias of ``"vectorized-batch"`` (bitwise
+identical), kept so stored campaigns naming it keep resolving; the
+agent engine agrees with the kernel statistically (under test).  For
+timings on your host run the repository benchmark:
+``python3 perfbench/run.py --workload ga_paper``.  Very large campaigns
+can stream records without materializing the list via
+``Campaign.iter_records(seed=...)``.
 
 ``Campaign.run(profile=True)`` (CLI: ``repro campaign --profile``)
 additionally collects the megabatch kernel's per-phase wall-clock
-breakdown — tape draw / decision / physics / observe / transfer — into
-``results.metadata["kernel_profile"]`` (on the 50×100 workload above:
-decision ~56%, tape draw ~19%, physics ~19%, observe ~6%).
+breakdown — tape draw / decision / physics / observe — into
+``results.metadata["kernel_profile"]``.
 
 **Persisting into a result store.**  ``run(store=ResultStore(path))``
 writes every record into a sqlite store keyed by the campaign's
@@ -97,15 +88,15 @@ Workers claim chunks under heartbeated leases (a dead worker's chunk is
 reclaimed when its lease expires), build their backend once from the
 submitted spec, and drain records into the result store, whose
 ``(campaign, scenario)`` key makes at-least-once delivery harmless.
-``DistributedExecutor`` wraps the whole cycle behind the ``store=``
-seam, so ``Campaign.run`` / ``MonteCarloEstimator`` / ``SearchRunner``
-gain a worker fleet without any API change — and the ``"distributed"``
-backend key goes one step further: ``Campaign(backend="distributed",
+Scripts drive the cycle as ``submit`` → ``run_workers`` (or ``repro
+worker`` on any host) → ``collect``; the ``"distributed"`` backend key
+wraps it in one call: ``Campaign(backend="distributed",
 backend_options={"queue": ..., "store": ...})`` (or the
 ``$REPRO_QUEUE``/``$REPRO_STORE`` environment variables) targets an
 already-running external fleet from a single ``run()`` call, falling
-back to an in-process worker when no fleet member is live.  From the
-shell::
+back to an in-process worker when no fleet member is live — and so do
+``MonteCarloEstimator`` / ``SearchRunner``, which forward
+``backend``/``backend_options`` unchanged.  From the shell::
 
     repro submit --sample 200 --runs 100 \\
         --queue queue.sqlite --store results.sqlite
@@ -189,13 +180,13 @@ from pathlib import Path
 
 from repro import (
     Campaign,
-    DistributedExecutor,
     ResultStore,
     build_logic_table,
     make_acas_pair,
     run_encounter,
     test_config,
 )
+from repro.distributed import run_workers
 from repro.sim import EncounterSimConfig
 from repro.sim.trace import render_vertical_profile
 
@@ -214,9 +205,9 @@ def main() -> None:
     print(f"=== 2. Campaign: {SCENARIOS} x {RUNS} runs, equipped ===")
     equipped = Campaign(
         SCENARIOS,
-        backend="vectorized-batch",  # "vectorized" / "agent" trade
-        table=table,                 # speed for scrutiny (see module
-        runs_per_scenario=RUNS,      # docstring timing table)
+        backend="vectorized-batch",  # "agent" trades speed for
+        table=table,                 # scrutiny (see the module
+        runs_per_scenario=RUNS,      # docstring)
     ).run(seed=42, store=store)      # workers=4 gives identical bits
     print(equipped.summary())
     print()
@@ -256,13 +247,15 @@ def main() -> None:
     print(f"re-submit of step 2: enqueued {already_done.chunks_enqueued} "
           f"chunks ({already_done.already_stored} scenarios already "
           f"stored) — zero new simulations")
-    # A fresh seed exercises the fleet for real.  The executor plugs
-    # into the same store= seam, so MonteCarloEstimator / SearchRunner
-    # gain distributed execution the same way, unchanged.
-    executor = DistributedExecutor(queue_path, store.path, workers=2)
-    fleet = Campaign(
+    # A fresh seed exercises the fleet for real: enqueue, drain with two
+    # local worker processes pinned to this campaign (`repro worker` on
+    # any host sharing the queue file does the same), then collect.
+    run = Campaign(
         SCENARIOS, table=table, runs_per_scenario=RUNS
-    ).run(seed=7, store=executor)
+    ).submit(seed=7, queue=queue_path, store=store)
+    run_workers(queue_path, num_workers=2, campaign_id=run.campaign_id)
+    run.wait()
+    fleet = run.collect()
     local = Campaign(
         SCENARIOS, table=table, runs_per_scenario=RUNS
     ).run(seed=7)

@@ -38,25 +38,23 @@ Quickstart::
     print(results.summary())
     print(results.worst().name, results.worst().min_separation)
 
-**Choosing a backend.**  Three registered backends trade fidelity
-scrutiny for speed; measured on the paper's GA-evaluation shape (a
-50-scenario × 100-run campaign, test-resolution table, single core —
-regenerate with ``pytest benchmarks/bench_campaign.py``):
+**Choosing a backend.**  Two simulation behaviours trade fidelity
+scrutiny for speed:
 
-================== ========================================== =========
-backend            simulation granularity                     wall time
-================== ========================================== =========
-``agent``          one Python simulation per run (faithful)      96.7 s
-``vectorized``     all runs of one scenario as one array          2.4 s
-``vectorized-batch`` whole chunks of scenarios as one             0.67 s
-                   flattened lane array (megabatch)
-================== ========================================== =========
+- ``agent`` — the faithful engine: one Python-level agent simulation
+  per run, every advisory and sensor report inspectable;
+- ``vectorized-batch`` (the default everywhere) — the megabatch kernel:
+  whole chunks of scenarios advance as one flattened lane array, and
+  each scenario's bits depend only on its own seed, never on the
+  chunking.
 
-``vectorized-batch`` (the default everywhere) replays the exact noise
-streams of ``vectorized``, so all three agree — the first two bitwise,
-the agent engine statistically (tests enforce both).  For campaigns too
-large to hold in memory, ``Campaign.iter_records`` streams the same
-records chunk by chunk.
+The two agree statistically (tests enforce it).  ``vectorized`` is a
+legacy alias of ``vectorized-batch``, bitwise identical, kept so stored
+campaigns that name it keep resolving.  For timings on your host, run
+the repository benchmark (``python3 perfbench/run.py --workload
+ga_paper``: the paper's 50-encounter × 100-run GA generations).  For
+campaigns too large to hold in memory, ``Campaign.iter_records``
+streams the same records chunk by chunk.
 
 **Persisting campaigns.**  Pass a :class:`ResultStore` and the campaign
 writes through a sqlite store under a content-addressed provenance hash
@@ -87,20 +85,15 @@ change a bit) in a sqlite work queue any number of workers share over
 a filesystem; workers claim chunks under heartbeated leases (dead
 workers' chunks are reclaimed on expiry), build their backend once
 from the submitted spec, and drain records into the result store,
-whose ``(campaign, scenario)`` key dedups at-least-once delivery::
+whose ``(campaign, scenario)`` key dedups at-least-once delivery.
+Submit now, run workers anywhere, collect later::
 
-    from repro import Campaign, DistributedExecutor
+    from repro.distributed import run_workers
 
-    executor = DistributedExecutor("queue.sqlite", "results.sqlite",
-                                   workers=4)
-    results = Campaign(..., table=table).run(seed=0, store=executor)
-    # bitwise identical to the in-process run; MonteCarloEstimator /
-    # SearchRunner accept the executor through store= unchanged
-
-or asynchronously — submit now, run workers anywhere, collect later::
-
-    run = Campaign(...).submit(seed=0, queue="queue.sqlite",
-                               store="results.sqlite")
+    run = Campaign(..., table=table).submit(
+        seed=0, queue="queue.sqlite", store="results.sqlite")
+    run_workers("queue.sqlite", num_workers=4,   # or `repro worker`
+                campaign_id=run.campaign_id)     # on any host
     run.wait(); results = run.collect()   # == serial run, bit for bit
 
 Fleets are also a first-class **backend**: with ``repro worker``
@@ -244,7 +237,6 @@ from repro.experiments import (
 )
 from repro.distributed import (
     DistributedBackend,
-    DistributedExecutor,
     DistributedRun,
     Worker,
     WorkQueue,
@@ -280,7 +272,6 @@ __all__ = [
     "Campaign",
     "CampaignSpec",
     "DistributedBackend",
-    "DistributedExecutor",
     "DistributedRun",
     "EncounterFitness",
     "EncounterParameters",

@@ -23,10 +23,8 @@ This package closes the loop:
   completed campaign enqueues nothing), :class:`DistributedRun`
   (``wait``/``iter_progress``/``collect`` — the collected
   :class:`~repro.experiments.ResultSet` is bitwise identical to a
-  serial storeless run), and :class:`DistributedExecutor`, which plugs
-  the whole cycle into the experiment stack's existing ``store=`` seam
-  (``Campaign.run(store=executor)``, ``MonteCarloEstimator``,
-  ``SearchRunner``).
+  serial storeless run), and :func:`run_workers`, which spawns a local
+  fleet for scripted ``submit`` → ``run_workers`` → ``collect`` cycles.
 
 Fleets are also a first-class *backend*:
 :mod:`repro.distributed.backend`'s :class:`DistributedBackend` sits in
@@ -44,7 +42,6 @@ collects finished chunks and orphaned job rows, and ``repro campaign
 """
 
 from repro.distributed.coordinator import (
-    DistributedExecutor,
     DistributedRun,
     Progress,
     run_workers,
@@ -78,7 +75,6 @@ __all__ = [
     "ChunkState",
     "ClaimedChunk",
     "DistributedBackend",
-    "DistributedExecutor",
     "DistributedRun",
     "EXIT_HEARTBEAT_DEAD",
     "FleetReport",

@@ -1,9 +1,8 @@
 """The ``"distributed"`` simulation backend: campaigns on a live fleet.
 
-:mod:`repro.distributed` gave campaigns fleets through two explicit
-seams — ``Campaign.submit()`` for asynchronous runs and
-:class:`~repro.distributed.DistributedExecutor` through ``store=``.
-This module makes fleets a *first-class backend*: registering
+:mod:`repro.distributed` gives campaigns fleets through an explicit
+seam — ``Campaign.submit()`` for asynchronous, scripted runs.  This
+module makes fleets a *first-class backend*: registering
 :class:`DistributedBackend` under the ``"distributed"`` registry key
 means a single ``Campaign(backend="distributed", ...).run(seed)`` — and
 therefore :class:`~repro.montecarlo.MonteCarloEstimator`,

@@ -19,11 +19,10 @@ serial storeless run of the same campaign and seed, because every
 record round-trips losslessly and every scenario's bits derive only
 from its own pre-spawned seed.
 
-:class:`DistributedExecutor` packages the whole submit → work → collect
-cycle behind the experiment stack's existing ``store=`` seam: pass one
-to ``Campaign.run(store=...)`` (or to ``MonteCarloEstimator`` /
-``SearchRunner`` / ``EncounterFitness``, which forward it unchanged)
-and the campaign executes on a worker fleet instead of in-process.
+:func:`run_workers` spawns a local fleet for scripted submit → work →
+collect cycles; the ``"distributed"`` backend
+(:mod:`repro.distributed.backend`) runs the whole cycle behind
+``Campaign.run``.
 """
 
 from __future__ import annotations
@@ -453,8 +452,7 @@ def run_workers(
     failed) and exits; *campaign_id* pins the fleet to one campaign's
     chunks, so shared queues with other in-flight jobs neither feed
     this fleet unrelated work nor keep it waiting on unrelated leases.
-    The building block behind :class:`DistributedExecutor`; multi-host
-    deployments run ``repro worker`` on each host instead.
+    Multi-host deployments run ``repro worker`` on each host instead.
     """
     if num_workers < 1:
         raise ValueError("num_workers must be >= 1")
@@ -472,159 +470,3 @@ def run_workers(
     for process in processes:
         process.join()
 
-
-class DistributedExecutor:
-    """Distributed execution behind the experiment stack's ``store=`` seam.
-
-    An executor bundles a queue path, a store path, and a local worker
-    fleet size.  Passing one anywhere a
-    :class:`~repro.store.ResultStore` is accepted —
-    ``Campaign.run(store=executor)``,
-    ``MonteCarloEstimator(store=executor)``,
-    ``SearchRunner(store=executor)`` — makes every campaign submit to
-    the queue, execute on workers, and collect from the store, with the
-    same bits as an in-process run.
-
-    Parameters
-    ----------
-    queue:
-        Shared work-queue database path (or an open queue).
-    store:
-        Shared result-store path (or an open store) workers drain into.
-    workers:
-        Local worker processes spawned per campaign.  ``0`` runs a
-        single in-process worker instead (useful under debuggers), and
-        is also the setting for pure submit-side coordinators whose
-        workers run elsewhere (combine with ``external_workers=True``).
-    external_workers:
-        When ``True``, spawn nothing and just wait for an external
-        fleet (``repro worker`` processes on any host sharing the
-        filesystem) to drain the campaign.
-    wait_timeout:
-        Upper bound on waiting for campaign completion.
-    supervised:
-        When ``True``, the local fleet runs under a
-        :class:`~repro.distributed.supervisor.FleetSupervisor`
-        (worker subprocesses restarted on crash, crash-loop
-        detection) instead of fire-and-forget processes.
-    """
-
-    def __init__(
-        self,
-        queue: QueueLike,
-        store: StoreLike,
-        workers: int = 2,
-        lease_seconds: float = 60.0,
-        poll_interval: float = 0.05,
-        chunk_size: Optional[int] = None,
-        external_workers: bool = False,
-        wait_timeout: Optional[float] = None,
-        supervised: bool = False,
-    ):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        self.queue_path = _queue_path(queue)
-        self.store_path = _store_path(store)
-        self.workers = workers
-        self.lease_seconds = lease_seconds
-        self.poll_interval = poll_interval
-        self.chunk_size = chunk_size
-        self.external_workers = external_workers
-        self.wait_timeout = wait_timeout
-        self.supervised = supervised
-
-    def __repr__(self) -> str:
-        return (
-            f"DistributedExecutor(queue={self.queue_path!r}, "
-            f"store={self.store_path!r}, workers={self.workers})"
-        )
-
-    def submit(
-        self, campaign: Campaign, seed=None, chunk_size: Optional[int] = None
-    ) -> DistributedRun:
-        """Submit without executing (the fleet runs elsewhere)."""
-        return submit(
-            campaign,
-            seed,
-            queue=self.queue_path,
-            store=self.store_path,
-            chunk_size=chunk_size or self.chunk_size,
-        )
-
-    def run_campaign(
-        self,
-        campaign: Campaign,
-        seed=None,
-        chunk_size: Optional[int] = None,
-    ) -> ResultSet:
-        """Submit, execute on the worker fleet, and collect.
-
-        The ``store=`` seam's entry point: ``Campaign.run`` delegates
-        here when its *store* argument is an executor.  The returned
-        :class:`ResultSet` is bitwise identical to the serial storeless
-        run of the same campaign and seed; its metadata carries the
-        ``campaign_id`` / ``loaded`` / ``simulated`` keys the store
-        plumbing reports everywhere else, plus the fleet size.
-        """
-        start = time.perf_counter()
-        fleet_span = telemetry.span(
-            "campaign.fleet",
-            workers="external" if self.external_workers else self.workers,
-        )
-        with fleet_span:
-            run = self.submit(campaign, seed, chunk_size=chunk_size)
-            fleet_span.set(campaign_id=run.campaign_id)
-            if run.simulated and not self.external_workers:
-                self._drive_workers(run.campaign_id)
-            run.wait(timeout=self.wait_timeout, poll=self.poll_interval)
-            results = run.collect()
-        results.metadata["distributed_workers"] = (
-            "external" if self.external_workers else self.workers
-        )
-        results.wall_time = time.perf_counter() - start
-        results.workers = max(self.workers, 1)
-        return results
-
-    def _drive_workers(self, campaign_id: str) -> None:
-        """Run the local fleet until *this campaign's* chunks drain.
-
-        The fleet is pinned to the campaign it was spawned for: on a
-        shared queue it must neither execute other jobs' chunks nor
-        wait for other jobs' leases.
-        """
-        if self.workers == 0:
-            Worker(
-                self.queue_path,
-                lease_seconds=self.lease_seconds,
-                poll_interval=self.poll_interval,
-                campaign_id=campaign_id,
-            ).run()
-            return
-        if self.supervised:
-            from repro.distributed.supervisor import FleetSupervisor
-
-            FleetSupervisor(
-                self.queue_path,
-                workers=self.workers,
-                campaign_id=campaign_id,
-                lease_seconds=self.lease_seconds,
-                poll_interval=self.poll_interval,
-            ).run(timeout=self.wait_timeout)
-            return
-        run_workers(
-            self.queue_path,
-            num_workers=self.workers,
-            lease_seconds=self.lease_seconds,
-            poll_interval=self.poll_interval,
-            campaign_id=campaign_id,
-        )
-        # Belt and braces: if a fleet member was killed while holding a
-        # lease, the survivors may have exited before it expired.  A
-        # final inline drain reclaims and finishes any such remainder
-        # (and returns immediately when the fleet drained cleanly).
-        Worker(
-            self.queue_path,
-            lease_seconds=self.lease_seconds,
-            poll_interval=self.poll_interval,
-            campaign_id=campaign_id,
-        ).run()

@@ -92,11 +92,10 @@ CREATE TABLE IF NOT EXISTS chunks (
 CREATE INDEX IF NOT EXISTS idx_chunks_claimable
     ON chunks (status, lease_expires);
 CREATE TABLE IF NOT EXISTS workers (
-    worker_id    TEXT PRIMARY KEY,
-    campaign_id  TEXT,
-    started_at   REAL NOT NULL,
-    heartbeat    REAL NOT NULL,
-    capabilities TEXT
+    worker_id   TEXT PRIMARY KEY,
+    campaign_id TEXT,
+    started_at  REAL NOT NULL,
+    heartbeat   REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS worker_metrics (
     worker_id TEXT PRIMARY KEY,
@@ -225,10 +224,6 @@ class WorkerInfo:
     campaign_id: Optional[str]
     started_at: float
     heartbeat: float
-    #: What the worker advertised it can execute (backend keys,
-    #: accelerator status — see :func:`repro.distributed.worker.
-    #: worker_capabilities`); ``None`` until it advertises.
-    capabilities: Optional[dict] = None
 
     def to_dict(self, now: Optional[float] = None) -> dict:
         """Plain-JSON view; *now* (queue clock) adds heartbeat age."""
@@ -237,7 +232,6 @@ class WorkerInfo:
             "campaign_id": self.campaign_id,
             "started_at": self.started_at,
             "heartbeat": self.heartbeat,
-            "capabilities": self.capabilities,
         }
         if now is not None:
             row["heartbeat_age"] = max(0.0, now - self.heartbeat)
@@ -343,18 +337,6 @@ class WorkQueue:
             self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute("PRAGMA synchronous = NORMAL")
         self._conn.executescript(_SCHEMA)
-        # Schema migration: the capabilities column postdates fielded
-        # queue files, and CREATE TABLE IF NOT EXISTS never alters an
-        # existing table — add the column in place so old queues keep
-        # working (rows read as NULL until a worker advertises).
-        columns = {
-            row["name"]
-            for row in self._conn.execute("PRAGMA table_info(workers)")
-        }
-        if "capabilities" not in columns:
-            self._conn.execute(
-                "ALTER TABLE workers ADD COLUMN capabilities TEXT"
-            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -834,48 +816,13 @@ class WorkQueue:
 
     @staticmethod
     def _worker_info(row) -> WorkerInfo:
-        """One ``workers`` row as a :class:`WorkerInfo` (JSON decoded)."""
-        capabilities = None
-        if row["capabilities"]:
-            try:
-                capabilities = json.loads(row["capabilities"])
-            except (TypeError, ValueError):
-                capabilities = None
+        """One ``workers`` row as a :class:`WorkerInfo`."""
         return WorkerInfo(
             worker_id=row["worker_id"],
             campaign_id=row["campaign_id"],
             started_at=row["started_at"],
             heartbeat=row["heartbeat"],
-            capabilities=capabilities,
         )
-
-    def advertise_capabilities(
-        self, worker_id: str, capabilities: dict
-    ) -> None:
-        """Record what *worker_id* can execute (backend keys, devices).
-
-        Workers call this once at startup; heartbeat upserts leave the
-        column alone, so the advertisement survives the whole worker
-        lifetime.  Coordinators read it back through
-        :meth:`live_workers`/:meth:`workers` — e.g. to check whether
-        any live fleet member can serve a campaign submitted with the
-        ``"vectorized-batch-gpu"`` backend on an actual accelerator.
-        """
-        blob = json.dumps(capabilities)
-
-        def txn() -> None:
-            now = self._now()
-            self._conn.execute(
-                "INSERT INTO workers (worker_id, campaign_id,"
-                " started_at, heartbeat, capabilities)"
-                " VALUES (?, NULL, ?, ?, ?)"
-                " ON CONFLICT(worker_id) DO UPDATE SET"
-                " heartbeat = excluded.heartbeat,"
-                " capabilities = excluded.capabilities",
-                (worker_id, now, now, blob),
-            )
-
-        self._write(txn)
 
     def live_workers(
         self,

@@ -131,7 +131,7 @@ class FleetSupervisor:
         Number of worker slots (concurrently live worker processes).
     campaign_id:
         Pin every worker to one campaign's chunks (what
-        ``repro fleet --campaign`` and the supervised executor use).
+        ``repro fleet --campaign`` uses).
     lease_seconds / poll_interval / skew_margin:
         Forwarded to each worker process.
     restart_backoff / backoff_factor / max_backoff:

@@ -63,27 +63,6 @@ from repro.telemetry.metrics import MetricsRegistry
 EXIT_HEARTBEAT_DEAD = 43
 
 
-def worker_capabilities() -> Dict[str, object]:
-    """What this host's worker can execute, for fleet introspection.
-
-    Advertised on the queue's workers table at startup
-    (:meth:`~repro.distributed.queue.WorkQueue.advertise_capabilities`):
-    the registered backend keys this process can rebuild, plus the
-    accelerator picture from :mod:`repro.sim.xp` — so a coordinator can
-    tell whether a ``"vectorized-batch-gpu"`` campaign submitted to
-    this fleet will run on an actual device or fall back to the CPU
-    kernel on every member.
-    """
-    from repro.experiments.backends import available_backends
-    from repro.sim.xp import accelerator_available, detect_accelerators
-
-    return {
-        "backends": list(available_backends()),
-        "accelerated": accelerator_available(),
-        "accelerators": detect_accelerators(),
-    }
-
-
 class HeartbeatFailure(RuntimeError):
     """The lease-heartbeat thread died while its chunk simulated.
 
@@ -150,6 +129,8 @@ class _LeaseHeartbeat(threading.Thread):
             min(lease_seconds / 3.0, DEFAULT_WORKER_TTL / 3.0), 0.02
         )
         self._stop_event = threading.Event()
+        #: Set once the first beat has a verdict (or the thread died).
+        self._first_beat = threading.Event()
         self.lost = False
         #: Traceback text if the thread died on an exception.
         self.error: Optional[str] = None
@@ -180,10 +161,22 @@ class _LeaseHeartbeat(threading.Thread):
                         ):
                             self.lost = True
                             return
+                    self._first_beat.set()
                     if self._stop_event.wait(self._interval):
                         return
         except Exception:
             self.error = traceback.format_exc()
+        finally:
+            self._first_beat.set()
+
+    def settle(self) -> None:
+        """Wait (at most one beat interval) for the first beat's verdict.
+
+        A chunk can finish simulating before this thread has opened its
+        queue; judging :attr:`dead` or :attr:`lost` then would read a
+        heartbeat that never ran.
+        """
+        self._first_beat.wait(self._interval)
 
     @property
     def dead(self) -> bool:
@@ -226,10 +219,11 @@ class Worker:
         claimable.
     campaign_id:
         When set, the worker claims (and waits on) only this
-        campaign's chunks — the scoping
-        :class:`~repro.distributed.DistributedExecutor` uses so its
-        fleet neither executes unrelated queued work nor blocks on
-        another campaign's leases.
+        campaign's chunks — the scoping ``repro worker --campaign``,
+        :func:`~repro.distributed.run_workers` and
+        :class:`~repro.distributed.FleetSupervisor` use so a fleet
+        neither executes unrelated queued work nor blocks on another
+        campaign's leases.
     skew_margin:
         Extra seconds beyond a lease's stamped expiry before this
         worker reclaims it (see
@@ -318,16 +312,6 @@ class Worker:
                 self.queue_path, skew_margin=self.skew_margin, clock=clock,
                 metrics=self.metrics,
             ) as queue:
-                try:
-                    # Advertise what this worker can execute before the
-                    # first claim, so coordinators see capabilities the
-                    # moment the worker reads as live.  Best-effort: a
-                    # busy queue must not keep a worker from working.
-                    queue.advertise_capabilities(
-                        self.worker_id, worker_capabilities()
-                    )
-                except Exception:
-                    pass
                 try:
                     while (
                         max_chunks is None or stats.chunks_done < max_chunks
@@ -490,6 +474,8 @@ class Worker:
             # from it are KernelProfile perf_counter deltas, never
             # wall-clock arithmetic.
             self._record_phase_spans(backend, phase_before, sim_span, sim_wall)
+            if heartbeat is not None:
+                heartbeat.settle()
             if heartbeat is not None and heartbeat.dead:
                 # The renewal machinery broke while we simulated —
                 # distinct from a *lost* lease: nobody else owns the

@@ -67,6 +67,13 @@ class EncounterParameters:
     intruder_vertical_speed: float
 
     def __post_init__(self) -> None:
+        # NaN fails no sign check below (nan < 0 is False), and a NaN
+        # encounter simulates into NaN separations with nmac=False: a
+        # silent "safe" verdict.  Non-finite geometry is rejected here.
+        for name in PARAMETER_NAMES:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.own_ground_speed < 0 or self.intruder_ground_speed < 0:
             raise ValueError("ground speeds must be non-negative")
         if self.time_to_cpa <= 0:

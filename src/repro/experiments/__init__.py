@@ -8,10 +8,11 @@ package expresses it declaratively:
   unifying explicit parameters, named presets and sampled sources;
 - :mod:`repro.experiments.backends` — the :class:`SimulationBackend`
   protocol and string-keyed registry (``"agent"`` = faithful engine,
-  ``"vectorized"`` = NumPy fast path, ``"vectorized-batch"`` = the
-  megabatch path flattening whole chunks of scenarios into one lane
-  array), plus the picklable :class:`BackendSpec` workers rebuild
-  their backend from;
+  one simulation per run; ``"vectorized-batch"`` = the megabatch
+  kernel flattening whole chunks of scenarios into one lane array, the
+  default; ``"vectorized"`` = its legacy alias; ``"distributed"`` =
+  the megabatch kernel on a worker fleet), plus the picklable
+  :class:`BackendSpec` workers rebuild their backend from;
 - :mod:`repro.experiments.campaign` — the :class:`Campaign` object
   (scenarios × backend × equipage × runs) with deterministic serial,
   process-parallel or streaming (:meth:`Campaign.iter_records`)

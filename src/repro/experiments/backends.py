@@ -1,23 +1,22 @@
 """Pluggable simulation backends behind a string-keyed registry.
 
-The library has three ways to simulate the N stochastic runs of an
-encounter: the faithful agent-based engine (:func:`repro.sim.encounter.
-run_encounter`, one Python-level simulation per run), the vectorized
-NumPy fast path (:class:`repro.sim.batch.BatchEncounterSimulator`, all
-runs of one scenario advance simultaneously), and the megabatch path
-(its :meth:`~repro.sim.batch.BatchEncounterSimulator.run_many`, which
+The library simulates the N stochastic runs of an encounter in one of
+two ways: the faithful agent-based engine (:func:`repro.sim.encounter.
+run_encounter`, one Python-level simulation per run) and the megabatch
+kernel (:meth:`repro.sim.batch.BatchEncounterSimulator.run_many`, which
 flattens whole *chunks of scenarios* into one lane array and produces
-bitwise-identical per-scenario results).  They trade fidelity scrutiny
-for speed; dedicated tests keep them equivalent.
+per-scenario results that do not depend on the chunking).  They trade
+fidelity scrutiny for speed; dedicated tests keep them equivalent.
 
-This module puts all of them behind one :class:`SimulationBackend`
-interface so every consumer — campaigns, GA fitness, Monte-Carlo
-estimation, the CLI — selects the trade-off with a single string
-(``"agent"``, ``"vectorized"``, ``"vectorized-batch"``,
-``"vectorized-batch-gpu"`` or ``"distributed"``) instead of importing a
-different class.  New
-backends register under their own key and become available everywhere
-at once.  The ``"distributed"`` key is the multi-host dispatcher: a
+This module puts both behind one :class:`SimulationBackend` interface
+so every consumer — campaigns, GA fitness, Monte-Carlo estimation, the
+CLI — selects the trade-off with a single string (``"agent"``,
+``"vectorized-batch"`` or ``"distributed"``) instead of importing a
+different class.  ``"vectorized"`` is a legacy alias of
+``"vectorized-batch"`` that keeps stored campaign ids naming it
+resolvable.  New backends register under their own key and become
+available everywhere at once.  The ``"distributed"`` key is the
+multi-host dispatcher: a
 :class:`~repro.distributed.backend.DistributedBackend` (registered
 lazily, so importing this module stays cheap) that carries a shared
 work-queue path, a result-store path and a fleet policy, and makes
@@ -33,7 +32,6 @@ unpickling the full backend (logic table and all) with every task.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -54,7 +52,6 @@ from repro.avoidance.acas import AcasXuAvoidance
 from repro.encounters.encoding import EncounterParameters
 from repro.sim.batch import BatchEncounterSimulator, BatchResult, KernelProfile
 from repro.sim.encounter import EncounterSimConfig, make_acas_pair, run_encounter
-from repro.sim.xp import ArrayNamespace, detect_accelerators, get_namespace
 from repro.util.rng import SeedLike, as_seed_sequence
 
 #: Equipage spellings shared by the library and the CLI.
@@ -225,11 +222,22 @@ class AgentBackend:
         )
 
 
-@register_backend("vectorized")
-class VectorizedBackend:
-    """The NumPy fast path: all runs of one scenario advance together."""
+@register_backend("vectorized-batch")
+class VectorizedBatchBackend:
+    """The megabatch path: whole chunks of scenarios advance together.
 
-    name = "vectorized"
+    :meth:`simulate_many` flattens a chunk of scenarios into a single
+    ``(scenarios * runs)``-lane array simulation
+    (:meth:`repro.sim.batch.BatchEncounterSimulator.run_many`).
+    Per-scenario randomness derives from each scenario's own seed, so
+    results are independent of how scenarios are chunked — only the
+    wall clock changes.
+    """
+
+    name = "vectorized-batch"
+
+    #: Accumulating per-phase timings, set by :meth:`enable_profiling`.
+    kernel_profile: Optional[KernelProfile] = None
 
     def __init__(
         self,
@@ -250,48 +258,13 @@ class VectorizedBackend:
             coordination=coordination,
         )
 
-    def simulate(
-        self,
-        params: EncounterParameters,
-        num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Run *num_runs* runs as one vectorized batch."""
-        return self._simulator.run(
-            params, num_runs, seed=np.random.default_rng(as_seed_sequence(seed))
-        )
-
-
-@register_backend("vectorized-batch")
-class VectorizedBatchBackend(VectorizedBackend):
-    """The megabatch path: whole chunks of scenarios advance together.
-
-    Where :class:`VectorizedBackend` vectorizes across the runs of one
-    scenario, this backend additionally implements
-    :meth:`simulate_many`, flattening a chunk of scenarios into a
-    single ``(scenarios * runs)``-lane array simulation
-    (:meth:`repro.sim.batch.BatchEncounterSimulator.run_many`).
-    Per-scenario randomness still derives from each scenario's own
-    seed, so results are bitwise identical to ``"vectorized"`` and
-    independent of how scenarios are chunked — only the wall clock
-    changes.
-    """
-
-    name = "vectorized-batch"
-
-    #: Array namespace executing the kernel (``None`` = host numpy).
-    _xp: Optional[ArrayNamespace] = None
-
-    #: Accumulating per-phase timings, set by :meth:`enable_profiling`.
-    kernel_profile: Optional[KernelProfile] = None
-
     def enable_profiling(self) -> KernelProfile:
         """Attach a :class:`~repro.sim.batch.KernelProfile` to the kernel.
 
         Every subsequent :meth:`simulate`/:meth:`simulate_many` call
         accumulates its per-phase timings (tape draw, decision, physics,
-        observe, transfer) into the returned profile, so one profile
-        object covers a whole chunked campaign.
+        observe) into the returned profile, so one profile object covers
+        a whole chunked campaign.
         """
         self.kernel_profile = KernelProfile()
         return self.kernel_profile
@@ -324,78 +297,20 @@ class VectorizedBatchBackend(VectorizedBackend):
             np.random.default_rng(as_seed_sequence(seed)) for seed in seeds
         ]
         return self._simulator.run_many(
-            params_list,
-            num_runs,
-            rngs,
-            xp=self._xp,
-            profile=self.kernel_profile,
+            params_list, num_runs, rngs, profile=self.kernel_profile
         )
 
 
-@register_backend("vectorized-batch-gpu")
-class VectorizedBatchGpuBackend(VectorizedBatchBackend):
-    """The megabatch path on an accelerator array namespace.
+@register_backend("vectorized")
+class VectorizedBackend(VectorizedBatchBackend):
+    """Legacy alias of ``"vectorized-batch"``, bitwise identical.
 
-    Identical to ``"vectorized-batch"`` except that the decision /
-    physics / observe phases execute on the namespace
-    :func:`repro.sim.xp.get_namespace` resolves for *device* (CuPy when
-    a CUDA device answers).  Noise tapes are still drawn on the host —
-    the RNG stream is part of the result contract — and transferred to
-    the device once per chunk.
-
-    On a host with no usable accelerator the backend **degrades rather
-    than fails**: it warns once at construction (embedding the per-stack
-    diagnosis from :func:`~repro.sim.xp.detect_accelerators`) and runs
-    the stock CPU kernel, producing bitwise-identical results.  The
-    fallback also rewrites :attr:`provenance_name` to
-    ``"vectorized-batch"`` so recorded campaigns name the backend that
-    actually produced their bits.
+    Kept so stored campaign ids that name ``"vectorized"`` keep
+    resolving; the key is part of a campaign's provenance, so it is
+    not rewritten to ``"vectorized-batch"``.
     """
 
-    name = "vectorized-batch-gpu"
-
-    def __init__(
-        self,
-        table: Optional[LogicTable] = None,
-        config: EncounterSimConfig | None = None,
-        equipage: str = "both",
-        coordination: bool = True,
-        device: str = "auto",
-    ):
-        super().__init__(
-            table, config, equipage=equipage, coordination=coordination
-        )
-        self.device = device
-        namespace = get_namespace(device)
-        if namespace.is_accelerated:
-            self._xp = namespace
-            self.provenance_name = self.name
-        else:
-            diagnosis = ", ".join(
-                f"{stack}: {status}"
-                for stack, status in sorted(detect_accelerators().items())
-            )
-            warnings.warn(
-                "backend 'vectorized-batch-gpu' found no usable "
-                f"accelerator ({diagnosis}); running the CPU megabatch "
-                "kernel instead (results are bitwise identical)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._xp = None
-            self.provenance_name = "vectorized-batch"
-
-    def capture_spec(self) -> "BackendSpec":
-        """Spec carrying the device request for fleet-side rebuilds."""
-        table = self.table
-        return BackendSpec(
-            backend=self.name,
-            equipage=self.equipage,
-            coordination=self.coordination,
-            config=self.config,
-            table_bytes=table.to_bytes() if table is not None else None,
-            device=self.device,
-        )
+    name = "vectorized"
 
 
 @register_backend("distributed")
@@ -444,11 +359,6 @@ class BackendSpec:
     #: ``"distributed"`` only: fleet policy keyword arguments
     #: (``lease_seconds``, ``poll_interval``, ``fallback``, ...).
     fleet: Optional[Dict[str, object]] = None
-    #: ``"vectorized-batch-gpu"`` only: the device request
-    #: (``"auto"``/``"numpy"``/``"cupy"``), so a fleet worker rebuilding
-    #: the backend resolves its *own* accelerator rather than
-    #: inheriting the submitting host's.
-    device: Optional[str] = None
 
     @classmethod
     def capture(cls, backend: SimulationBackend) -> "BackendSpec":
@@ -506,8 +416,6 @@ class BackendSpec:
             options["inner"] = self.inner
         if self.fleet:
             options.update(self.fleet)
-        if self.device is not None:
-            options["device"] = self.device
         return make_backend(
             self.backend,
             table=table,

@@ -370,8 +370,8 @@ class Campaign:
         Anything :func:`~repro.experiments.scenario.as_scenario_source`
         accepts — a source object, preset name(s), parameters, genomes.
     backend:
-        Registry key (``"agent"``, ``"vectorized"`` or
-        ``"vectorized-batch"``) or a ready :class:`SimulationBackend`
+        Registry key (``"agent"``, ``"vectorized-batch"`` or
+        ``"distributed"``) or a ready :class:`SimulationBackend`
         instance.
     table:
         Logic table for equipped aircraft (``None`` only with
@@ -529,24 +529,14 @@ class Campaign:
             before it is yielded (so an interrupted stream keeps its
             progress), and the yielded sequence — stored and fresh
             records merged in index order — is bitwise identical to a
-            storeless run of the same seed.  A
-            :class:`~repro.distributed.DistributedExecutor` is accepted
-            here too: the campaign then executes on its worker fleet
-            (``workers`` is ignored; the fleet is the parallelism) and
-            the records stream from the collected result.
+            storeless run of the same seed.
 
-        Like the executor seam, a campaign built with
-        ``backend="distributed"`` executes on its fleet and iterates
-        the *collected* result — the full campaign completes (and is
-        held in memory) before the first record is yielded.  For
-        bounded-memory streaming of very large campaigns, use an
-        in-process backend.
+        A campaign built with ``backend="distributed"`` executes on its
+        fleet and iterates the *collected* result — the full campaign
+        completes (and is held in memory) before the first record is
+        yielded.  For bounded-memory streaming of very large campaigns,
+        use an in-process backend.
         """
-        if hasattr(store, "run_campaign"):  # DistributedExecutor seam
-            return iter(
-                store.run_campaign(self, seed=seed, chunk_size=chunk_size)
-                .records
-            )
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             self._check_backend_store(store)
             return iter(
@@ -753,28 +743,20 @@ class Campaign:
         ``cpu_count`` — so persisted timing records are
         self-describing.
 
-        *store* also accepts a
-        :class:`~repro.distributed.DistributedExecutor`: the campaign
-        is then submitted to its shared work queue, executed by its
-        worker fleet (``workers`` is ignored — the fleet is the
-        parallelism), and collected from its store, bitwise identical
-        to the in-process run.  Every consumer of the ``store=`` seam
-        (:class:`~repro.montecarlo.MonteCarloEstimator`,
-        :class:`~repro.search.SearchRunner`) inherits distributed
-        execution the same way.
+        With ``backend="distributed"`` the campaign runs on a worker
+        fleet instead (``workers`` is ignored — the fleet is the
+        parallelism) and is collected from the fleet's store, bitwise
+        identical to the in-process run.
 
         With ``profile=True`` and a megabatch backend, the kernel's
         per-phase wall-clock breakdown (tape draw / decision / physics /
-        observe / transfer) lands in ``metadata["kernel_profile"]`` —
-        and from there into every store/bench record the result set
-        flows through.  Profiling is in-process only: with ``workers >
-        1`` (or a backend without kernel timers) the metadata instead
-        carries an honest ``{"unsupported": reason}`` note.  Fleet runs
-        (the ``store=``-executor and ``"distributed"`` seams above)
-        ignore the flag.
+        observe) lands in ``metadata["kernel_profile"]`` — and from
+        there into every store record the result set flows through.
+        Profiling is in-process only: with ``workers > 1`` (or a
+        backend without kernel timers) the metadata instead carries an
+        honest ``{"unsupported": reason}`` note.  Fleet runs ignore the
+        flag.
         """
-        if hasattr(store, "run_campaign"):  # DistributedExecutor seam
-            return store.run_campaign(self, seed=seed, chunk_size=chunk_size)
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             # A fleet-native backend owns the whole submit → await →
             # collect cycle (its queue/store paths and fleet policy

@@ -1,33 +1,31 @@
-"""Vectorized batch simulation of one encounter's many noisy runs.
+"""Vectorized batch simulation of many noisy encounter runs.
 
 The paper evaluates every GA individual with 100 stochastic simulation
 runs (Section VII).  Running those through the agent-based engine is
 faithful but slow in Python, so this module provides a NumPy fast path:
-all runs of one encounter advance simultaneously as array operations.
-The dynamics, sensing, coordination and monitors replicate
+all runs advance simultaneously as array operations.  The dynamics,
+sensing, coordination and monitors replicate
 :mod:`repro.sim.encounter` step for step (a dedicated test asserts
 statistical equivalence); only the random-draw order differs.
 
-The megabatch path (:meth:`BatchEncounterSimulator.run_many`) goes one
-step further and is structured as a backend-agnostic *kernel*:
+There is one stepping loop, the megabatch kernel
+:meth:`BatchEncounterSimulator.run_many`;
+:meth:`~BatchEncounterSimulator.run` is its one-scenario call.  The
+kernel is organised as:
 
 - **Noise tapes** — each scenario's entire disturbance + sensor noise
   sequence is pre-drawn up front with one bulk ``standard_normal`` per
-  scenario, in exactly the order :meth:`run` consumes it, then scaled
-  per segment.  ``Generator.normal(0.0, std, size)`` computes
+  scenario, in the historical per-decision inline draw order, then
+  scaled per segment.  ``Generator.normal(0.0, std, size)`` computes
   ``0.0 + std * z`` over ``size`` sequential draws of the same ziggurat
-  stream, so the tape slices are bitwise identical to the historical
-  inline draws while eliminating the per-decision Python RNG loop
-  (:mod:`repro.sim.batch_reference` freezes that pre-refactor loop as
-  the golden equivalence/benchmark baseline).
-- **Array-namespace seam** — the decision / physics / observe phases
-  take an :class:`repro.sim.xp.ArrayNamespace`; numpy is the default
-  and pays nothing, while an accelerator namespace receives the
-  host-drawn tapes via ``asarray`` (logic-table lookups stay on host).
+  stream, so the tape slices are bitwise identical to those inline
+  draws while eliminating the per-decision Python RNG loop
+  (:mod:`repro.sim.batch_reference` freezes that inline-draw loop as
+  the independent equivalence oracle).
 - **Per-phase timers** — ``run_many(profile=...)`` accumulates a
-  :class:`KernelProfile` (tape-draw / decision / physics / observe /
-  transfer), the observability surface ``Campaign.run(profile=True)``
-  stamps into campaign metadata.
+  :class:`KernelProfile` (tape-draw / decision / physics / observe),
+  the observability surface ``Campaign.run(profile=True)`` stamps into
+  campaign metadata.
 
 Supported equipage: both aircraft ACAS XU (coordinated or not),
 own-ship only, or none — the combinations the experiments need.
@@ -45,7 +43,6 @@ from repro.acasx.advisories import ADVISORIES, NUM_ADVISORIES
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters, decode_encounter
 from repro.sim.encounter import EncounterSimConfig
-from repro.sim.xp import ArrayNamespace, NUMPY_NAMESPACE
 from repro.util.rng import SeedLike, as_generator
 from repro.util.units import NMAC_HORIZONTAL_M, NMAC_VERTICAL_M
 
@@ -64,41 +61,9 @@ _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
 _RAMP_MASK = _ACTIVE & (_ACCELS > 0)
 
 
-class _AdvisoryTables(NamedTuple):
-    """The advisory attribute tables, in one namespace's memory."""
-
-    target_filled: object
-    accels: object
-    senses: object
-    active: object
-    ramp_mask: object
-
-
-_HOST_TABLES = _AdvisoryTables(
-    _TARGET_FILLED, _ACCELS, _SENSES, _ACTIVE, _RAMP_MASK
-)
-_DEVICE_TABLES: Dict[str, _AdvisoryTables] = {}
-
-
-def advisory_tables(xp: ArrayNamespace) -> _AdvisoryTables:
-    """The advisory tables resident in *xp*'s memory (cached).
-
-    Fancy indexing by a device-resident advisory array (``sra``) needs
-    the attribute tables on the device too; host numpy gets the module
-    globals unchanged.
-    """
-    if not xp.is_accelerated:
-        return _HOST_TABLES
-    tables = _DEVICE_TABLES.get(xp.name)
-    if tables is None:
-        tables = _AdvisoryTables(*(xp.asarray(t) for t in _HOST_TABLES))
-        _DEVICE_TABLES[xp.name] = tables
-    return tables
-
-
 #: Phase names of :class:`KernelProfile`, in pipeline order.
 KERNEL_PHASES: Tuple[str, ...] = (
-    "tape_draw", "decision", "physics", "observe", "transfer",
+    "tape_draw", "decision", "physics", "observe",
 )
 
 
@@ -109,26 +74,22 @@ class KernelProfile:
     Accumulates across every ``run_many`` call it is passed to, so one
     profile object can cover a whole chunked campaign.  Phases:
 
-    - ``tape_draw`` — host-side noise generation (bulk tape draws, plus
-      the per-decision tape slicing);
+    - ``tape_draw`` — noise generation (bulk tape draws, plus the
+      per-decision tape slicing);
     - ``decision``  — sensing arithmetic + advisory selection (includes
-      the host logic-table lookup);
+      the logic-table lookup);
     - ``physics``   — substep integration of both aircraft;
-    - ``observe``   — separation / NMAC monitors;
-    - ``transfer``  — host↔device movement (zero on the CPU kernel).
+    - ``observe``   — separation / NMAC monitors.
     """
 
     tape_draw: float = 0.0
     decision: float = 0.0
     physics: float = 0.0
     observe: float = 0.0
-    transfer: float = 0.0
     #: How many kernel invocations / scenarios / lanes accumulated.
     calls: int = 0
     scenarios: int = 0
     lanes: int = 0
-    #: Array namespace the kernel ran on (``"numpy"`` / ``"cupy"``).
-    device: str = "numpy"
 
     @property
     def total(self) -> float:
@@ -145,7 +106,6 @@ class KernelProfile:
             calls=self.calls,
             scenarios=self.scenarios,
             lanes=self.lanes,
-            device=self.device,
         )
         return payload
 
@@ -153,7 +113,7 @@ class KernelProfile:
         """Multi-line phase breakdown for benches and the CLI."""
         total = self.total
         lines = [
-            f"kernel profile [{self.device}]: {self.calls} call(s), "
+            f"kernel profile: {self.calls} call(s), "
             f"{self.scenarios} scenario(s), {self.lanes} lane(s), "
             f"{total:.3f}s in profiled phases"
         ]
@@ -173,8 +133,7 @@ class _NoiseTapes(NamedTuple):
     ``(D_max, substeps, 2, total, 2)`` — side axis: own then intruder.
     Entries are ``None`` when that stream draws nothing (equipage /
     zero stds).  Decision ``d`` of scenario ``s`` is filled only for
-    ``d < num_decisions[s]``: a finished scenario consumes no draws,
-    matching :meth:`BatchEncounterSimulator.run`.
+    ``d < num_decisions[s]``: a finished scenario consumes no draws.
     """
 
     sense: Optional[List[np.ndarray]]
@@ -250,31 +209,23 @@ class BatchEncounterSimulator:
     # ------------------------------------------------------------------
     # Decision helpers
     # ------------------------------------------------------------------
-    def _conflict_geometry(
-        self,
-        own_pos,
-        own_vel,
-        intr_pos,
-        intr_vel,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
-    ):
+    def _conflict_geometry(self, own_pos, own_vel, intr_pos, intr_vel):
         """Vectorized port of AcasXuController._conflict_geometry."""
-        np_ = xp.np
         config = self.table.config
         horizon_seconds = config.horizon * config.dt
         rel_pos = intr_pos[:, :2] - own_pos[:, :2]
         rel_vel = intr_vel[:, :2] - own_vel[:, :2]
-        speed_sq = np_.einsum("ij,ij->i", rel_vel, rel_vel)
-        dot = np_.einsum("ij,ij->i", rel_pos, rel_vel)
+        speed_sq = np.einsum("ij,ij->i", rel_vel, rel_vel)
+        dot = np.einsum("ij,ij->i", rel_pos, rel_vel)
         # Masked divide: lanes with ~zero closing speed keep the 0.0
         # prefill and the division is never evaluated there, so no
         # errstate bracket is needed (same lane values as the
         # where(mask, -dot / speed_sq, 0.0) form this replaces).
-        t_star = np_.zeros_like(dot)
-        np_.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
-        tau = np_.maximum(t_star, 0.0)
+        t_star = np.zeros_like(dot)
+        np.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
+        tau = np.maximum(t_star, 0.0)
         at_cpa = rel_pos + rel_vel * tau[:, None]
-        miss = np_.hypot(at_cpa[:, 0], at_cpa[:, 1])
+        miss = np.hypot(at_cpa[:, 0], at_cpa[:, 1])
 
         converging = tau > 0.0
         within_horizon = tau <= horizon_seconds
@@ -283,26 +234,18 @@ class BatchEncounterSimulator:
         return tau, in_conflict
 
     def _decide_side(
-        self,
-        own_pos,
-        own_vel,
-        sensed_intr_pos,
-        sensed_intr_vel,
-        current_sra,
-        forbidden_sense,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
+        self, own_pos, own_vel, sensed_intr_pos, sensed_intr_vel, current_sra
     ):
-        """New advisory indices for one side of every run."""
-        np_ = xp.np
+        """New advisory indices for one (uncoordinated) side of every run."""
         n = own_pos.shape[0]
         tau, in_conflict = self._conflict_geometry(
-            own_pos, own_vel, sensed_intr_pos, sensed_intr_vel, xp=xp
+            own_pos, own_vel, sensed_intr_pos, sensed_intr_vel
         )
-        new_sra = np_.zeros(n, dtype=np_.int64)  # COC by default
-        active = np_.flatnonzero(in_conflict)
+        new_sra = np.zeros(n, dtype=np.int64)  # COC by default
+        active = np.flatnonzero(in_conflict)
         if active.size == 0:
             return new_sra
-        coords = np_.stack(
+        coords = np.stack(
             [
                 sensed_intr_pos[active, 2] - own_pos[active, 2],
                 own_vel[active, 2],
@@ -310,38 +253,18 @@ class BatchEncounterSimulator:
             ],
             axis=1,
         )
-        # The logic-table lookup is a host-memory gather; on a device
-        # namespace the conflict geometry crosses to host and the q
-        # values come back — the only per-decision transfer the kernel
-        # performs.
-        if xp.is_accelerated:
-            q = xp.asarray(
-                self.table.q_values_batch(
-                    xp.to_numpy(tau[active]),
-                    xp.to_numpy(current_sra[active]),
-                    xp.to_numpy(coords),
-                )
-            )
-        else:
-            q = self.table.q_values_batch(tau[active], current_sra[active], coords)
-        if forbidden_sense is not None:
-            locked = forbidden_sense[active]
-            for a_idx in range(NUM_ADVISORIES):
-                if not _ACTIVE[a_idx]:
-                    continue
-                conflict_mask = (locked != 0) & (_SENSES[a_idx] == locked)
-                q[conflict_mask, a_idx] = -np_.inf
-        new_sra[active] = np_.argmax(q, axis=1)
+        q = self.table.q_values_batch(tau[active], current_sra[active], coords)
+        new_sra[active] = np.argmax(q, axis=1)
         return new_sra
 
     @staticmethod
-    def _mask_forbidden(q, locked, np_) -> None:
+    def _mask_forbidden(q, locked) -> None:
         """-inf out advisories whose sense conflicts with *locked*."""
         for a_idx in range(NUM_ADVISORIES):
             if not _ACTIVE[a_idx]:
                 continue
             conflict_mask = (locked != 0) & (_SENSES[a_idx] == locked)
-            q[conflict_mask, a_idx] = -np_.inf
+            q[conflict_mask, a_idx] = -np.inf
 
     def _decide_pair(
         self,
@@ -352,8 +275,6 @@ class BatchEncounterSimulator:
         sense_noise,
         own_sra,
         intr_sra,
-        tables: _AdvisoryTables,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
     ):
         """Both sides' new advisories from one joint table lookup.
 
@@ -366,94 +287,54 @@ class BatchEncounterSimulator:
         when both aircraft are equipped; one call amortizes the
         per-lookup interpolation setup across both sides.
         """
-        np_ = xp.np
         n = own_pos.shape[0]
         sensed_ip = intr_pos + sense_noise[0]
         sensed_iv = intr_vel + sense_noise[1]
         sensed_op = own_pos + sense_noise[2]
         sensed_ov = own_vel + sense_noise[3]
         tau_own, conflict_own = self._conflict_geometry(
-            own_pos, own_vel, sensed_ip, sensed_iv, xp=xp
+            own_pos, own_vel, sensed_ip, sensed_iv
         )
         tau_intr, conflict_intr = self._conflict_geometry(
-            intr_pos, intr_vel, sensed_op, sensed_ov, xp=xp
+            intr_pos, intr_vel, sensed_op, sensed_ov
         )
-        new_own = np_.zeros(n, dtype=np_.int64)
-        new_intr = np_.zeros(n, dtype=np_.int64)
-        active_own = np_.flatnonzero(conflict_own)
-        active_intr = np_.flatnonzero(conflict_intr)
+        new_own = np.zeros(n, dtype=np.int64)
+        new_intr = np.zeros(n, dtype=np.int64)
+        active_own = np.flatnonzero(conflict_own)
+        active_intr = np.flatnonzero(conflict_intr)
         split = active_own.size
         if split + active_intr.size == 0:
             return new_own, new_intr
 
-        coords = np_.empty((split + active_intr.size, 3))
+        coords = np.empty((split + active_intr.size, 3))
         coords[:split, 0] = sensed_ip[active_own, 2] - own_pos[active_own, 2]
         coords[:split, 1] = own_vel[active_own, 2]
         coords[:split, 2] = sensed_iv[active_own, 2]
         coords[split:, 0] = sensed_op[active_intr, 2] - intr_pos[active_intr, 2]
         coords[split:, 1] = intr_vel[active_intr, 2]
         coords[split:, 2] = sensed_ov[active_intr, 2]
-        tau = np_.concatenate([tau_own[active_own], tau_intr[active_intr]])
-        current = np_.concatenate(
+        tau = np.concatenate([tau_own[active_own], tau_intr[active_intr]])
+        current = np.concatenate(
             [own_sra[active_own], intr_sra[active_intr]]
         )
-        if xp.is_accelerated:
-            q = xp.asarray(
-                self.table.q_values_batch(
-                    xp.to_numpy(tau), xp.to_numpy(current), xp.to_numpy(coords)
-                )
-            )
-        else:
-            q = self.table.q_values_batch(tau, current, coords)
+        q = self.table.q_values_batch(tau, current, coords)
 
         q_own, q_intr = q[:split], q[split:]
         if self.coordination:
             # Own decides first, seeing the intruder's previous lock.
-            self._mask_forbidden(q_own, tables.senses[intr_sra[active_own]], np_)
-        new_own[active_own] = np_.argmax(q_own, axis=1)
+            self._mask_forbidden(q_own, _SENSES[intr_sra[active_own]])
+        new_own[active_own] = np.argmax(q_own, axis=1)
         if self.coordination:
-            locked = tables.senses[new_own[active_intr]]
-            self._mask_forbidden(q_intr, locked, np_)
-        new_intr[active_intr] = np_.argmax(q_intr, axis=1)
+            self._mask_forbidden(q_intr, _SENSES[new_own[active_intr]])
+        new_intr[active_intr] = np.argmax(q_intr, axis=1)
         return new_own, new_intr
 
     # ------------------------------------------------------------------
     # Physics
     # ------------------------------------------------------------------
-    def _draw_substep_noise(
-        self, n: int, dt: float, rng: np.random.Generator
-    ):
-        """Disturbance draws for one physics substep of one side.
-
-        Kept separate from :meth:`_apply_substep` so the megabatch path
-        can draw each scenario's noise from its own generator (making
-        results independent of how scenarios are chunked together)
-        while still applying the physics across all lanes at once.  The
-        draw order (vertical, then horizontal) is the contract both
-        paths share.
-        """
-        noise_std = self.config.disturbance.vertical_rate_std
-        vertical = (
-            rng.normal(0.0, noise_std / np.sqrt(dt), size=n)
-            if noise_std > 0 else None
-        )
-        h_std = self.config.disturbance.horizontal_accel_std
-        horizontal = (
-            rng.normal(0.0, h_std, size=(n, 2)) if h_std > 0 else None
-        )
-        return vertical, horizontal
-
+    @staticmethod
     def _apply_substep(
-        self,
-        pos,
-        vel,
-        sra,
-        dt: float,
-        vertical_noise,
-        horizontal_noise,
-        xp: ArrayNamespace = NUMPY_NAMESPACE,
-        tables: _AdvisoryTables = _HOST_TABLES,
-        gathered=None,
+        pos, vel, dt: float, vertical_noise, horizontal_noise, gathered
     ) -> None:
         """One physics substep for one side of every lane, in place.
 
@@ -462,37 +343,34 @@ class BatchEncounterSimulator:
         Every operation is lane-wise, so the result for one lane does
         not depend on which other lanes share the arrays.
 
-        ``gathered``, when given, is ``(target, accel, max_change,
-        ramp_mask)`` pre-gathered for this *sra* and *dt* — the advisory
-        is fixed for a whole decision, so the megabatch loop gathers
-        once per decision instead of once per substep.
+        ``gathered`` is ``(target, accel, max_change, ramp_mask)`` from
+        :meth:`_gather_advisory` — the advisory is fixed for a whole
+        decision, so the kernel gathers once per decision instead of
+        once per substep.
         """
-        np_ = xp.np
         vz = vel[:, 2]
         # Inactive advisories gather a 0.0 target and 0.0 acceleration,
         # so their ramp clips to (signed) zero, t_ramp masks to zero and
         # the commanded displacement collapses to the free-flight vz*dt
         # — lane-for-lane the same values the explicit activity selects
         # used to produce, without the per-substep where/nan_to_num.
-        if gathered is None:
-            gathered = self._gather_advisory(sra, dt, tables)
         target, accel, max_change, ramp_mask = gathered
 
         # In-place arithmetic below reuses temporaries; each rewrite is
         # the same float operation in the same order as the plain
         # expression it replaces, so every output bit is unchanged.
         ramp = target - vz
-        np_.clip(ramp, -max_change, max_change, out=ramp)
+        np.clip(ramp, -max_change, max_change, out=ramp)
         # Masked divide: non-ramping lanes (accel == 0) keep the 0.0
         # prefill and never evaluate the division, so no errstate
         # bracket is needed.
-        t_ramp = np_.zeros_like(ramp)
-        np_.divide(np_.abs(ramp), accel, out=t_ramp, where=ramp_mask)
+        t_ramp = np.zeros_like(ramp)
+        np.divide(np.abs(ramp), accel, out=t_ramp, where=ramp_mask)
         vz_capture = vz + ramp
         lift = vz + vz_capture
         lift /= 2.0
         lift *= t_ramp
-        np_.subtract(dt, t_ramp, out=t_ramp)
+        np.subtract(dt, t_ramp, out=t_ramp)
         t_ramp *= vz_capture
         lift += t_ramp
         pos[:, 2] += lift
@@ -517,178 +395,20 @@ class BatchEncounterSimulator:
             pos[:, :2] += vel[:, :2] * dt
 
     @staticmethod
-    def _gather_advisory(sra, dt: float, tables: _AdvisoryTables = _HOST_TABLES):
+    def _gather_advisory(sra, dt: float):
         """Per-lane advisory physics terms, gathered once per decision.
 
         The returned ``(target, accel, max_change, ramp_mask)`` tuple is
         constant while *sra* is — i.e. for every substep of a decision —
-        so :meth:`_apply_substep` callers can amortize the fancy-index
+        so :meth:`_apply_substep` callers amortize the fancy-index
         gathers across substeps (same values, so same bits).
         """
-        accel = tables.accels[sra]
+        accel = _ACCELS[sra]
         return (
-            tables.target_filled[sra],
+            _TARGET_FILLED[sra],
             accel,
             accel * dt,
-            tables.ramp_mask[sra],
-        )
-
-    def _integrate_substep(
-        self,
-        pos: np.ndarray,
-        vel: np.ndarray,
-        sra: np.ndarray,
-        dt: float,
-        rng: np.random.Generator,
-    ) -> None:
-        """Draw one substep's disturbance and apply it, in place."""
-        vertical, horizontal = self._draw_substep_noise(pos.shape[0], dt, rng)
-        self._apply_substep(pos, vel, sra, dt, vertical, horizontal)
-
-    def _draw_sense_noise_into(
-        self,
-        pos_out: np.ndarray,
-        vel_out: np.ndarray,
-        rows,
-        n: int,
-        rng: np.random.Generator,
-    ) -> None:
-        """ADS-B noise draws for one received report, written to *rows*.
-
-        The axis-by-axis draw order (position x, y, z then velocity x,
-        y, z) is the stream contract shared by the per-scenario and
-        megabatch paths (and replayed segment-for-segment by
-        :meth:`_draw_noise_tapes`).
-        """
-        sensor = self.config.sensor
-        pos_out[rows, 0] = rng.normal(
-            0.0, sensor.horizontal_position_std, size=n
-        )
-        pos_out[rows, 1] = rng.normal(
-            0.0, sensor.horizontal_position_std, size=n
-        )
-        pos_out[rows, 2] = rng.normal(
-            0.0, sensor.vertical_position_std, size=n
-        )
-        vel_out[rows, 0] = rng.normal(
-            0.0, sensor.horizontal_velocity_std, size=n
-        )
-        vel_out[rows, 1] = rng.normal(
-            0.0, sensor.horizontal_velocity_std, size=n
-        )
-        vel_out[rows, 2] = rng.normal(
-            0.0, sensor.vertical_velocity_std, size=n
-        )
-
-    def _draw_sense_noise(self, n: int, rng: np.random.Generator):
-        """ADS-B noise draws for one received (pos, vel) report."""
-        pos_noise = np.empty((n, 3))
-        vel_noise = np.empty((n, 3))
-        self._draw_sense_noise_into(pos_noise, vel_noise, slice(None), n, rng)
-        return pos_noise, vel_noise
-
-    def _sense(
-        self, pos: np.ndarray, vel: np.ndarray, rng: np.random.Generator
-    ):
-        """Noisy received copies of (pos, vel)."""
-        pos_noise, vel_noise = self._draw_sense_noise(pos.shape[0], rng)
-        return pos + pos_noise, vel + vel_noise
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        params: EncounterParameters,
-        num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Simulate *num_runs* independent noisy runs of *params*."""
-        if num_runs < 1:
-            raise ValueError("num_runs must be >= 1")
-        rng = as_generator(seed)
-        config = self.config
-        own0, intr0 = decode_encounter(params)
-
-        n = num_runs
-        own_pos = np.tile(own0.position, (n, 1))
-        own_vel = np.tile(own0.velocity, (n, 1))
-        intr_pos = np.tile(intr0.position, (n, 1))
-        intr_vel = np.tile(intr0.velocity, (n, 1))
-        own_sra = np.zeros(n, dtype=np.int64)
-        intr_sra = np.zeros(n, dtype=np.int64)
-        own_alerted = np.zeros(n, dtype=bool)
-        intr_alerted = np.zeros(n, dtype=bool)
-
-        min_sep = np.full(n, np.inf)
-        min_horiz = np.full(n, np.inf)
-        nmac = np.zeros(n, dtype=bool)
-
-        def observe() -> None:
-            delta = own_pos - intr_pos
-            horizontal = np.hypot(delta[:, 0], delta[:, 1])
-            vertical = np.abs(delta[:, 2])
-            separation = np.hypot(horizontal, vertical)
-            np.minimum(min_sep, separation, out=min_sep)
-            np.minimum(min_horiz, horizontal, out=min_horiz)
-            nmac_now = (horizontal < NMAC_HORIZONTAL_M) & (
-                vertical < NMAC_VERTICAL_M
-            )
-            np.logical_or(nmac, nmac_now, out=nmac)
-
-        observe()
-        duration = params.time_to_cpa + config.extra_duration
-        # Same rounding as SimulationEngine.run, including its at-least-
-        # one-decision floor, to keep the two paths step-for-step equal.
-        num_decisions = max(1, int(round(duration / config.decision_dt)))
-        sub_dt = config.decision_dt / config.physics_substeps
-
-        own_equipped = self.equipage in ("both", "own-only")
-        intr_equipped = self.equipage == "both"
-
-        for _ in range(num_decisions):
-            if own_equipped or intr_equipped:
-                sensed_intr_pos, sensed_intr_vel = self._sense(
-                    intr_pos, intr_vel, rng
-                )
-                sensed_own_pos, sensed_own_vel = self._sense(
-                    own_pos, own_vel, rng
-                )
-            if own_equipped:
-                # Own decides first, seeing the intruder's previous lock.
-                forbidden = (
-                    _SENSES[intr_sra]
-                    if (self.coordination and intr_equipped)
-                    else None
-                )
-                own_sra = self._decide_side(
-                    own_pos, own_vel, sensed_intr_pos, sensed_intr_vel,
-                    own_sra, forbidden,
-                )
-                own_alerted |= _ACTIVE[own_sra]
-            if intr_equipped:
-                forbidden = (
-                    _SENSES[own_sra]
-                    if (self.coordination and own_equipped)
-                    else None
-                )
-                intr_sra = self._decide_side(
-                    intr_pos, intr_vel, sensed_own_pos, sensed_own_vel,
-                    intr_sra, forbidden,
-                )
-                intr_alerted |= _ACTIVE[intr_sra]
-
-            for _ in range(config.physics_substeps):
-                self._integrate_substep(own_pos, own_vel, own_sra, sub_dt, rng)
-                self._integrate_substep(intr_pos, intr_vel, intr_sra, sub_dt, rng)
-                observe()
-
-        return BatchResult(
-            min_separation=min_sep,
-            min_horizontal=min_horiz,
-            nmac=nmac,
-            own_alerted=own_alerted,
-            intruder_alerted=intr_alerted,
+            _RAMP_MASK[sra],
         )
 
     # ------------------------------------------------------------------
@@ -705,7 +425,7 @@ class BatchEncounterSimulator:
 
         One bulk ``standard_normal`` per scenario replaces the
         historical thousands of tiny per-decision draws.  The flat
-        stream is consumed in exactly the order :meth:`run` draws it —
+        stream is consumed in exactly the historical inline order —
         per decision: intruder report (pos x, y, z, vel x, y, z), own
         report, then per substep per side: vertical rate, horizontal
         accel (n, 2) in C order — and scaled per segment.  Since
@@ -797,7 +517,6 @@ class BatchEncounterSimulator:
         num_runs: int,
         seeds: Optional[Sequence[SeedLike]] = None,
         *,
-        xp: Optional[ArrayNamespace] = None,
         profile: Optional[KernelProfile] = None,
     ) -> List[BatchResult]:
         """Simulate *num_runs* runs of **each** scenario as one batch.
@@ -811,23 +530,18 @@ class BatchEncounterSimulator:
         per-scenario Python stepping loop disappears.
 
         Each scenario's disturbance and sensor noise comes from its own
-        pre-drawn tape (:meth:`_draw_noise_tapes`) carrying exactly the
-        stream :meth:`run` draws, and every array operation is
-        lane-wise, so the slice returned for a scenario is **bitwise
-        identical** to ``run(params, num_runs, seed)`` — and therefore
-        also independent of which scenarios happen to share the batch
-        (chunking cannot change results).  The pre-refactor inline-draw
-        implementation survives as
+        pre-drawn tape (:meth:`_draw_noise_tapes`), and every array
+        operation is lane-wise, so the slice returned for a scenario is
+        **bitwise identical** to running that scenario alone
+        (``run(params, num_runs, seed)``) — independent of which
+        scenarios share the batch and in what order (chunking cannot
+        change results).  The pre-refactor inline-draw implementation
+        survives as
         :func:`repro.sim.batch_reference.reference_run_many`, the
-        golden baseline the equivalence tests and the kernel benchmark
-        compare against.
+        independent oracle the equivalence tests compare against.
 
         Parameters
         ----------
-        xp:
-            Array namespace executing the decision/physics/observe
-            phases (default: host numpy).  On an accelerated namespace
-            the host-drawn tapes are transferred once per decision.
         profile:
             Optional :class:`KernelProfile` accumulating this call's
             per-phase wall-clock times.
@@ -844,7 +558,6 @@ class BatchEncounterSimulator:
             raise ValueError(
                 f"got {len(seeds)} seeds for {len(params_list)} scenarios"
             )
-        namespace = xp or NUMPY_NAMESPACE
         rngs = [as_generator(seed) for seed in seeds]
 
         config = self.config
@@ -855,7 +568,8 @@ class BatchEncounterSimulator:
         num_decisions = np.empty(num_scenarios, dtype=np.int64)
         for s, params in enumerate(params_list):
             duration = params.time_to_cpa + config.extra_duration
-            # Same rounding (and at-least-one-decision floor) as run().
+            # Same rounding (and at-least-one-decision floor) as
+            # SimulationEngine.run, keeping the engines step-for-step equal.
             num_decisions[s] = max(1, int(round(duration / config.decision_dt)))
 
         # Process scenarios internally in descending-duration order
@@ -881,15 +595,8 @@ class BatchEncounterSimulator:
             intr_pos[rows] = intr0.position
             intr_vel[rows] = intr0.velocity
 
-        profiling = profile is not None
-        t_tape = t_decision = t_physics = t_observe = t_transfer = 0.0
-
-        def mark() -> float:
-            # Fence the device first so a profiled bracket measures
-            # completed kernel work, not asynchronous launch latency.
-            if profiling:
-                namespace.synchronize()
-            return time.perf_counter()
+        mark = time.perf_counter
+        t_tape = t_decision = t_physics = t_observe = 0.0
 
         sub_dt = config.decision_dt / config.physics_substeps
         substeps = config.physics_substeps
@@ -902,23 +609,13 @@ class BatchEncounterSimulator:
         )
         t_tape += mark() - t0
 
-        np_ = namespace.np
-        tables = advisory_tables(namespace)
-        if namespace.is_accelerated:
-            t0 = mark()
-            own_pos = namespace.asarray(own_pos)
-            own_vel = namespace.asarray(own_vel)
-            intr_pos = namespace.asarray(intr_pos)
-            intr_vel = namespace.asarray(intr_vel)
-            t_transfer += mark() - t0
-
-        own_sra = np_.zeros(total, dtype=np_.int64)
-        intr_sra = np_.zeros(total, dtype=np_.int64)
-        own_alerted = np_.zeros(total, dtype=bool)
-        intr_alerted = np_.zeros(total, dtype=bool)
-        min_sep = np_.full(total, np_.inf)
-        min_horiz = np_.full(total, np_.inf)
-        nmac = np_.zeros(total, dtype=bool)
+        own_sra = np.zeros(total, dtype=np.int64)
+        intr_sra = np.zeros(total, dtype=np.int64)
+        own_alerted = np.zeros(total, dtype=bool)
+        intr_alerted = np.zeros(total, dtype=bool)
+        min_sep = np.full(total, np.inf)
+        min_horiz = np.full(total, np.inf)
+        nmac = np.zeros(total, dtype=bool)
 
         def observe_into(own_p, intr_p, sep_acc, horiz_acc, nmac_acc) -> None:
             # The accumulators are contiguous active-lane views/copies
@@ -926,11 +623,11 @@ class BatchEncounterSimulator:
             # update is pure in-place arithmetic — no per-call
             # gather + scatter on the full lane arrays.
             delta = own_p - intr_p
-            horizontal = np_.hypot(delta[:, 0], delta[:, 1])
-            vertical = np_.abs(delta[:, 2])
-            separation = np_.hypot(horizontal, vertical)
-            np_.minimum(sep_acc, separation, out=sep_acc)
-            np_.minimum(horiz_acc, horizontal, out=horiz_acc)
+            horizontal = np.hypot(delta[:, 0], delta[:, 1])
+            vertical = np.abs(delta[:, 2])
+            separation = np.hypot(horizontal, vertical)
+            np.minimum(sep_acc, separation, out=sep_acc)
+            np.minimum(horiz_acc, horizontal, out=horiz_acc)
             nmac_acc |= (horizontal < NMAC_HORIZONTAL_M) & (
                 vertical < NMAC_VERTICAL_M
             )
@@ -963,16 +660,6 @@ class BatchEncounterSimulator:
             )
             t_tape += mark() - t0
 
-            if namespace.is_accelerated:
-                t0 = mark()
-                if sense_noise is not None:
-                    sense_noise = [namespace.asarray(a) for a in sense_noise]
-                if vert_noise is not None:
-                    vert_noise = namespace.asarray(np.ascontiguousarray(vert_noise))
-                if horiz_noise is not None:
-                    horiz_noise = namespace.asarray(np.ascontiguousarray(horiz_noise))
-                t_transfer += mark() - t0
-
             # The active lanes are a contiguous prefix, so these are
             # views: every in-place update below lands directly in the
             # full lane arrays with no scatter-back.
@@ -986,17 +673,15 @@ class BatchEncounterSimulator:
                 # q_values_batch call (own still decides first — its
                 # fresh sense locks the intruder inside _decide_pair).
                 osra, isra = self._decide_pair(
-                    op, ov, ip, iv, sense_noise, osra, isra,
-                    tables, xp=namespace,
+                    op, ov, ip, iv, sense_noise, osra, isra
                 )
-                own_alerted[lanes] |= tables.active[osra]
-                intr_alerted[lanes] |= tables.active[isra]
+                own_alerted[lanes] |= _ACTIVE[osra]
+                intr_alerted[lanes] |= _ACTIVE[isra]
             elif own_equipped:
                 osra = self._decide_side(
-                    op, ov, ip + sense_noise[0], iv + sense_noise[1],
-                    osra, None, xp=namespace,
+                    op, ov, ip + sense_noise[0], iv + sense_noise[1], osra
                 )
-                own_alerted[lanes] |= tables.active[osra]
+                own_alerted[lanes] |= _ACTIVE[osra]
             t_decision += mark() - t0
 
             # Monitor accumulators, gathered once per decision.
@@ -1005,50 +690,39 @@ class BatchEncounterSimulator:
 
             # Advisories are fixed for the whole decision: gather their
             # physics terms once and reuse across every substep.
-            own_terms = self._gather_advisory(osra, sub_dt, tables)
-            intr_terms = self._gather_advisory(isra, sub_dt, tables)
+            own_terms = self._gather_advisory(osra, sub_dt)
+            intr_terms = self._gather_advisory(isra, sub_dt)
             for k in range(substeps):
                 t0 = mark()
                 self._apply_substep(
-                    op, ov, osra, sub_dt,
+                    op, ov, sub_dt,
                     vert_noise[k, 0] if vert_noise is not None else None,
                     horiz_noise[k, 0] if horiz_noise is not None else None,
-                    xp=namespace, tables=tables, gathered=own_terms,
+                    own_terms,
                 )
                 self._apply_substep(
-                    ip, iv, isra, sub_dt,
+                    ip, iv, sub_dt,
                     vert_noise[k, 1] if vert_noise is not None else None,
                     horiz_noise[k, 1] if horiz_noise is not None else None,
-                    xp=namespace, tables=tables, gathered=intr_terms,
+                    intr_terms,
                 )
                 t_physics += mark() - t0
                 t0 = mark()
                 observe_into(op, ip, sep_acc, horiz_acc, nmac_acc)
                 t_observe += mark() - t0
 
-            # _decide_side returns fresh advisory arrays; everything
+            # The decide helpers return fresh advisory arrays; everything
             # else above was updated in place through the views.
             own_sra[lanes], intr_sra[lanes] = osra, isra
 
-        if namespace.is_accelerated:
-            t0 = mark()
-            min_sep = namespace.to_numpy(min_sep)
-            min_horiz = namespace.to_numpy(min_horiz)
-            nmac = namespace.to_numpy(nmac)
-            own_alerted = namespace.to_numpy(own_alerted)
-            intr_alerted = namespace.to_numpy(intr_alerted)
-            t_transfer += mark() - t0
-
-        if profiling:
+        if profile is not None:
             profile.tape_draw += t_tape
             profile.decision += t_decision
             profile.physics += t_physics
             profile.observe += t_observe
-            profile.transfer += t_transfer
             profile.calls += 1
             profile.scenarios += num_scenarios
             profile.lanes += total
-            profile.device = namespace.name
 
         # Undo the internal duration ordering: scenario s lives in slot
         # inverse[s] of the lane arrays.
@@ -1066,3 +740,16 @@ class BatchEncounterSimulator:
             )
 
         return [result_for(s) for s in range(num_scenarios)]
+
+    def run(
+        self,
+        params: EncounterParameters,
+        num_runs: int,
+        seed: SeedLike = None,
+    ) -> BatchResult:
+        """Simulate *num_runs* independent noisy runs of *params*.
+
+        The one-scenario call of :meth:`run_many`; a ``Generator`` passed
+        as *seed* is consumed exactly as the kernel consumes it.
+        """
+        return self.run_many([params], num_runs, [seed])[0]

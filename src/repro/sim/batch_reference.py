@@ -2,25 +2,20 @@
 
 This module preserves, verbatim, the ``run_many`` implementation (and
 every numeric helper it touched, down to the logic-table interpolation)
-as it stood **before** the noise-tape kernel refactor.  It exists for
-two jobs and must not be "improved":
+as it stood **before** the noise-tape kernel refactor.  It is the
+kernel's independent equivalence oracle and must not be "improved":
+the tape kernel promises bitwise-identical results to the pre-refactor
+draws, and the live kernel (with ``run()``, its one-scenario call)
+evolves, so only a frozen copy can witness an accidental numerics
+change.  If a test comparing against this module fails, either the
+kernel broke or the repo's numerics were changed on purpose — in the
+latter case update this module (and say so loudly in the commit),
+because every stored campaign digest shifts with it.
 
-- **Equivalence baseline** — the tape kernel promises bitwise-identical
-  results to the pre-refactor draws.  ``run()`` evolves together with
-  the live kernel, so it cannot witness an accidental numerics change;
-  this frozen copy can.  If a test comparing against this module fails,
-  either the kernel broke or the repo's numerics were changed on
-  purpose — in the latter case update this module (and say so loudly in
-  the commit), because every stored campaign digest shifts with it.
-- **Benchmark baseline** — ``benchmarks/bench_batch_kernel.py`` measures
-  the tape kernel's speedup against this implementation, so the
-  recorded win tracks the real before/after of the refactor instead of
-  a moving target.
-
-The characteristic costs being measured against: a per-decision Python
-loop issuing ~``2 + 2 * substeps`` tiny ``Generator.normal`` calls per
-scenario, a gather + scatter per ``observe`` call, and per-corner
-Python-loop grid interpolation with uncached axis points.
+Its shape is the pre-refactor one: a per-decision Python loop issuing
+~``2 + 2 * substeps`` tiny ``Generator.normal`` calls per scenario, a
+gather + scatter per ``observe`` call, and per-corner Python-loop grid
+interpolation with uncached axis points.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.distributed import (
-    DistributedExecutor,
     Worker,
     WorkQueue,
     submit,
@@ -404,71 +403,13 @@ class TestFaultInjection:
 
 
 # ----------------------------------------------------------------------
-# The store= seam: executor through Campaign / MonteCarloEstimator
+# Scripted fleets: submit, campaign-pinned workers, failure diagnosis
 # ----------------------------------------------------------------------
-class TestDistributedExecutorSeam:
-    def test_campaign_run_accepts_executor(self, paths):
-        queue_path, store_path = paths
-        serial = make_campaign().run(seed=SEED)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        distributed = make_campaign().run(seed=SEED, store=executor)
-        assert_bitwise_equal(serial, distributed)
-        meta = distributed.metadata
-        assert meta["simulated"] == SCENARIOS
-        assert meta["loaded"] == 0
-        assert "campaign_id" in meta
-        assert meta["distributed_workers"] == 0
-        # A second run loads everything from the store.
-        rerun = make_campaign().run(seed=SEED, store=executor)
-        assert rerun.metadata["loaded"] == SCENARIOS
-        assert rerun.metadata["simulated"] == 0
-        assert_bitwise_equal(serial, rerun)
-
-    def test_campaign_iter_records_accepts_executor(self, paths):
-        queue_path, store_path = paths
-        serial = list(make_campaign().iter_records(seed=SEED))
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        streamed = list(
-            make_campaign().iter_records(seed=SEED, store=executor)
-        )
-        assert [r.index for r in streamed] == [r.index for r in serial]
-        for ra, rb in zip(serial, streamed):
-            for field in RUN_FIELDS:
-                assert (
-                    getattr(ra.runs, field) == getattr(rb.runs, field)
-                ).all()
-
-    def test_montecarlo_accepts_executor_unchanged(self, paths, tiny_table):
-        queue_path, store_path = paths
-        model = StatisticalEncounterModel()
-        plain = MonteCarloEstimator(
-            tiny_table, model, runs_per_encounter=2
-        ).estimate(3, seed=5)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
-        distributed = MonteCarloEstimator(
-            tiny_table, model, runs_per_encounter=2, store=executor
-        ).estimate(3, seed=5)
-        assert distributed.summary() == plain.summary()
-        assert_bitwise_equal(
-            plain.equipped_results, distributed.equipped_results
-        )
-        assert_bitwise_equal(
-            plain.unequipped_results, distributed.unequipped_results
-        )
-        # Both arms landed in the shared store under distinct ids.
-        with ResultStore(store_path) as store:
-            assert len(store.campaigns()) == 2
-
-    def test_executor_fleet_is_scoped_to_its_campaign(self, paths):
-        """A shared queue with unrelated in-flight work must not feed
-        the executor's fleet other jobs' chunks, nor block its exit on
-        their leases."""
+class TestScriptedFleet:
+    def test_pinned_worker_is_scoped_to_its_campaign(self, paths):
+        """A shared queue with unrelated in-flight work must not feed a
+        campaign-pinned worker other jobs' chunks, nor block its exit
+        on their leases."""
         queue_path, store_path = paths
         # An unrelated job: one chunk claimed by an external worker
         # under a long (live) lease, one chunk pending.
@@ -481,14 +422,17 @@ class TestDistributedExecutorSeam:
                 "external", lease_seconds=3600, campaign_id="unrelated"
             ) is not None
 
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=0, poll_interval=0.02
-        )
         serial = make_campaign().run(seed=SEED)
-        start = time.time()
-        distributed = make_campaign().run(seed=SEED, store=executor)
-        assert time.time() - start < 30  # not waiting out the 1h lease
-        assert_bitwise_equal(serial, distributed)
+        run = submit(
+            make_campaign(), SEED, queue=queue_path, store=store_path
+        )
+        start = time.monotonic()
+        Worker(
+            queue_path, poll_interval=0.02, campaign_id=run.campaign_id
+        ).run()
+        assert time.monotonic() - start < 30  # not waiting out the 1h lease
+        assert run.progress().complete
+        assert_bitwise_equal(serial, run.collect())
         # The unrelated job is untouched: its pending chunk was never
         # claimed (a scoped worker would have choked on the fake spec).
         with WorkQueue(queue_path) as queue:
@@ -528,18 +472,6 @@ class TestDistributedExecutorSeam:
         with WorkQueue(queue_path) as queue:
             states = queue.chunk_states("poison")
         assert states[0].last_error  # diagnosis survives on the row
-
-    @pytest.mark.slow
-    def test_executor_with_process_fleet(self, paths):
-        queue_path, store_path = paths
-        serial = make_campaign().run(seed=SEED)
-        executor = DistributedExecutor(
-            queue_path, store_path, workers=2,
-            lease_seconds=10, poll_interval=0.02, chunk_size=1,
-        )
-        distributed = make_campaign().run(seed=SEED, store=executor)
-        assert_bitwise_equal(serial, distributed)
-        assert distributed.metadata["distributed_workers"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -1385,9 +1317,9 @@ class TestReviewHardening:
         backend = make_backend(
             "distributed", equipage="none",
             queue=str(queue_path), store=str(store_path),
-            inner="vectorized",
+            inner="agent",
         )
-        reference = make_backend("vectorized", equipage="none")
+        reference = make_backend("agent", equipage="none")
         scenarios = make_campaign().source.scenarios(
             seed=__import__("numpy").random.default_rng(0)
         )

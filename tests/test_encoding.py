@@ -60,6 +60,21 @@ class TestParameters:
         with pytest.raises(ValueError):
             make_params(cpa_horizontal_distance=-5.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", PARAMETER_NAMES)
+    def test_non_finite_field_rejected(self, field, value):
+        # NaN passes every sign check (nan < 0 is False) and would
+        # simulate into NaN separations with nmac=False: a silent
+        # "safe" verdict.  The error names the offending field.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_params(**{field: value})
+
+    def test_non_finite_genome_rejected(self):
+        genome = make_params().as_array()
+        genome[PARAMETER_NAMES.index("time_to_cpa")] = math.inf
+        with pytest.raises(ValueError, match="time_to_cpa"):
+            EncounterParameters.from_array(genome)
+
 
 class TestDecode:
     def test_own_state_fixed(self):

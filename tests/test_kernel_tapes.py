@@ -1,46 +1,31 @@
 """Noise-tape megabatch kernel: bitwise equivalence and observability.
 
-The tentpole refactor pre-draws every scenario's disturbance and sensor
-noise into tapes and runs the decision/physics/observe phases on an
-array-namespace seam.  These tests pin the contract down:
+The kernel pre-draws every scenario's disturbance and sensor noise into
+tapes and then runs the decision/physics/observe phases over one lane
+array.  These tests pin the contract down:
 
 - the tape kernel is **bitwise identical** to the frozen pre-refactor
-  implementation (:mod:`repro.sim.batch_reference`) and to the
-  per-scenario :meth:`run` path, across every equipage × coordination ×
-  substeps combination;
+  implementation (:mod:`repro.sim.batch_reference`) across every
+  equipage × coordination × substeps combination, and each scenario's
+  slice equals its one-scenario :meth:`run` call;
 - chunking cannot change a single bit;
-- the ``"vectorized-batch-gpu"`` backend degrades cleanly on a GPU-less
-  host: it warns, runs the CPU kernel, and produces identical digests;
 - :class:`~repro.sim.batch.KernelProfile` phase timings flow through
-  ``Campaign.run(profile=True)`` into result-set (and store) metadata;
-- the distributed fleet advertises backend/accelerator capabilities.
+  ``Campaign.run(profile=True)`` into result-set (and store) metadata.
 """
-
-import os
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.distributed.queue import WorkQueue
-from repro.distributed.worker import Worker, worker_capabilities
 from repro.encounters import (
     StatisticalEncounterModel,
     head_on_encounter,
     tail_approach_encounter,
 )
-from repro.experiments import Campaign, available_backends, make_backend
-from repro.experiments.backends import BackendSpec
+from repro.experiments import Campaign, make_backend
 from repro.experiments.campaign import _execute_chunk
 from repro.sim.batch import KERNEL_PHASES, BatchEncounterSimulator, KernelProfile
 from repro.sim.batch_reference import reference_run_many
 from repro.sim.encounter import EncounterSimConfig
-from repro.sim.xp import (
-    NUMPY_NAMESPACE,
-    accelerator_available,
-    detect_accelerators,
-    get_namespace,
-)
 from repro.store import ResultStore, results_digest
 
 RESULT_FIELDS = (
@@ -114,123 +99,6 @@ class TestTapeKernelBitwise:
         for a, b in zip(whole, parts):
             assert_results_equal(a, b)
 
-    def test_explicit_numpy_namespace_is_default_path(
-        self, test_table, mixed_durations
-    ):
-        """Passing the host namespace explicitly changes nothing."""
-        sim = BatchEncounterSimulator(test_table)
-        seeds = [9 + i for i in range(len(mixed_durations))]
-        default = sim.run_many(mixed_durations, 4, seeds)
-        explicit = sim.run_many(
-            mixed_durations, 4, seeds, xp=NUMPY_NAMESPACE
-        )
-        for a, b in zip(default, explicit):
-            assert_results_equal(a, b)
-
-
-# ----------------------------------------------------------------------
-# Array-namespace seam
-# ----------------------------------------------------------------------
-class TestArrayNamespace:
-    def test_numpy_namespace(self):
-        ns = get_namespace("numpy")
-        assert ns.name == "numpy" and not ns.is_accelerated
-        arr = np.arange(3.0)
-        assert ns.asarray(arr) is arr
-        np.testing.assert_array_equal(ns.to_numpy(arr), arr)
-        ns.synchronize()  # no-op, must not raise
-
-    def test_auto_falls_back_to_numpy_without_device(self):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        assert get_namespace("auto").name == "numpy"
-
-    def test_explicit_cupy_raises_without_device(self):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.raises(RuntimeError, match="cupy"):
-            get_namespace("cupy")
-
-    def test_jax_is_rejected_with_explanation(self):
-        with pytest.raises(RuntimeError, match="immutable"):
-            get_namespace("jax")
-
-    def test_unknown_device_rejected(self):
-        with pytest.raises(ValueError, match="unknown device"):
-            get_namespace("tpu")
-
-    def test_detection_report_covers_known_stacks(self):
-        report = detect_accelerators()
-        assert set(report) >= {"cupy", "jax"}
-        assert all(isinstance(status, str) for status in report.values())
-
-
-# ----------------------------------------------------------------------
-# The "vectorized-batch-gpu" backend
-# ----------------------------------------------------------------------
-class TestGpuBackend:
-    def test_registered(self):
-        assert "vectorized-batch-gpu" in available_backends()
-
-    def test_gpu_less_host_warns_and_matches_cpu_kernel(
-        self, test_table, mixed_durations
-    ):
-        """No accelerator → warn once, run the CPU kernel, same bits."""
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.warns(RuntimeWarning, match="no usable accelerator"):
-            gpu = make_backend("vectorized-batch-gpu", table=test_table)
-        cpu = make_backend("vectorized-batch", table=test_table)
-        assert gpu.provenance_name == "vectorized-batch"
-        seeds = [31 + i for i in range(len(mixed_durations))]
-        for a, b in zip(
-            gpu.simulate_many(mixed_durations, 6, seeds),
-            cpu.simulate_many(mixed_durations, 6, seeds),
-        ):
-            assert_results_equal(a, b)
-
-    def test_campaign_digest_identical_to_cpu_backend(
-        self, test_table, mixed_durations
-    ):
-        """Fallback campaigns share provenance AND content digest."""
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.warns(RuntimeWarning):
-            gpu_camp = Campaign(
-                mixed_durations, backend="vectorized-batch-gpu",
-                table=test_table, runs_per_scenario=8,
-            )
-        cpu_camp = Campaign(
-            mixed_durations, backend="vectorized-batch",
-            table=test_table, runs_per_scenario=8,
-        )
-        assert gpu_camp.backend_name == "vectorized-batch"
-        rs_gpu = gpu_camp.run(seed=21)
-        rs_cpu = cpu_camp.run(seed=21)
-        assert results_digest(rs_gpu) == results_digest(rs_cpu)
-        assert rs_gpu.backend == rs_cpu.backend == "vectorized-batch"
-
-    def test_spec_round_trip_carries_device(self, test_table):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            backend = make_backend(
-                "vectorized-batch-gpu", table=test_table, device="auto"
-            )
-            spec = BackendSpec.capture(backend)
-            assert spec.backend == "vectorized-batch-gpu"
-            assert spec.device == "auto"
-            rebuilt = spec.build()
-        assert type(rebuilt).__name__ == "VectorizedBatchGpuBackend"
-        assert rebuilt.device == "auto"
-
-    def test_explicit_cupy_device_raises_without_hardware(self, test_table):
-        if accelerator_available():
-            pytest.skip("host has a real accelerator")
-        with pytest.raises(RuntimeError, match="cupy"):
-            make_backend(
-                "vectorized-batch-gpu", table=test_table, device="cupy"
-            )
-
 
 # ----------------------------------------------------------------------
 # Empty-tail short-circuit (fully-stored resume)
@@ -280,9 +148,7 @@ class TestKernelProfile:
         assert profile.calls == 1
         assert profile.scenarios == len(mixed_durations)
         assert profile.lanes == len(mixed_durations) * 5
-        assert profile.device == "numpy"
         assert profile.total > 0.0
-        assert profile.transfer == 0.0  # host kernel never transfers
         sim.run_many(mixed_durations, 5, seeds, profile=profile)
         assert profile.calls == 2
 
@@ -304,7 +170,6 @@ class TestKernelProfile:
         rs = campaign.run(seed=1, profile=True)
         payload = rs.metadata["kernel_profile"]
         assert set(KERNEL_PHASES) <= set(payload)
-        assert payload["device"] == "numpy"
         assert payload["scenarios"] == len(mixed_durations)
         assert payload["total"] > 0.0
 
@@ -331,7 +196,7 @@ class TestKernelProfile:
         self, test_table, mixed_durations
     ):
         campaign = Campaign(
-            mixed_durations[:2], backend="vectorized",
+            mixed_durations[:2], backend="agent",
             table=test_table, runs_per_scenario=3,
         )
         rs = campaign.run(seed=1, profile=True)
@@ -369,74 +234,3 @@ class TestKernelProfile:
         assert campaign.run(seed=1).metadata["single_cpu_caveat"] is True
         monkeypatch.setattr(campaign_mod.os, "cpu_count", lambda: 8)
         assert "single_cpu_caveat" not in campaign.run(seed=1).metadata
-
-
-# ----------------------------------------------------------------------
-# Fleet capability advertising
-# ----------------------------------------------------------------------
-class TestWorkerCapabilities:
-    def test_worker_capabilities_shape(self):
-        caps = worker_capabilities()
-        assert "vectorized-batch-gpu" in caps["backends"]
-        assert isinstance(caps["accelerated"], bool)
-        assert set(caps["accelerators"]) >= {"cupy", "jax"}
-
-    def test_advertise_and_read_back(self, tmp_path):
-        path = tmp_path / "queue.sqlite"
-        with WorkQueue(path) as queue:
-            queue.advertise_capabilities(
-                "w1", {"backends": ["vectorized-batch"], "accelerated": False}
-            )
-            rows = {w.worker_id: w for w in queue.workers()}
-            assert rows["w1"].capabilities["accelerated"] is False
-            assert rows["w1"].to_dict()["capabilities"]["backends"] == [
-                "vectorized-batch"
-            ]
-
-    def test_capabilities_survive_heartbeats(self, tmp_path):
-        path = tmp_path / "queue.sqlite"
-        with WorkQueue(path) as queue:
-            queue.advertise_capabilities("w1", {"accelerated": True})
-            # A later liveness upsert (the claim path) must not wipe
-            # the advertisement.
-            queue._write(
-                lambda: queue._heartbeat_worker("w1", None, queue.now() + 60)
-            )
-            (info,) = queue.live_workers(ttl=1e9)
-            assert info.capabilities == {"accelerated": True}
-
-    def test_old_queue_file_is_migrated(self, tmp_path):
-        """A queue created before the capabilities column gains it."""
-        import sqlite3
-
-        path = tmp_path / "old.sqlite"
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "CREATE TABLE workers ("
-            " worker_id TEXT PRIMARY KEY, campaign_id TEXT,"
-            " started_at REAL NOT NULL, heartbeat REAL NOT NULL)"
-        )
-        conn.execute(
-            "INSERT INTO workers VALUES ('legacy', NULL, 1.0, 1.0)"
-        )
-        conn.commit()
-        conn.close()
-        with WorkQueue(path) as queue:
-            rows = {w.worker_id: w for w in queue.workers()}
-            assert rows["legacy"].capabilities is None
-            queue.advertise_capabilities("legacy", {"accelerated": False})
-            rows = {w.worker_id: w for w in queue.workers()}
-            assert rows["legacy"].capabilities == {"accelerated": False}
-
-    def test_worker_advertises_on_startup(self, tmp_path, monkeypatch):
-        path = tmp_path / "queue.sqlite"
-        # Keep the liveness row visible after the clean-exit cleanup so
-        # the test can read the advertisement back.
-        monkeypatch.setattr(
-            WorkQueue, "deregister_worker", lambda self, worker_id: None
-        )
-        Worker(path, worker_id="w-adv").run(idle_timeout=0.0)
-        with WorkQueue(path) as queue:
-            rows = {w.worker_id: w for w in queue.workers()}
-        caps = rows["w-adv"].capabilities
-        assert caps is not None and "backends" in caps

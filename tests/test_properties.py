@@ -9,12 +9,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.dynamics.aircraft import cpa_horizontal_miss, time_to_cpa
-from repro.encounters.encoding import EncounterParameters, decode_encounter
+from repro.encounters.encoding import (
+    EncounterParameters,
+    decode_encounter,
+    head_on_encounter,
+    tail_approach_encounter,
+)
 from repro.search.fitness import COLLISION_GAIN, paper_fitness
 from repro.sim import BatchEncounterSimulator, EncounterSimConfig
+from repro.sim.batch_reference import reference_run_many
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.sensors import AdsBSensor
 
@@ -110,3 +116,92 @@ class TestBatchSimulatorProperties:
         diagonal = math.hypot(152.4, 30.48)
         if result.nmac.any():
             assert result.min_separation[result.nmac].min() <= diagonal
+
+
+RESULT_FIELDS = (
+    "min_separation",
+    "min_horizontal",
+    "nmac",
+    "own_alerted",
+    "intruder_alerted",
+)
+
+
+def assert_runs_bitwise_equal(a, b):
+    for name in RESULT_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def make_simulator(table, equipage):
+    return BatchEncounterSimulator(
+        None if equipage == "none" else table, equipage=equipage
+    )
+
+
+@pytest.mark.parametrize("equipage", ["both", "own-only", "none"])
+class TestMegabatchContractProperties:
+    """The per-scenario contract of ``BatchEncounterSimulator.run_many``.
+
+    A scenario's bits derive only from its own parameters and seed, so
+    its slice of any batch — whatever the other scenarios, their order
+    or the chunk boundaries — equals running it alone.
+    """
+
+    # No shrink phase: any failing example already shows the broken
+    # contract, and shrinking multi-scenario kernel runs takes minutes.
+    @settings(
+        max_examples=6,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_slice_equals_solo_run_under_any_order_and_chunking(
+        self, test_table, equipage, data
+    ):
+        scenarios = data.draw(
+            st.lists(encounter_params, min_size=2, max_size=5), "scenarios"
+        )
+        count = len(scenarios)
+        seeds = data.draw(
+            st.lists(
+                st.integers(0, 2**32 - 1), min_size=count, max_size=count
+            ),
+            "seeds",
+        )
+        order = data.draw(st.permutations(range(count)), "order")
+        cuts = data.draw(st.sets(st.integers(1, count - 1)), "cuts")
+        simulator = make_simulator(test_table, equipage)
+        solo = [
+            simulator.run_many([params], 3, [seed])[0]
+            for params, seed in zip(scenarios, seeds)
+        ]
+        bounds = [0, *sorted(cuts), count]
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = order[lo:hi]
+            results = simulator.run_many(
+                [scenarios[i] for i in chunk], 3, [seeds[i] for i in chunk]
+            )
+            for i, result in zip(chunk, results):
+                assert_runs_bitwise_equal(result, solo[i])
+
+    def test_generator_threaded_through_run_matches_reference(
+        self, test_table, equipage
+    ):
+        """One ``Generator`` passed through successive ``run()`` calls
+        (as the stratified estimator does) yields the frozen kernel's
+        outputs and ends in the same state."""
+        simulator = make_simulator(test_table, equipage)
+        scenarios = [
+            head_on_encounter(),
+            tail_approach_encounter(time_to_cpa=25.0),
+            head_on_encounter(time_to_cpa=12.0),
+        ]
+        threaded = np.random.default_rng(2016)
+        reference = np.random.default_rng(2016)
+        for params in scenarios:
+            assert_runs_bitwise_equal(
+                simulator.run(params, 4, seed=threaded),
+                reference_run_many(simulator, [params], 4, [reference])[0],
+            )
+        assert threaded.bit_generator.state == reference.bit_generator.state

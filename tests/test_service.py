@@ -217,6 +217,18 @@ class TestErrorPaths:
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body
 
+    def test_non_finite_genome_is_400(self, client):
+        # Python's json parses the NaN token, so a non-finite genome
+        # can arrive over HTTP; it must be refused, never simulated
+        # into a NaN "no NMAC" verdict.
+        body = (
+            b'{"scenarios": [[30, 0, 30, 50, 1, -10, 25, 2.5, NaN]],'
+            b' "equipage": "none", "runs": 2, "seed": 0}'
+        )
+        response = client.post("/campaigns", body=body)
+        assert response.status == 400
+        assert "intruder_vertical_speed" in response.json()["error"]
+
     def test_malformed_where_and_params_are_400(self, client):
         cid = client.post("/campaigns", json_body=UNEQUIPPED).json()[
             "campaign_id"
