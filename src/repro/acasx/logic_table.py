@@ -245,10 +245,12 @@ class LogicTable:
     def to_bytes(self) -> bytes:
         """The table as compressed npz bytes (see :meth:`from_bytes`).
 
-        The byte form is what crosses process boundaries when campaign
-        workers rebuild their backend from a
-        :class:`~repro.experiments.backends.BackendSpec`: compressed npz
-        is both picklable and much smaller than the raw float32 array.
+        The byte form is what a queued job's
+        :class:`~repro.experiments.backends.BackendSpec` carries to fleet
+        workers on other hosts; nothing else uses it.  It is not cheap:
+        at paper resolution the 28.4 MB Q array compresses only to
+        about 16.2 MB, and one call takes 1.2–1.5 s on a 2-CPU x86 host.
+        Local process pools pass the table itself instead.
         """
         buffer = io.BytesIO()
         self._write_npz(buffer)

@@ -7,7 +7,8 @@ A worker is one process's share of a distributed campaign.  Its loop:
    their lease expires);
 2. build the simulation backend from the job's submitted
    :class:`~repro.experiments.backends.BackendSpec` — **once** per
-   distinct spec, cached across every chunk the worker executes;
+   distinct spec (keyed by the spec blob's sha256), cached across every
+   chunk the worker executes;
 3. simulate the chunk through the exact megabatch path serial campaigns
    use (:func:`repro.experiments.campaign._execute_chunk`), so each
    scenario's bits derive only from its own pre-spawned seed and
@@ -30,15 +31,16 @@ before the drain (the heartbeat only samples every ``lease/3``).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro import faults, telemetry
 from repro.distributed.queue import (
@@ -248,12 +250,14 @@ class Worker:
         self.campaign_id = campaign_id
         self.skew_margin = skew_margin
         # Backends are rebuilt at most once per distinct submitted
-        # spec; every chunk of a campaign (and any campaign sharing
-        # the spec) reuses the same instance.  Job rows (which carry
-        # that potentially large spec blob) are likewise fetched once.
-        self._backends: Dict[bytes, SimulationBackend] = {}
+        # spec, keyed by the spec blob's sha256; every chunk of a
+        # campaign (and any campaign sharing the spec) reuses the same
+        # instance.  Job rows are fetched once per campaign and cached
+        # with that key in place of the blob (a serialized logic
+        # table, MBs), so a long-lived worker holds no blob at all.
+        self._backends: Dict[str, SimulationBackend] = {}
         self._stores: Dict[str, ResultStore] = {}
-        self._jobs: Dict[str, "JobInfo"] = {}
+        self._jobs: Dict[str, Tuple[JobInfo, str]] = {}
         # Private registry (never the process default): an in-process
         # fallback worker inside a coordinator must not double-count
         # against the coordinator's own registry, and publication to
@@ -391,7 +395,7 @@ class Worker:
         chunk_start = time.perf_counter()
         try:
             faults.maybe_crash("worker.crash.post-claim")
-            job = self._job_for(queue, chunk.campaign_id)
+            job, spec_key = self._job_for(queue, chunk.campaign_id)
         except InjectedWorkerCrash:
             if heartbeat is not None:
                 heartbeat.stop()
@@ -437,8 +441,8 @@ class Worker:
         try:
             with chunk_span:
                 self._execute_traced(
-                    queue, chunk, stats, heartbeat, job, chunk_span,
-                    chunk_start,
+                    queue, chunk, stats, heartbeat, job, spec_key,
+                    chunk_span, chunk_start,
                 )
         finally:
             collector = telemetry.collector()
@@ -452,12 +456,13 @@ class Worker:
         stats: WorkerStats,
         heartbeat: Optional[_LeaseHeartbeat],
         job: JobInfo,
+        spec_key: str,
         chunk_span,
         chunk_start: float,
     ) -> None:
         """The span-wrapped body of :meth:`_execute`."""
         try:
-            backend = self._backend_for(job.backend_spec, stats)
+            backend = self._backend_for(queue, job, spec_key, stats)
             # Payload items are (index, name, params, seed): the name
             # travels with the work because workers never see the
             # campaign's scenario list.
@@ -616,28 +621,41 @@ class Worker:
             self.lease_seconds,
         )
 
-    def _job_for(self, queue: WorkQueue, campaign_id: str) -> JobInfo:
-        """The job row for a campaign, fetched once per campaign.
+    def _job_for(
+        self, queue: WorkQueue, campaign_id: str
+    ) -> Tuple[JobInfo, str]:
+        """A campaign's job row and its spec key, fetched once.
 
-        The row carries the backend-spec blob (a serialized logic
-        table, potentially MBs); caching avoids re-reading it from the
-        queue file for every chunk.
+        The row's backend-spec blob (a serialized logic table, MBs) is
+        hashed to the key backends are cached under and then dropped:
+        the cached row keeps an empty ``backend_spec``.
         """
-        job = self._jobs.get(campaign_id)
-        if job is None:
+        cached = self._jobs.get(campaign_id)
+        if cached is None:
             job = queue.job(campaign_id)
-            self._jobs[campaign_id] = job
-        return job
+            spec_key = hashlib.sha256(job.backend_spec).hexdigest()
+            cached = (replace(job, backend_spec=b""), spec_key)
+            self._jobs[campaign_id] = cached
+        return cached
 
     def _backend_for(
-        self, spec_blob: bytes, stats: WorkerStats
+        self,
+        queue: WorkQueue,
+        job: JobInfo,
+        spec_key: str,
+        stats: WorkerStats,
     ) -> SimulationBackend:
-        """The backend for a submitted spec, built exactly once."""
-        backend = self._backends.get(spec_blob)
+        """The backend for a submitted spec, built exactly once.
+
+        Only a spec with no backend built yet re-reads its blob from
+        the queue.
+        """
+        backend = self._backends.get(spec_key)
         if backend is None:
-            spec: BackendSpec = pickle.loads(spec_blob)
+            blob = queue.job(job.campaign_id).backend_spec
+            spec: BackendSpec = pickle.loads(blob)
             backend = spec.build()
-            self._backends[spec_blob] = backend
+            self._backends[spec_key] = backend
             stats.backends_built += 1
         return backend
 

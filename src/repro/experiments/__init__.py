@@ -11,8 +11,8 @@ package expresses it declaratively:
   one simulation per run; ``"vectorized-batch"`` = the megabatch
   kernel flattening whole chunks of scenarios into one lane array, the
   default; ``"vectorized"`` = its legacy alias; ``"distributed"`` =
-  the megabatch kernel on a worker fleet), plus the picklable
-  :class:`BackendSpec` workers rebuild their backend from;
+  the megabatch kernel on a worker fleet), plus :class:`BackendSpec`,
+  the wire format fleet workers rebuild their backend from;
 - :mod:`repro.experiments.campaign` — the :class:`Campaign` object
   (scenarios × backend × equipage × runs) with deterministic serial,
   process-parallel or streaming (:meth:`Campaign.iter_records`)

@@ -24,10 +24,12 @@ work-queue path, a result-store path and a fleet policy, and makes
 external worker fleet — with an automatic in-process fallback worker
 when no fleet is alive.
 
-:class:`BackendSpec` is the picklable description of a backend —
-registry key, table bytes/path, config, equipage — that campaign
-workers use to rebuild their backend once per process instead of
-unpickling the full backend (logic table and all) with every task.
+:class:`BackendSpec` is the fleet's wire format for a backend —
+registry key, table bytes/path, config, equipage — stored in each
+queued job's row so a ``repro worker`` process, which shares nothing
+with the submitter but the queue file, can rebuild the backend once.
+Local process pools do not use it: their workers receive the
+campaign's backend object itself.
 """
 
 from __future__ import annotations
@@ -329,14 +331,15 @@ def _distributed_factory(**kwargs) -> SimulationBackend:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """A small picklable description of a backend, for worker processes.
+    """The fleet's wire format for a backend: a picklable description.
 
-    Campaign workers used to receive the full pickled backend — logic
-    table and all — with every shard.  A spec instead carries just the
+    A queued job stores one pickled spec in its row.  It carries the
     registry key, the table (as compressed npz bytes, or a path to load
     it from), and the plain-dataclass config/equipage settings; each
-    worker rebuilds its backend **once** from the spec at pool
-    initialization and reuses it for every task it executes.
+    fleet worker rebuilds its backend **once** per distinct spec and
+    reuses it for every chunk it executes.  (``Campaign.run(workers=N)``
+    does not go through a spec: its pool workers receive the backend
+    object itself.)
 
     A spec for the ``"distributed"`` backend additionally carries the
     shared queue/store paths, the inner simulation backend key its
@@ -368,8 +371,9 @@ class BackendSpec:
         backend, whose spec must carry queue/store/fleet settings)
         provide ``capture_spec()`` and are deferred to.  Raises
         ``TypeError`` for backend instances that did not come from the
-        registry (no ``name``/``table``/``config`` surface) — callers
-        fall back to pickling the instance itself.
+        registry (no ``name``/``table``/``config`` surface): such a
+        backend cannot be described to another host, so it cannot be
+        submitted to a fleet.
         """
         custom = getattr(backend, "capture_spec", None)
         if custom is not None:

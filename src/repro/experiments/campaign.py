@@ -11,16 +11,18 @@ Determinism is the load-bearing property: the campaign's root seed is
 expanded with ``SeedSequence.spawn`` into one child per scenario before
 any simulation starts, so the result is bitwise identical whether the
 scenarios execute serially (``workers=1``), fan out across a
-``ProcessPoolExecutor`` (``workers>1``, each worker building its
-backend once from a picklable :class:`~repro.experiments.backends.
-BackendSpec`), run as megabatch chunks (the ``"vectorized-batch"``
-backend flattens whole chunks of scenarios into one lane array), or
-stream incrementally through :meth:`Campaign.iter_records`.  That is
-the seam sharded or multi-host execution attaches to, and the seam the
-result store already uses: ``run(store=...)`` / ``iter_records(store=
-...)`` persist every record under a content-addressed provenance hash
-(:mod:`repro.store`), resuming interrupted campaigns and skipping
-already-stored scenarios entirely.
+``ProcessPoolExecutor`` (``workers>1``, each worker receiving the
+campaign's backend once, through the pool initializer: fork-started
+workers inherit it, logic table and all, without copying or encoding
+anything, and spawn-started ones unpickle it once), run as megabatch
+chunks (the ``"vectorized-batch"`` backend flattens whole chunks of
+scenarios into one lane array), or stream incrementally through
+:meth:`Campaign.iter_records`.  That is the seam sharded or multi-host
+execution attaches to, and the seam the result store already uses:
+``run(store=...)`` / ``iter_records(store=...)`` persist every record
+under a content-addressed provenance hash (:mod:`repro.store`),
+resuming interrupted campaigns and skipping already-stored scenarios
+entirely.
 """
 
 from __future__ import annotations
@@ -41,11 +43,7 @@ import numpy as np
 from repro import telemetry
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters
-from repro.experiments.backends import (
-    BackendSpec,
-    SimulationBackend,
-    make_backend,
-)
+from repro.experiments.backends import SimulationBackend, make_backend
 from repro.experiments.scenario import (
     Scenario,
     as_scenario_source,
@@ -339,18 +337,21 @@ def _default_chunk_size(
     return max(1, min(by_lanes, by_workers))
 
 
-# Per-process backend built by the pool initializer: workers receive a
-# small picklable BackendSpec once, not the full backend per task.
+# Per-process backend set by the pool initializer: each worker receives
+# the campaign's backend once, not once per task.
 _WORKER_BACKEND: Optional[SimulationBackend] = None
 
 
-def _init_worker(payload: Union[BackendSpec, SimulationBackend]) -> None:
-    """Pool initializer: build this worker's backend exactly once."""
+def _init_worker(backend: SimulationBackend) -> None:
+    """Pool initializer: keep the campaign's backend for every task.
+
+    Under ``fork`` (the Linux default before Python 3.14) *backend* is
+    the parent's own object, inherited with the process; under
+    ``spawn``/``forkserver`` it arrives pickled once per worker
+    (numpy's raw array pickling for the logic table).
+    """
     global _WORKER_BACKEND
-    if isinstance(payload, BackendSpec):
-        _WORKER_BACKEND = payload.build()
-    else:  # unregistered backend instance: arrived pickled whole
-        _WORKER_BACKEND = payload
+    _WORKER_BACKEND = backend
 
 
 def _worker_execute_chunk(
@@ -514,8 +515,8 @@ class Campaign:
             simulation run) derives from it deterministically.
         workers:
             ``1`` simulates in-process; ``>1`` fans chunks out across a
-            ``ProcessPoolExecutor`` whose workers each build the
-            backend once from a small picklable spec.
+            ``ProcessPoolExecutor`` whose workers each receive the
+            campaign's backend once, at start-up.
         chunk_size:
             Scenarios per execution chunk.  Default: a megabatch-sized
             chunk for backends with ``simulate_many``, else one
@@ -687,19 +688,11 @@ class Campaign:
                 yield from to_records(outcomes)
             return
 
-        # Workers rebuild the backend once each from a picklable spec;
-        # only unregistered backend instances fall back to being
-        # pickled whole (still once per worker, via the initializer).
-        try:
-            payload: Union[BackendSpec, SimulationBackend] = (
-                BackendSpec.capture(self.backend)
-            )
-        except TypeError:
-            payload = self.backend
+        # The backend travels once per worker, through the initializer.
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(payload,),
+            initargs=(self.backend,),
         ) as pool:
             # Keep only a bounded window of chunks in flight so a slow
             # consumer of the stream does not accumulate every finished

@@ -15,6 +15,7 @@ Error mapping, service exceptions → HTTP statuses::
 
     ValueError          400  (malformed spec / filter / parameter)
     KeyError            404  (unknown campaign id)
+    oversized body      413  (Content-Length above MAX_BODY_BYTES)
     HttpError(s, msg)   s    (raised by handlers directly)
     anything else       500  (traceback to stderr, one-line body)
 """
@@ -42,8 +43,15 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Payload Too Large",
     500: "Internal Server Error",
 }
+
+#: Largest request body accepted, in bytes.  A campaign spec is a few
+#: hundred bytes (a genome list of thousands of rows still fits); a
+#: longer ``Content-Length`` is refused with 413 before any byte of the
+#: body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class HttpError(Exception):
@@ -56,11 +64,16 @@ class HttpError(Exception):
 
 
 def _json_body(environ) -> object:
-    """Parse the request body as JSON, or raise a 400."""
+    """Parse the request body as JSON, or raise a 400 (413 if too long)."""
     try:
         length = int(environ.get("CONTENT_LENGTH") or 0)
     except (TypeError, ValueError):
         raise HttpError(400, "bad Content-Length header") from None
+    if length > MAX_BODY_BYTES:
+        raise HttpError(
+            413, f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit"
+        )
     raw = environ["wsgi.input"].read(length) if length > 0 else b""
     if not raw:
         raise HttpError(400, "empty request body (expected a JSON object)")

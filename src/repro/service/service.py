@@ -439,14 +439,27 @@ class CampaignService:
         Merges the store's record counts, the queue's chunk counts
         (when the service runs one), and the in-process runner state —
         the whole ``GET /campaigns/{id}`` body.
+
+        With a queue, ``complete`` also needs every chunk settled: a
+        worker stores a chunk's records *before* it releases the chunk,
+        so a full record count alone can report a campaign complete
+        while its last chunk is still ``claimed``.
         """
         campaign_id = self.store.resolve(campaign_id)
         info = self.store.get_campaign(campaign_id)
+        complete = info.complete
+        chunks = None
+        if self.queue_path is not None:
+            from repro.distributed.queue import WorkQueue
+
+            with WorkQueue(self.queue_path) as queue:
+                chunks = queue.chunk_counts(campaign_id)
+            complete = complete and chunks.pending == chunks.claimed == 0
         out = info.to_dict()
-        out["complete"] = info.complete
+        out["complete"] = complete
         submission = self._submissions.get(campaign_id)
         if submission is not None:
-            if info.complete and submission.state == "running":
+            if complete and submission.state == "running":
                 # An external fleet may have finished it for us.
                 submission.state = "done"
             out["mode"] = submission.mode
@@ -454,13 +467,10 @@ class CampaignService:
             out["error"] = submission.error
         else:
             out["mode"] = None
-            out["state"] = "done" if info.complete else "external"
+            out["state"] = "done" if complete else "external"
             out["error"] = None
-        if self.queue_path is not None:
-            from repro.distributed.queue import WorkQueue
-
-            with WorkQueue(self.queue_path) as queue:
-                out["chunks"] = queue.chunk_counts(campaign_id).to_dict()
+        if chunks is not None:
+            out["chunks"] = chunks.to_dict()
         return out
 
     def records(

@@ -226,6 +226,34 @@ class TestDistributedExecution:
         assert final.complete
         assert_bitwise_equal(serial, run.collect())
 
+    def test_campaigns_sharing_a_table_share_one_backend(
+        self, paths, tiny_table
+    ):
+        """A long-lived worker builds one backend per distinct spec and
+        keeps no spec blob (a serialized logic table) per campaign."""
+        queue_path, store_path = paths
+        campaign = Campaign(
+            SampledSource(StatisticalEncounterModel(), 2),
+            table=tiny_table,
+            runs_per_scenario=RUNS,
+        )
+        runs = [
+            submit(campaign, seed, queue=queue_path, store=store_path)
+            for seed in (1, 2, 3)
+        ]
+        assert len({run.campaign_id for run in runs}) == 3
+        worker = Worker(queue_path, poll_interval=0.02)
+        stats = worker.run()
+        assert stats.chunks_done == 3
+        assert stats.backends_built == 1
+        assert len(worker._backends) == 1
+        assert set(worker._jobs) == {run.campaign_id for run in runs}
+        for job, spec_key in worker._jobs.values():
+            assert job.backend_spec == b""
+            assert spec_key in worker._backends
+        for seed, run in zip((1, 2, 3), runs):
+            assert_bitwise_equal(campaign.run(seed=seed), run.collect())
+
     def test_resubmit_completed_campaign_simulates_nothing(self, paths):
         queue_path, store_path = paths
         run = submit(

@@ -3,13 +3,18 @@
 Covers the ``"vectorized-batch"`` backend (cross-scenario lane
 flattening in :meth:`repro.sim.batch.BatchEncounterSimulator.run_many`),
 its equivalence guarantees against the ``"vectorized"`` and ``"agent"``
-backends, chunked/streamed campaign execution, and the picklable
-:class:`BackendSpec` that worker processes rebuild their backend from.
+backends, chunked/streamed campaign execution, the picklable
+:class:`BackendSpec` that fleet workers rebuild their backend from, and
+the process pool whose workers receive the backend itself.
 """
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.acasx.logic_table import LogicTable
 from repro.encounters import (
     StatisticalEncounterModel,
     head_on_encounter,
@@ -22,8 +27,14 @@ from repro.experiments import (
     available_backends,
     make_backend,
 )
+from repro.experiments.campaign import (
+    _execute_chunk,
+    _init_worker,
+    _worker_execute_chunk,
+)
 from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.encounter import EncounterSimConfig
+from repro.store import results_digest
 
 RESULT_FIELDS = (
     "min_separation",
@@ -222,8 +233,8 @@ class TestBackendSpec:
     def test_capture_rejects_protocol_only_backend(self):
         # A registered backend satisfying only the SimulationBackend
         # protocol (name + simulate) carries no construction surface to
-        # capture; it must raise TypeError so parallel campaigns fall
-        # back to pickling the instance instead of crashing.
+        # capture; it must raise TypeError, which submitting it to a
+        # fleet reports as needing a registry-built backend.
         from repro.experiments import register_backend
 
         @register_backend("protocol-only-test")
@@ -249,8 +260,9 @@ class TestBackendSpec:
 
     @pytest.mark.slow
     def test_parallel_campaign_rebuilds_backend_per_worker(self, test_table):
-        # The pool initializer path: workers get a BackendSpec, not the
-        # pickled backend, and the campaign result must not change.
+        # The pool initializer path: each worker receives the
+        # campaign's backend once (no BackendSpec involved), and the
+        # campaign result must not change.
         campaign = Campaign(
             SampledSource(StatisticalEncounterModel(), 6),
             backend="vectorized-batch",
@@ -261,6 +273,56 @@ class TestBackendSpec:
         parallel = campaign.run(seed=2016, workers=3, chunk_size=2)
         assert parallel.workers == 3
         assert_record_runs_equal(serial, parallel)
+
+
+class TestPoolWorkers:
+    """``workers>1`` hands the backend object itself to the pool."""
+
+    @pytest.mark.slow
+    def test_parallel_campaign_never_encodes_the_table(
+        self, test_table, monkeypatch
+    ):
+        # Table bytes are the fleet's wire format; a local pool must
+        # not pay for encoding or decoding them.
+        campaign = Campaign(
+            SampledSource(StatisticalEncounterModel(), 4),
+            backend="vectorized-batch",
+            table=test_table,
+            runs_per_scenario=3,
+        )
+        serial = campaign.run(seed=7, chunk_size=1)
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("pool workers must not re-encode the table")
+
+        monkeypatch.setattr(LogicTable, "to_bytes", refuse)
+        monkeypatch.setattr(LogicTable, "from_bytes", refuse)
+        parallel = campaign.run(seed=7, workers=2, chunk_size=1)
+        assert parallel.workers == 2
+        assert results_digest(parallel) == results_digest(serial)
+
+    @pytest.mark.slow
+    def test_spawned_worker_matches_in_process_chunk(self, test_table):
+        # Spawn-started workers get the backend pickled (numpy's raw
+        # array pickling for the table) instead of inheriting it.
+        backend = make_backend("vectorized-batch", table=test_table)
+        seeds = np.random.SeedSequence(2016).spawn(2)
+        chunk = [
+            (0, head_on_encounter(), seeds[0]),
+            (1, tail_approach_encounter(), seeds[1]),
+        ]
+        expected = _execute_chunk(backend, 4, chunk)
+        with ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_worker,
+            initargs=(backend,),
+        ) as pool:
+            future = pool.submit(_worker_execute_chunk, 4, chunk)
+            outcome = future.result(timeout=120)
+        assert [index for index, _ in outcome] == [0, 1]
+        for (_, want), (_, got) in zip(expected, outcome):
+            assert_results_equal(want, got)
 
 
 class TestPopulationEvaluation:

@@ -13,6 +13,7 @@ compared against a pinned baseline fires a ``GET /alerts`` regression.
 """
 
 import json
+import pickle
 import threading
 import time
 
@@ -20,7 +21,9 @@ import numpy as np
 import pytest
 
 from repro.acasx.logic_table import LogicTable
+from repro.distributed import WorkQueue
 from repro.experiments import Campaign
+from repro.experiments.campaign import RunRecord, _execute_chunk
 from repro.service import (
     CampaignService,
     Watchlist,
@@ -28,6 +31,7 @@ from repro.service import (
     make_app,
     make_http_server,
 )
+from repro.service.app import MAX_BODY_BYTES
 from repro.service.testing import ServiceClient
 from repro.store import ResultStore
 from repro.store.spec import results_digest
@@ -217,6 +221,19 @@ class TestErrorPaths:
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body
 
+    def test_body_over_the_cap_is_413(self, client):
+        spec = json.dumps(UNEQUIPPED).encode("utf-8")
+        at_cap = spec + b" " * (MAX_BODY_BYTES - len(spec))
+        too_long = at_cap + b" "
+        response = client.post("/campaigns", body=too_long)
+        assert response.status == 413
+        assert str(MAX_BODY_BYTES) in response.json()["error"]
+        assert client.get("/campaigns").json()["campaigns"] == []
+        # Exactly at the cap is still a body the service accepts.
+        response = client.post("/campaigns", body=at_cap)
+        assert response.status == 202
+        assert response.json()["progress"]["complete"] is True
+
     def test_non_finite_genome_is_400(self, client):
         # Python's json parses the NaN token, so a non-finite genome
         # can arrive over HTTP; it must be refused, never simulated
@@ -357,6 +374,57 @@ class TestQueueMode:
                            if k != "wait"},
             ).json()
             assert again["mode"] == "complete"
+        finally:
+            service.close()
+
+    def test_claimed_chunk_keeps_campaign_incomplete(self, tmp_path):
+        # A worker stores a chunk's records, then releases the chunk.
+        # In between, every record is stored but the chunk is still
+        # claimed: the campaign must not read complete yet.
+        queue_path = tmp_path / "queue.sqlite"
+        store_path = tmp_path / "store.sqlite"
+        service = CampaignService(str(store_path), queue=str(queue_path))
+        client = ServiceClient(make_app(service))
+        try:
+            with WorkQueue(queue_path) as queue:
+                # An idle claim registers the fake worker as live, so
+                # the service queues the campaign instead of draining
+                # it with a fallback worker.
+                assert queue.claim("fake-worker", lease_seconds=60) is None
+                spec = {k: v for k, v in UNEQUIPPED.items() if k != "wait"}
+                receipt = client.post("/campaigns", json_body=spec).json()
+                assert receipt["mode"] == "queued"
+                assert receipt["chunks_enqueued"] == 1
+                cid = receipt["campaign_id"]
+
+                held = queue.claim("fake-worker", lease_seconds=60)
+                job = queue.job(cid)
+                backend = pickle.loads(job.backend_spec).build()
+                items = pickle.loads(held.payload)
+                work = [(i, params, seed) for i, _, params, seed in items]
+                outcomes = _execute_chunk(
+                    backend, job.runs_per_scenario, work
+                )
+                with ResultStore(store_path) as store:
+                    for (index, name, params, _), (_, runs) in zip(
+                        items, outcomes
+                    ):
+                        store.add_record(cid, RunRecord(
+                            index=index, name=name, params=params, runs=runs,
+                        ))
+
+                body = client.get(f"/campaigns/{cid}").json()
+                assert body["completed"] == body["num_scenarios"] == 2
+                assert body["chunks"]["claimed"] == 1
+                assert body["complete"] is False
+                assert body["state"] == "running"
+
+                assert queue.release(cid, held.chunk_index, "fake-worker",
+                                     done=True)
+                body = client.get(f"/campaigns/{cid}").json()
+                assert body["chunks"]["done"] == 1
+                assert body["complete"] is True
+                assert body["state"] == "done"
         finally:
             service.close()
 
