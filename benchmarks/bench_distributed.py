@@ -80,7 +80,6 @@ def _fleet_campaign(table, smoke, scratch):
         backend_options={
             "queue": str(scratch / "backend-queue.sqlite"),
             "store": str(scratch / "backend-store.sqlite"),
-            "poll_interval": 0.02,
         },
     )
 
@@ -88,10 +87,10 @@ def _fleet_campaign(table, smoke, scratch):
 def test_bench_distributed_backend(fast_table, smoke):
     """The fleet-native ``backend="distributed"`` path vs serial.
 
-    No external worker is running, so the run exercises the automatic
-    in-process fallback worker through the full submit → queue → drain
-    → collect cycle (sqlite queue, lease bookkeeping, store round
-    trip).  Bits must match serial exactly.
+    No external worker is running, so the run's wait drains the
+    campaign in-process through the full submit → queue → drain →
+    collect cycle (sqlite queue, lease bookkeeping, store round trip).
+    Bits must match serial exactly.
     """
     serial = _campaign(fast_table, smoke).run(seed=4)
     scratch = Path(tempfile.mkdtemp(prefix="bench_dist_backend_"))

@@ -20,8 +20,8 @@ campaign API:
    run bit for bit;
 6. demonstrate the fleet as a *backend*: ``backend="distributed"``
    makes a single ``Campaign.run`` target an already-running external
-   worker fleet — and when none is live (as here), an automatic
-   in-process fallback worker drains the queue instead of hanging;
+   worker fleet — and when none is live (as here), the run's own wait
+   drains the queue in-process instead of hanging;
 7. replay the worst scenario through the faithful agent engine to see
    its trajectory and advisories;
 8. stand up the campaign *service* over the same store — submit a
@@ -93,8 +93,8 @@ worker`` on any host) → ``collect``; the ``"distributed"`` backend key
 wraps it in one call: ``Campaign(backend="distributed",
 backend_options={"queue": ..., "store": ...})`` (or the
 ``$REPRO_QUEUE``/``$REPRO_STORE`` environment variables) targets an
-already-running external fleet from a single ``run()`` call, falling
-back to an in-process worker when no fleet member is live — and so do
+already-running external fleet from a single ``run()`` call, draining
+the campaign in-process when no fleet member is live — and so do
 ``MonteCarloEstimator`` / ``SearchRunner``, which forward
 ``backend``/``backend_options`` unchanged.  From the shell::
 
@@ -267,9 +267,9 @@ def main() -> None:
     print()
 
     print("=== 6. Fleets as a backend: backend='distributed' ===")
-    # One run() call against an external fleet.  No worker is running
-    # here, so the automatic in-process fallback worker drains the
-    # queue — the call completes instead of hanging on an empty fleet.
+    # One run() call: submit, wait, collect.  No worker is running
+    # here, so the wait drains the campaign in-process, one chunk per
+    # poll — the call completes instead of hanging on an empty fleet.
     fleet_native = Campaign(
         SCENARIOS,
         table=table,
@@ -285,7 +285,7 @@ def main() -> None:
     ).all()
     print(f"backend='distributed' vs in-process: "
           f"bitwise identical = {identical} "
-          f"(fallback worker ran: "
+          f"(drained in-process: "
           f"{fleet_native.metadata['distributed_fallback']})")
     print()
 

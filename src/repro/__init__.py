@@ -110,14 +110,14 @@ unchanged::
                          "store": "results.sqlite"},
     ).run(seed=0)
     # bitwise identical to the serial run; if no live worker is
-    # polling the queue, an in-process fallback worker drains the
-    # campaign instead of hanging (metadata["distributed_fallback"]).
+    # polling the queue, the wait drains the campaign in-process
+    # instead of hanging (metadata["distributed_fallback"]).
 
-Provenance is transparent — the campaign's content-addressed identity
-and its ``ResultSet`` name the *inner* simulation backend (default
-``"vectorized-batch"``), because where chunks execute cannot change a
-bit.  Lease decisions use a single clock per decision with a
-configurable skew margin (``repro worker --skew-margin``) so
+The ``"distributed"`` backend is the megabatch backend plus a queue
+and a store path, under the megabatch name: campaign identity and the
+``ResultSet`` say ``"vectorized-batch"``, because where chunks execute
+cannot change a bit.  Lease decisions use a single clock per decision
+with a configurable skew margin (``repro worker --skew-margin``) so
 multi-host fleets survive clock skew, and a worker that loses its
 lease mid-chunk abandons the result instead of racing its rival.
 

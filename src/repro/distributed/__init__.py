@@ -23,16 +23,16 @@ This package closes the loop:
   completed campaign enqueues nothing), :class:`DistributedRun`
   (``wait``/``iter_progress``/``collect`` — the collected
   :class:`~repro.experiments.ResultSet` is bitwise identical to a
-  serial storeless run), and :func:`run_workers`, which spawns a local
+  serial storeless run; a waiter no live worker serves drains the
+  campaign itself), and :func:`run_workers`, which spawns a local
   fleet for scripted ``submit`` → ``run_workers`` → ``collect`` cycles.
 
-Fleets are also a first-class *backend*:
-:mod:`repro.distributed.backend`'s :class:`DistributedBackend` sits in
-the simulation-backend registry under the ``"distributed"`` key, so
+Fleets are also a first-class *backend*: the megabatch backend plus a
+queue and a store path (:class:`DistributedBackend`) sits in the
+registry under the ``"distributed"`` key, so
 ``Campaign(backend="distributed", backend_options={"queue": ...,
-"store": ...})`` — and every consumer of the campaign API — targets an
-already-running external fleet directly, with an automatic in-process
-fallback worker when no fleet is live.
+"store": ...})`` — and every consumer of the campaign API — runs
+``submit`` → ``wait`` → ``collect`` against an external fleet.
 
 On the command line: ``repro submit`` enqueues a campaign, ``repro
 worker`` runs a worker (one per host/core, anywhere the queue file is

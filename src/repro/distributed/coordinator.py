@@ -17,12 +17,13 @@ and reconstructs the final :class:`~repro.experiments.ResultSet` from
 the store (:meth:`~DistributedRun.collect`) — bitwise identical to a
 serial storeless run of the same campaign and seed, because every
 record round-trips losslessly and every scenario's bits derive only
-from its own pre-spawned seed.
+from its own pre-spawned seed.  A waiter that finds no live worker
+able to serve its campaign drains it in-process.
 
 :func:`run_workers` spawns a local fleet for scripted submit → work →
 collect cycles; the ``"distributed"`` backend
-(:mod:`repro.distributed.backend`) runs the whole cycle behind
-``Campaign.run``.
+(:mod:`repro.distributed.backend`) runs submit → wait → collect
+behind ``Campaign.run``.
 """
 
 from __future__ import annotations
@@ -113,11 +114,10 @@ def _check_not_terminal(queue: WorkQueue, campaign_id: str,
                         snapshot) -> None:
     """Raise if an *incomplete* campaign can never progress.
 
-    The single spelling of the two dead-end states every poll loop
-    (:meth:`DistributedRun.iter_progress` and the distributed
-    backend's await) must agree on: chunk rows vanished from the
-    queue (garbage-collected mid-wait, or a wrong queue path), and
-    every remaining chunk failed permanently.  Call only when
+    The dead-end states of :meth:`DistributedRun.iter_progress`, the
+    poll loop every waiter runs: chunk rows vanished from the queue
+    (garbage-collected mid-wait, or a wrong queue path), and every
+    remaining chunk failed permanently.  Call only when
     ``snapshot.complete`` is already false.
     """
     if snapshot.chunks.total == 0:
@@ -149,6 +149,9 @@ class Progress:
     chunks: ChunkCounts
     records_done: int
     num_scenarios: int
+    #: Chunks this waiter executed in-process because no live worker
+    #: could serve the campaign (0 when the fleet did all the work).
+    drained: int = 0
 
     @property
     def complete(self) -> bool:
@@ -191,12 +194,15 @@ class DistributedRun:
         """Scenarios the worker fleet had to simulate."""
         return self.num_scenarios - self.already_stored
 
-    def _snapshot(self, queue: WorkQueue, store: ResultStore) -> Progress:
+    def _snapshot(
+        self, queue: WorkQueue, store: ResultStore, drained: int = 0
+    ) -> Progress:
         return Progress(
             campaign_id=self.campaign_id,
             chunks=queue.chunk_counts(self.campaign_id),
             records_done=len(store.completed_indices(self.campaign_id)),
             num_scenarios=self.num_scenarios,
+            drained=drained,
         )
 
     def progress(self) -> Progress:
@@ -217,42 +223,61 @@ class DistributedRun:
         further progress).  One queue and one store connection are held
         for the whole polling loop (re-opening them per poll would
         needlessly contend with the workers writing to the same files).
+
+        Drain contract: when a poll finds claimable chunks and no live
+        worker that could serve this campaign (unpinned or pinned to
+        it), the waiter runs **one chunk** in-process with a worker
+        pinned to the campaign (built once, so its backend builds
+        once), then polls again.  An empty or dead fleet thus completes
+        here; a fleet arriving mid-drain takes the rest.  ``drained``
+        counts the chunks the waiter finished.
         """
         # Monotonic deadline: a wall-clock step mid-wait must neither
         # fire a spurious timeout nor extend the wait (the PR-5 time
         # discipline, applied to the coordinator's own clock).
         deadline = None if timeout is None else time.monotonic() + timeout
+        fallback: Optional[Worker] = None
+        drained = 0
         with WorkQueue(self.queue_path) as queue, ResultStore(
             self.store_path
         ) as store:
-            yield from self._iter_progress(queue, store, poll, deadline,
-                                           timeout)
-
-    def _iter_progress(
-        self,
-        queue: WorkQueue,
-        store: ResultStore,
-        poll: float,
-        deadline: Optional[float],
-        timeout: Optional[float],
-    ) -> Iterator[Progress]:
-        while True:
-            snapshot = self._snapshot(queue, store)
-            yield snapshot
-            if snapshot.complete:
-                return
-            _check_not_terminal(queue, self.campaign_id, snapshot)
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"campaign {self.campaign_id[:12]} incomplete after "
-                    f"{timeout}s ({snapshot.describe()})"
-                )
-            time.sleep(poll)
+            while True:
+                snapshot = self._snapshot(queue, store, drained)
+                yield snapshot
+                if snapshot.complete:
+                    return
+                _check_not_terminal(queue, self.campaign_id, snapshot)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"campaign {self.campaign_id[:12]} incomplete "
+                        f"after {timeout}s ({snapshot.describe()})"
+                    )
+                if queue.claimable(self.campaign_id) and not (
+                    queue.live_workers(self.campaign_id)
+                ):
+                    if fallback is None:
+                        fallback = Worker(
+                            self.queue_path,
+                            poll_interval=poll,
+                            campaign_id=self.campaign_id,
+                        )
+                    # One chunk, and straight back if a rival snatched
+                    # it first (idle_timeout): this loop owns the
+                    # deadline and terminal checks, so the drain must
+                    # never block in there.
+                    stats = fallback.run(max_chunks=1, idle_timeout=poll)
+                    drained += stats.chunks_done
+                    continue
+                time.sleep(poll)
 
     def wait(
         self, timeout: Optional[float] = None, poll: float = 0.2
     ) -> Progress:
-        """Block until the campaign completes; return the final state."""
+        """Block until the campaign completes; return the final state.
+
+        Drains in-process under :meth:`iter_progress`'s contract, so
+        an unserved campaign completes rather than timing out.
+        """
         snapshot = None
         with telemetry.span(
             "campaign.wait", campaign_id=self.campaign_id
@@ -262,7 +287,9 @@ class DistributedRun:
             for snapshot in self.iter_progress(poll=poll, timeout=timeout):
                 pass
             assert snapshot is not None
-            wait_span.set(records_done=snapshot.records_done)
+            wait_span.set(
+                records_done=snapshot.records_done, drained=snapshot.drained
+            )
         return snapshot
 
     def collect(self) -> ResultSet:
@@ -321,13 +348,7 @@ def submit(
     submit_span = telemetry.span("campaign.submit")
     with submit_span:
         try:
-            # A fleet-native backend ships its *inner* simulation spec —
-            # workers must simulate, not re-dispatch to themselves.
-            spec_of = getattr(campaign.backend, "worker_spec", None)
-            backend_spec = (
-                spec_of() if spec_of is not None
-                else BackendSpec.capture(campaign.backend)
-            )
+            backend_spec = BackendSpec.capture(campaign.backend)
         except TypeError as error:
             raise TypeError(
                 "distributed campaigns need a registry-built backend whose "

@@ -42,9 +42,9 @@ bounded cross-host skew cannot steal a live lease.  Tests inject
 Worker liveness: every claim attempt (even one that finds nothing)
 upserts a heartbeat row into the ``workers`` table, so coordinators
 can ask :meth:`WorkQueue.live_workers` whether anyone is actually
-polling — the signal the ``"distributed"`` campaign backend uses to
-fall back to an in-process worker instead of hanging on an empty
-fleet.
+polling — the signal :meth:`DistributedRun.wait
+<repro.distributed.coordinator.DistributedRun.wait>` uses to drain a
+campaign in-process instead of hanging on an empty fleet.
 
 Concurrency: the database runs in WAL mode with a busy timeout, and
 every write transaction opens ``BEGIN IMMEDIATE`` inside a short

@@ -15,14 +15,12 @@ CLI — selects the trade-off with a single string (``"agent"``,
 different class.  ``"vectorized"`` is a legacy alias of
 ``"vectorized-batch"`` that keeps stored campaign ids naming it
 resolvable.  New backends register under their own key and become
-available everywhere at once.  The ``"distributed"`` key is the
-multi-host dispatcher: a
-:class:`~repro.distributed.backend.DistributedBackend` (registered
-lazily, so importing this module stays cheap) that carries a shared
-work-queue path, a result-store path and a fleet policy, and makes
-``Campaign.run(backend="distributed")`` execute on an already-running
-external worker fleet — with an automatic in-process fallback worker
-when no fleet is alive.
+available everywhere at once.  The ``"distributed"`` key builds a
+:class:`~repro.distributed.backend.DistributedBackend` (imported
+lazily, so importing this module stays cheap): the megabatch backend,
+under its own name, plus the queue and store paths that make
+``Campaign.run(backend="distributed")`` execute on an external worker
+fleet — drained in-process when no fleet member is alive.
 
 :class:`BackendSpec` is the fleet's wire format for a backend —
 registry key, table bytes/path, config, equipage — stored in each
@@ -70,7 +68,8 @@ class SimulationBackend(Protocol):
     where (which process) the call executes.
     """
 
-    #: Registry key the backend was created under.
+    #: Registry key of what the backend simulates, which campaign
+    #: identity records (``"distributed"`` builds a megabatch backend).
     name: str
 
     def simulate(
@@ -121,8 +120,8 @@ def make_backend(
 
     Extra keyword *options* are forwarded to the backend factory —
     the channel backend-specific settings travel through (e.g. the
-    ``"distributed"`` backend's ``queue=``/``store=`` paths and fleet
-    policy, which :class:`~repro.experiments.Campaign` exposes as
+    ``"distributed"`` backend's ``queue=``/``store=`` paths, which
+    :class:`~repro.experiments.Campaign` exposes as
     ``backend_options=``).
     """
     if not isinstance(spec, str):
@@ -341,10 +340,9 @@ class BackendSpec:
     does not go through a spec: its pool workers receive the backend
     object itself.)
 
-    A spec for the ``"distributed"`` backend additionally carries the
-    shared queue/store paths, the inner simulation backend key its
-    workers execute, and the fleet policy — everything needed to
-    rebuild the fleet-facing backend in another process.
+    A spec names the backend by its ``name``, so capturing the
+    ``"distributed"`` backend describes the plain megabatch backend its
+    workers run — never the queue and store it dispatches through.
     """
 
     backend: str
@@ -353,31 +351,16 @@ class BackendSpec:
     config: Optional[EncounterSimConfig] = None
     table_bytes: Optional[bytes] = None
     table_path: Optional[str] = None
-    #: ``"distributed"`` only: shared work-queue / result-store paths.
-    queue_path: Optional[str] = None
-    store_path: Optional[str] = None
-    #: ``"distributed"`` only: the simulation backend key the fleet's
-    #: workers actually execute.
-    inner: Optional[str] = None
-    #: ``"distributed"`` only: fleet policy keyword arguments
-    #: (``lease_seconds``, ``poll_interval``, ``fallback``, ...).
-    fleet: Optional[Dict[str, object]] = None
 
     @classmethod
     def capture(cls, backend: SimulationBackend) -> "BackendSpec":
         """Describe a registry-built backend so workers can rebuild it.
 
-        Backends that know their own wire format (the distributed
-        backend, whose spec must carry queue/store/fleet settings)
-        provide ``capture_spec()`` and are deferred to.  Raises
-        ``TypeError`` for backend instances that did not come from the
-        registry (no ``name``/``table``/``config`` surface): such a
-        backend cannot be described to another host, so it cannot be
-        submitted to a fleet.
+        Raises ``TypeError`` for backend instances that did not come
+        from the registry (no ``name``/``table``/``config`` surface):
+        such a backend cannot be described to another host, so it
+        cannot be submitted to a fleet.
         """
-        custom = getattr(backend, "capture_spec", None)
-        if custom is not None:
-            return custom()
         name = getattr(backend, "name", None)
         if name not in _REGISTRY:
             raise TypeError(
@@ -411,20 +394,10 @@ class BackendSpec:
             table = LogicTable.from_bytes(self.table_bytes)
         else:
             table = None
-        options: Dict[str, object] = {}
-        if self.queue_path is not None:
-            options["queue"] = self.queue_path
-        if self.store_path is not None:
-            options["store"] = self.store_path
-        if self.inner is not None:
-            options["inner"] = self.inner
-        if self.fleet:
-            options.update(self.fleet)
         return make_backend(
             self.backend,
             table=table,
             config=self.config,
             equipage=self.equipage,
             coordination=self.coordination,
-            **options,
         )

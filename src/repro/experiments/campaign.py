@@ -389,7 +389,7 @@ class Campaign:
         Extra keyword arguments for the backend factory — how
         backend-specific settings travel through the registry.  The
         ``"distributed"`` backend takes its ``queue``/``store`` paths
-        and fleet policy here (``backend="distributed",
+        here (``backend="distributed",
         backend_options={"queue": "q.sqlite", "store": "s.sqlite"}``).
     """
 
@@ -415,14 +415,10 @@ class Campaign:
             coordination=coordination,
             **(backend_options or {}),
         )
-        # Provenance-transparent backends (the fleet dispatcher) name
-        # the backend that determines the output bits, so a distributed
-        # campaign shares identity with its in-process twin.
+        # The fleet backend keeps the megabatch name, so a distributed
+        # campaign shares its identity with the in-process twin.
         self.backend_name = getattr(
-            self.backend, "provenance_name", None
-        ) or (
-            backend if isinstance(backend, str)
-            else getattr(backend, "name", type(backend).__name__)
+            self.backend, "name", type(self.backend).__name__
         )
         self.equipage = equipage
         self.coordination = coordination
@@ -539,12 +535,7 @@ class Campaign:
         use an in-process backend.
         """
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
-            self._check_backend_store(store)
-            return iter(
-                self.backend.run_campaign(
-                    self, seed=seed, chunk_size=chunk_size
-                ).records
-            )
+            return iter(self.run(seed, chunk_size=chunk_size, store=store))
         root = as_seed_sequence(seed)
         seed_fp = None if store is None else _fingerprint_of(root)
         scenario_list, chunks, workers = self._plan(root, workers, chunk_size)
@@ -751,10 +742,10 @@ class Campaign:
         flag.
         """
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
-            # A fleet-native backend owns the whole submit → await →
-            # collect cycle (its queue/store paths and fleet policy
-            # were fixed at construction); workers= is ignored — the
-            # external fleet is the parallelism.
+            # A fleet-native backend owns the whole submit → wait →
+            # collect cycle (its queue/store paths were fixed at
+            # construction); workers= is ignored — the external fleet
+            # is the parallelism.
             self._check_backend_store(store)
             return self.backend.run_campaign(
                 self, seed=seed, chunk_size=chunk_size

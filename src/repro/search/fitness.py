@@ -240,15 +240,10 @@ class FalseAlarmFitness:
         config = config or EncounterSimConfig()
         # The two arms need different equipage, so a ready backend
         # instance cannot serve both: resolve its registry key and
-        # construct each arm from that.  A fleet backend instance
-        # resolves to its *inner* simulation key (provenance_name) —
-        # per-genome two-arm evaluations are driven through direct
-        # simulate() calls, which execute in-process anyway.
-        key = (
-            backend
-            if isinstance(backend, str)
-            else getattr(backend, "provenance_name", backend.name)
-        )
+        # construct each arm from that.  A fleet backend instance is
+        # named "vectorized-batch" — per-genome two-arm evaluations are
+        # direct simulate() calls, which execute in-process anyway.
+        key = backend if isinstance(backend, str) else backend.name
         self._equipped = make_backend(
             key, table=table, config=config, equipage="both"
         )

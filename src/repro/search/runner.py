@@ -85,8 +85,7 @@ class SearchRunner:
         ``"distributed"`` to evaluate generations on a worker fleet).
     backend_options:
         Extra factory options forwarded to the fitness backend (the
-        ``"distributed"`` backend's queue/store paths and fleet
-        policy).
+        ``"distributed"`` backend's queue/store paths).
     equipage / coordination:
         Equipage of the simulated encounters.
     store:

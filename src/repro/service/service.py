@@ -4,10 +4,10 @@ The service is the composition point for everything PRs 1–5 built: it
 parses plain-JSON campaign specs (:meth:`Campaign.from_spec`), registers
 them in the provenance-keyed :class:`~repro.store.ResultStore`, and
 executes them either through the shared
-:class:`~repro.distributed.WorkQueue` (fleet mode, with the same
-fallback-worker policy the ``"distributed"`` backend uses) or on a
-background thread against the thread-safe store (inline mode, when the
-service runs without a queue).
+:class:`~repro.distributed.WorkQueue` (fleet mode; with no live worker
+a thread runs the campaign's ``DistributedRun.wait``, which drains it
+in-process) or on a background thread against the thread-safe store
+(inline mode, when the service runs without a queue).
 
 Identity is the load-bearing property: a submission plans with the
 campaign's own planner — per-scenario seeds spawned from the root seed
@@ -23,6 +23,7 @@ Error model (the WSGI layer maps these to HTTP statuses):
 
 from __future__ import annotations
 
+import math
 import os
 import sqlite3
 import sys
@@ -102,9 +103,9 @@ class CampaignService:
     queue:
         Optional shared :class:`~repro.distributed.WorkQueue` path.
         With a queue, submissions enqueue chunks for the worker fleet
-        (spawning a fallback worker thread when no live worker could
-        serve the campaign); without one, they run on a background
-        thread in-process.
+        (spawning a thread that drains the campaign through its
+        ``wait()`` when no live worker could serve it); without one,
+        they run on a background thread in-process.
     preset:
         Default logic-table preset for equipped submissions
         (overridable per request via the ``"preset"`` envelope key).
@@ -217,6 +218,17 @@ class CampaignService:
         label = payload.get("label")
         if label is not None and not isinstance(label, str):
             raise ValueError(f'"label" must be a string, got {label!r}')
+        wait = payload.get("wait", False)
+        if not isinstance(wait, bool):
+            raise ValueError(f'"wait" must be true or false, got {wait!r}')
+        timeout = payload.get("timeout", 60.0)
+        # json parses NaN, and a NaN deadline would never pass.
+        if isinstance(timeout, bool) or not (
+            isinstance(timeout, (int, float)) and 0 < timeout < math.inf
+        ):
+            raise ValueError(
+                f'"timeout" must be a finite number > 0, got {timeout!r}'
+            )
         if payload.get("backend") == "distributed":
             raise ValueError(
                 'backend "distributed" is not accepted over the wire: '
@@ -246,15 +258,14 @@ class CampaignService:
             )
         self._m_submissions.inc(mode=receipt["mode"])
         self._submission_count += 1
-        if payload.get("wait"):
-            timeout = payload.get("timeout", 60.0)
+        if wait:
             receipt["progress"] = self.wait(
                 receipt["campaign_id"], timeout=float(timeout)
             )
         return receipt
 
     def _submit_queued(self, campaign, seed, chunk_size, label) -> dict:
-        """Enqueue chunks for the fleet; fall back to a local drainer.
+        """Enqueue chunks for the fleet; drain locally if none is live.
 
         Enqueueing writes into the shared queue file while the whole
         fleet hammers it, so a transient ``database is locked`` is
@@ -301,7 +312,7 @@ class CampaignService:
                 mode = "fallback"
                 self._spawn(
                     f"repro-service-fallback-{campaign_id[:8]}",
-                    lambda: self._drain_fallback(campaign_id),
+                    lambda: self._drain_fallback(run),
                 )
         self._register(campaign_id, mode, label)
         return {
@@ -386,25 +397,21 @@ class CampaignService:
         else:
             self._mark(campaign_id, "done")
 
-    def _drain_fallback(self, campaign_id: str) -> None:
-        """Fallback drainer: a worker pinned to this campaign's chunks.
+    def _drain_fallback(self, run) -> None:
+        """Fallback drainer: the submitted campaign's own ``wait()``.
 
-        Constructed inside the thread — the worker owns its own queue
-        and store connections, so nothing crosses threads.
+        It drains in-process while no live worker serves the campaign,
+        raises the diagnosis of permanently failed chunks, and opens
+        its connections inside this thread.
         """
-        from repro.distributed.worker import Worker
-
         try:
-            Worker(
-                self.queue_path, campaign_id=campaign_id, poll_interval=0.05
-            ).run()
+            run.wait(poll=0.05)
         except Exception as error:
-            self._mark(campaign_id, "failed",
+            self._mark(run.campaign_id, "failed",
                        f"{type(error).__name__}: {error}")
             traceback.print_exc(file=sys.stderr)
         else:
-            info = self.store.get_campaign(campaign_id)
-            self._mark(campaign_id, "done" if info.complete else "running")
+            self._mark(run.campaign_id, "done")
 
     def _mark(self, campaign_id: str, state: str,
               error: Optional[str] = None) -> None:
@@ -443,18 +450,30 @@ class CampaignService:
         With a queue, ``complete`` also needs every chunk settled: a
         worker stores a chunk's records *before* it releases the chunk,
         so a full record count alone can report a campaign complete
-        while its last chunk is still ``claimed``.
+        while its last chunk is still ``claimed``.  An incomplete
+        campaign whose chunks are all settled, some ``failed``, reads
+        ``failed``, naming each poisoned chunk's ``last_error``.
         """
         campaign_id = self.store.resolve(campaign_id)
         info = self.store.get_campaign(campaign_id)
         complete = info.complete
-        chunks = None
+        chunks = stuck = None
         if self.queue_path is not None:
             from repro.distributed.queue import WorkQueue
 
             with WorkQueue(self.queue_path) as queue:
                 chunks = queue.chunk_counts(campaign_id)
-            complete = complete and chunks.pending == chunks.claimed == 0
+                settled = chunks.pending == chunks.claimed == 0
+                if settled and chunks.failed and not complete:
+                    from repro.distributed import coordinator
+
+                    stuck = coordinator._stuck_message(
+                        queue, campaign_id, coordinator.Progress(
+                            campaign_id, chunks, info.completed,
+                            info.num_scenarios,
+                        ),
+                    )
+            complete = complete and settled
         out = info.to_dict()
         out["complete"] = complete
         submission = self._submissions.get(campaign_id)
@@ -462,13 +481,18 @@ class CampaignService:
             if complete and submission.state == "running":
                 # An external fleet may have finished it for us.
                 submission.state = "done"
+            elif stuck is not None and submission.state == "running":
+                submission.state = "failed"
+                submission.error = stuck
             out["mode"] = submission.mode
             out["state"] = submission.state
             out["error"] = submission.error
         else:
             out["mode"] = None
-            out["state"] = "done" if complete else "external"
-            out["error"] = None
+            out["state"] = (
+                "done" if complete else "failed" if stuck else "external"
+            )
+            out["error"] = stuck
         if chunks is not None:
             out["chunks"] = chunks.to_dict()
         return out

@@ -52,13 +52,8 @@ def make_campaign(scenarios: int = SCENARIOS, **kwargs) -> Campaign:
 
 
 def fleet_options(queue_path, store_path, **extra) -> dict:
-    """backend_options for a fast test-sized "distributed" backend."""
-    options = {
-        "queue": str(queue_path),
-        "store": str(store_path),
-        "poll_interval": 0.02,
-        "lease_seconds": 10.0,
-    }
+    """backend_options for a "distributed" backend on these paths."""
+    options = {"queue": str(queue_path), "store": str(store_path)}
     options.update(extra)
     return options
 
@@ -467,6 +462,26 @@ class TestScriptedFleet:
             tally = queue.chunk_counts("unrelated")
             assert tally.pending == 1 and tally.claimed == 1
             assert tally.failed == 0
+
+    def test_wait_drains_unserved_campaign_in_process(self, paths):
+        """No worker running: wait() drains the campaign itself, one
+        chunk per poll, instead of polling until its timeout."""
+        queue_path, store_path = paths
+        serial = make_campaign().run(seed=SEED)
+        run = submit(
+            make_campaign(), SEED,
+            queue=queue_path, store=store_path, chunk_size=2,
+        )
+        assert run.chunks_enqueued == 3
+        final = run.wait(timeout=30, poll=0.02)
+        assert final.complete
+        assert final.drained == run.chunks_enqueued
+        assert_bitwise_equal(serial, run.collect())
+        with WorkQueue(queue_path) as queue:
+            states = queue.chunk_states(run.campaign_id)
+            # The waiter's worker deregistered: nothing looks live.
+            assert queue.live_workers() == []
+        assert all(state.status == "done" for state in states)
 
     def test_submit_resolves_relative_paths(self, tmp_path, monkeypatch):
         """Workers launch from any cwd: job rows must carry absolute
@@ -908,33 +923,45 @@ class TestDistributedBackend:
         with pytest.raises(TypeError, match="queue"):
             make_campaign().submit(seed=SEED)
 
-    def test_backend_spec_roundtrip_carries_fleet_policy(self, paths):
-        queue_path, store_path = paths
-        from repro.distributed import DistributedBackend
-        from repro.experiments import BackendSpec, make_backend
+    def test_backend_spec_roundtrip_carries_fleet_policy(
+        self, paths, tiny_table
+    ):
+        """The captured spec of a fleet backend is the plain megabatch
+        spec its workers run: no paths, no policy."""
+        from dataclasses import fields
 
+        from repro.distributed import DistributedBackend
+        from repro.experiments import (
+            BackendSpec,
+            VectorizedBatchBackend,
+            make_backend,
+        )
+
+        queue_path, store_path = paths
         backend = make_backend(
             "distributed",
-            equipage="none",
+            table=tiny_table,
+            equipage="own-only",
+            coordination=False,
             queue=str(queue_path),
             store=str(store_path),
-            lease_seconds=7.5,
-            skew_margin=2.5,
         )
         spec = BackendSpec.capture(backend)
-        assert spec.backend == "distributed"
-        assert spec.inner == "vectorized-batch"
-        assert spec.queue_path == backend.queue_path
-        assert spec.store_path == backend.store_path
-        assert spec.fleet["lease_seconds"] == 7.5
+        assert [f.name for f in fields(spec)] == [
+            "backend", "equipage", "coordination", "config",
+            "table_bytes", "table_path",
+        ]
+        assert spec.backend == "vectorized-batch"
+        assert (spec.equipage, spec.coordination) == ("own-only", False)
+        assert spec.config == backend.config
+        assert spec.table_path is None
         rebuilt = pickle.loads(pickle.dumps(spec)).build()
-        assert isinstance(rebuilt, DistributedBackend)
-        assert rebuilt.queue_path == backend.queue_path
-        assert rebuilt.lease_seconds == 7.5
-        assert rebuilt.skew_margin == 2.5
-        # Workers always receive the *inner* simulation spec.
-        assert backend.worker_spec().backend == "vectorized-batch"
-        assert backend.provenance_name == "vectorized-batch"
+        assert type(rebuilt) is VectorizedBatchBackend
+        assert not isinstance(rebuilt, DistributedBackend)
+        assert (rebuilt.table.q == tiny_table.q).all()
+        assert rebuilt.config == backend.config
+        assert rebuilt.equipage == "own-only"
+        assert rebuilt.coordination is False
 
     def test_poison_chunk_raises_with_last_error(
         self, paths, monkeypatch, capsys
@@ -951,9 +978,7 @@ class TestDistributedBackend:
         monkeypatch.setattr(worker_module, "_execute_chunk", explode)
         campaign = make_campaign(
             backend="distributed",
-            backend_options=fleet_options(
-                queue_path, store_path, poll_interval=0.01
-            ),
+            backend_options=fleet_options(queue_path, store_path),
         )
         with pytest.raises(RuntimeError) as excinfo:
             campaign.run(seed=SEED)
@@ -966,6 +991,30 @@ class TestDistributedBackend:
             states = queue.chunk_states(queue.jobs()[0].campaign_id)
         assert all(state.status == "failed" for state in states)
         assert all(state.attempts == MAX_ATTEMPTS for state in states)
+
+    def test_worker_pinned_elsewhere_does_not_suppress_fallback(
+        self, paths
+    ):
+        """Liveness is scoped to the campaign: a heartbeating worker
+        pinned to another campaign will never drain this one."""
+        queue_path, store_path = paths
+        with WorkQueue(queue_path) as queue:
+            assert queue.claim(
+                "pinned-elsewhere", lease_seconds=60,
+                campaign_id="some-other-campaign",
+            ) is None
+            assert len(queue.live_workers()) == 1
+        serial = make_campaign().run(seed=SEED)
+        distributed = make_campaign(
+            backend="distributed",
+            backend_options=fleet_options(queue_path, store_path),
+        ).run(seed=SEED)
+        assert_bitwise_equal(serial, distributed)
+        assert distributed.metadata["distributed_fallback"] is True
+        with WorkQueue(queue_path) as queue:
+            assert queue.live_workers(
+                distributed.metadata["campaign_id"]
+            ) == []
 
     def test_montecarlo_via_backend_key(self, paths, tiny_table):
         queue_path, store_path = paths
@@ -1011,10 +1060,8 @@ class TestDistributedBackend:
                     time.sleep(0.05)
             distributed = make_campaign(
                 backend="distributed",
-                backend_options=fleet_options(
-                    queue_path, store_path, chunk_size=1
-                ),
-            ).run(seed=SEED)
+                backend_options=fleet_options(queue_path, store_path),
+            ).run(seed=SEED, chunk_size=1)
         finally:
             for process in fleet:
                 process.join(timeout=30)
@@ -1277,16 +1324,19 @@ class TestReviewHardening:
             run.wait(timeout=5, poll=0.01)
 
     def test_wait_timeout_raises_when_fleet_never_comes(self, paths):
+        """A live worker that never claims keeps the waiter from
+        draining, so the wait runs out its timeout."""
         queue_path, store_path = paths
-        campaign = make_campaign(
-            backend="distributed",
-            backend_options=fleet_options(
-                queue_path, store_path,
-                fallback=False, wait_timeout=0.3,
-            ),
+        with WorkQueue(queue_path) as queue:
+            # An idle claim registers an unpinned, heartbeating worker.
+            assert queue.claim("idle-worker", lease_seconds=60) is None
+        run = submit(
+            make_campaign(), SEED, queue=queue_path, store=store_path
         )
         with pytest.raises(TimeoutError, match="incomplete"):
-            campaign.run(seed=SEED)
+            run.wait(timeout=0.3, poll=0.02)
+        with WorkQueue(queue_path) as queue:
+            assert queue.chunk_counts(run.campaign_id).pending == 1
 
     def test_resubmit_to_different_store_is_refused(self, paths, tmp_path):
         """A queue's job row pins its store; re-submitting the same
@@ -1326,8 +1376,10 @@ class TestReviewHardening:
             stale_handle.wait(timeout=5, poll=0.01)
 
     def test_worker_ttl_below_heartbeat_cadence_rejected(self, paths):
+        """The fleet backend takes queue and store only: a removed
+        fleet option fails at construction, naming the option."""
         queue_path, store_path = paths
-        with pytest.raises(ValueError, match="worker_ttl"):
+        with pytest.raises(TypeError, match="worker_ttl"):
             make_campaign(
                 backend="distributed",
                 backend_options=fleet_options(
@@ -1335,27 +1387,34 @@ class TestReviewHardening:
                 ),
             )
 
-    def test_simulate_many_falls_back_for_non_bulk_inner(self, paths):
-        """The distributed backend always advertises simulate_many;
-        with a non-bulk inner backend it must degrade to per-scenario
-        calls, not crash on the missing attribute."""
+    def test_simulate_many_falls_back_for_non_bulk_inner(
+        self, paths, tiny_table
+    ):
+        """Direct simulate_many on the fleet backend (the path
+        FalseAlarmFitness(backend="distributed") takes) runs the
+        inherited megabatch kernel in-process, bit for bit."""
+        import numpy as np
+
         from repro.experiments import make_backend
 
         queue_path, store_path = paths
         backend = make_backend(
-            "distributed", equipage="none",
+            "distributed", table=tiny_table,
             queue=str(queue_path), store=str(store_path),
-            inner="agent",
         )
-        reference = make_backend("agent", equipage="none")
+        reference = make_backend("vectorized-batch", table=tiny_table)
+        assert backend.name == reference.name == "vectorized-batch"
         scenarios = make_campaign().source.scenarios(
-            seed=__import__("numpy").random.default_rng(0)
+            seed=np.random.default_rng(0)
         )
-        params = [s.params for s in scenarios[:2]]
-        got = backend.simulate_many(params, 3, [1, 2])
-        for result, p, seed in zip(got, params, (1, 2)):
-            expect = reference.simulate(p, 3, seed=seed)
+        params = [s.params for s in scenarios[:3]]
+        got = backend.simulate_many(params, 3, [1, 2, 3])
+        expected = reference.simulate_many(params, 3, [1, 2, 3])
+        assert len(got) == len(expected) == 3
+        for result, expect in zip(got, expected):
             for field in RUN_FIELDS:
                 assert (
                     getattr(result, field) == getattr(expect, field)
                 ).all()
+        # Nothing was queued: direct calls never touch the fleet.
+        assert not queue_path.exists()

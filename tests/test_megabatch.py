@@ -230,12 +230,15 @@ class TestBackendSpec:
         with pytest.raises(TypeError, match="not a registered backend"):
             BackendSpec.capture(Custom())
 
-    def test_capture_rejects_protocol_only_backend(self):
+    def test_capture_rejects_protocol_only_backend(self, monkeypatch):
         # A registered backend satisfying only the SimulationBackend
         # protocol (name + simulate) carries no construction surface to
         # capture; it must raise TypeError, which submitting it to a
-        # fleet reports as needing a registry-built backend.
-        from repro.experiments import register_backend
+        # fleet reports as needing a registry-built backend.  The
+        # registry dict is patched so the entry leaves with this test.
+        from repro.experiments import backends, register_backend
+
+        monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
 
         @register_backend("protocol-only-test")
         class Minimal:

@@ -217,6 +217,32 @@ class TestErrorPaths:
             assert response.status == 400, bad
             assert "error" in response.json()
 
+    def test_bad_wait_and_timeout_are_400(self, client):
+        # json.dumps emits NaN/Infinity tokens, which Python's json
+        # parses: a NaN deadline would never pass and hold the request
+        # thread forever.
+        for key, value in (
+            ("timeout", float("nan")),
+            ("timeout", float("inf")),
+            ("timeout", -1),
+            ("timeout", 0),
+            ("timeout", "60"),
+            ("timeout", True),
+            ("wait", "yes"),
+            ("wait", 1),
+        ):
+            response = client.post(
+                "/campaigns", json_body={**UNEQUIPPED, key: value}
+            )
+            assert response.status == 400, (key, value)
+            assert key in response.json()["error"], (key, value)
+        assert client.get("/campaigns").json()["campaigns"] == []
+        accepted = client.post("/campaigns", json_body={
+            **{k: v for k, v in UNEQUIPPED.items() if k != "wait"},
+            "timeout": 0.5,
+        })
+        assert accepted.status == 202
+
     def test_malformed_body_is_400(self, client):
         assert client.post("/campaigns", body=b"{not json").status == 400
         assert client.post("/campaigns").status == 400  # empty body
@@ -375,6 +401,99 @@ class TestQueueMode:
             ).json()
             assert again["mode"] == "complete"
         finally:
+            service.close()
+
+    @staticmethod
+    def _poison(monkeypatch) -> None:
+        import repro.distributed.worker as worker_module
+
+        def explode(backend, num_runs, work):
+            raise RuntimeError("boom-service-poison")
+
+        monkeypatch.setattr(worker_module, "_execute_chunk", explode)
+
+    @staticmethod
+    def _assert_failed_with_poison(client) -> None:
+        (listed,) = client.get("/campaigns").json()["campaigns"]
+        body = client.get(f"/campaigns/{listed['campaign_id']}").json()
+        assert body["state"] == "failed"
+        assert body["complete"] is False
+        assert "failed permanently" in body["error"]
+        assert "boom-service-poison" in body["error"]
+
+    def test_poisoned_fallback_campaign_reads_failed(
+        self, tmp_path, monkeypatch
+    ):
+        """No live worker: the fallback thread's wait() raises the
+        coordinator's diagnosis and the campaign reads failed."""
+        self._poison(monkeypatch)
+        service = CampaignService(
+            str(tmp_path / "store.sqlite"),
+            queue=str(tmp_path / "queue.sqlite"),
+        )
+        client = ServiceClient(make_app(service))
+        try:
+            start = time.monotonic()
+            response = client.post(
+                "/campaigns", json_body={**UNEQUIPPED, "timeout": 20}
+            )
+            assert time.monotonic() - start < 10
+            assert response.status == 500
+            error = response.json()["error"]
+            assert "failed permanently" in error
+            assert "boom-service-poison" in error
+            self._assert_failed_with_poison(client)
+            (listed,) = client.get("/campaigns").json()["campaigns"]
+            assert client.get(
+                f"/campaigns/{listed['campaign_id']}"
+            ).json()["mode"] == "fallback"
+        finally:
+            service.close()
+
+    def test_poisoned_queued_campaign_reads_failed(
+        self, tmp_path, monkeypatch
+    ):
+        """A live fleet whose chunks all fail: progress() reports
+        failed from the queue's chunk counts instead of running."""
+        from repro.distributed import Worker
+
+        self._poison(monkeypatch)
+        queue_path = str(tmp_path / "queue.sqlite")
+        service = CampaignService(
+            str(tmp_path / "store.sqlite"), queue=queue_path
+        )
+        client = ServiceClient(make_app(service))
+        fleet = threading.Thread(
+            target=lambda: Worker(queue_path, poll_interval=0.01).run(
+                forever=True, idle_timeout=2.0
+            ),
+            daemon=True,
+        )
+        fleet.start()
+        try:
+            deadline = time.monotonic() + 10
+            with WorkQueue(queue_path) as queue:
+                while not queue.live_workers():
+                    assert time.monotonic() < deadline, "worker never live"
+                    time.sleep(0.01)
+            start = time.monotonic()
+            response = client.post(
+                "/campaigns", json_body={**UNEQUIPPED, "timeout": 20}
+            )
+            assert time.monotonic() - start < 10
+            assert response.status == 500
+            error = response.json()["error"]
+            assert "failed permanently" in error
+            assert "boom-service-poison" in error
+            self._assert_failed_with_poison(client)
+            (listed,) = client.get("/campaigns").json()["campaigns"]
+            assert client.get(
+                f"/campaigns/{listed['campaign_id']}"
+            ).json()["mode"] == "queued"
+            fleet.join(timeout=10)
+            assert not fleet.is_alive()
+        finally:
+            fleet.join(timeout=10)
             service.close()
 
     def test_claimed_chunk_keeps_campaign_incomplete(self, tmp_path):
