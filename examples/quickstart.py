@@ -61,10 +61,15 @@ timings on your host run the repository benchmark:
 can stream records without materializing the list via
 ``Campaign.iter_records(seed=...)``.
 
-``Campaign.run(profile=True)`` (CLI: ``repro campaign --profile``)
-additionally collects the megabatch kernel's per-phase wall-clock
-breakdown — tape draw / decision / physics / observe — into
-``results.metadata["kernel_profile"]``.
+Where did the time go?  Run the campaign traced and read the trace
+back: every chunk span carries the megabatch kernel's per-phase
+breakdown as ``kernel.tape_draw`` / ``kernel.decision`` /
+``kernel.physics`` / ``kernel.observe`` spans, serially, with
+``workers=N`` or on a fleet, and ``repro trace`` ends with totals per
+span name (``telemetry.span_totals(spans)`` in Python)::
+
+    repro campaign --sample 50 --runs 100 --store results.sqlite --trace
+    repro trace <campaign-id> --store results.sqlite
 
 **Persisting into a result store.**  ``run(store=ResultStore(path))``
 writes every record into a sqlite store keyed by the campaign's

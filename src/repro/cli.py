@@ -250,7 +250,7 @@ def cmd_campaign(args) -> int:
     try:
         results = campaign.run(
             seed=args.seed, workers=args.workers, chunk_size=args.chunk_size,
-            store=store, profile=args.profile,
+            store=store,
         )
     finally:
         if traced:
@@ -261,18 +261,6 @@ def cmd_campaign(args) -> int:
             print(f"trace recorded: repro trace {campaign_id[:12]} "
                   f"--store {args.store}")
     print(results.summary())
-    if args.profile:
-        kernel_profile = getattr(
-            campaign.backend, "kernel_profile", None
-        )
-        if kernel_profile is not None:
-            print(kernel_profile.describe())
-        else:
-            note = results.metadata.get("kernel_profile", {})
-            print(
-                "kernel profile unavailable: "
-                f"{note.get('unsupported', 'not collected')}"
-            )
     if store is not None:
         _print_store_outcome(results)
         store.close()
@@ -991,15 +979,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_QUEUE)",
     )
     campaign.add_argument(
-        "--profile", action="store_true",
-        help="print the megabatch kernel's per-phase wall-clock "
-             "breakdown (tape draw / decision / physics / observe); "
-             "in-process megabatch backends only",
-    )
-    campaign.add_argument(
         "--trace", action="store_true",
         help="record a span trace into --store (results stay bitwise "
-             "identical); view with 'repro trace'",
+             "identical); 'repro trace' shows it, with the kernel's "
+             "tape-draw/decision/physics/observe split as kernel.* spans",
     )
     campaign.set_defaults(func=cmd_campaign)
 
@@ -1198,7 +1181,8 @@ def build_parser() -> argparse.ArgumentParser:
             "as an indented waterfall with the critical path marked — "
             "one connected tree even when the work crossed a "
             "coordinator, a supervisor, and a fleet of worker "
-            "processes."
+            "processes — followed by totals per span name, the "
+            "kernel.* phase split included."
         ),
     )
     trace_cmd.add_argument("campaign", help="campaign id (prefix ok)")

@@ -34,18 +34,14 @@ import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro import telemetry
 from repro.distributed.queue import ChunkCounts, WorkQueue
 from repro.distributed.worker import Worker, WorkerStats
 from repro.experiments.backends import BackendSpec
-from repro.experiments.campaign import (
-    Campaign,
-    ResultSet,
-    _fingerprint_of,
-)
-from repro.store import CampaignSpec, ResultStore
+from repro.experiments.campaign import Campaign, ResultSet
+from repro.store import ResultStore
 
 QueueLike = Union[str, Path, WorkQueue]
 StoreLike = Union[str, Path, ResultStore]
@@ -355,37 +351,29 @@ def submit(
                 f"spec can be shipped to workers: {error}"
             ) from None
 
-        from repro.util.rng import as_seed_sequence
-
-        root = as_seed_sequence(seed)
-        with telemetry.span("campaign.plan"):
-            # Fingerprint before planning spawns from the sequence (the
-            # identity rule Campaign.run follows).
-            seed_fp = _fingerprint_of(root)
-            scenario_list, chunks, _ = campaign._plan(root, 1, chunk_size)
-            spec = CampaignSpec.capture(
-                campaign, scenario_list, root, seed_fp=seed_fp
+        with telemetry.span("campaign.plan"), ResultStore(
+            store_path
+        ) as result_store:
+            # The identity rule Campaign.run follows, chunked as the
+            # serial planner would chunk it.
+            scenario_list, plan, _ = campaign._store_plan(
+                result_store, seed, chunk_size=chunk_size
             )
-
-        with ResultStore(store_path) as result_store:
-            campaign_id = result_store.open_campaign(spec)
-            done = result_store.completed_indices(campaign_id)
+        campaign_id = plan.campaign_id
         submit_span.set(
             campaign_id=campaign_id, num_scenarios=len(scenario_list),
-            already_stored=len(done),
+            already_stored=len(plan.done),
         )
 
         # Ship only missing work; names travel with the params because
         # workers never see the scenario list.
-        payloads: List[bytes] = []
-        for chunk in chunks:
-            remaining = [
+        payloads = [
+            pickle.dumps([
                 (index, scenario_list[index].name, params, child)
                 for index, params, child in chunk
-                if index not in done
-            ]
-            if remaining:
-                payloads.append(pickle.dumps(remaining))
+            ])
+            for chunk in plan.missing_chunks
+        ]
 
         # Trace propagation rides the *job* metadata, never the spec:
         # the campaign id and digest of a traced run must stay bitwise
@@ -436,7 +424,7 @@ def submit(
         queue_path=queue_path,
         store_path=store_path,
         num_scenarios=len(scenario_list),
-        already_stored=len(done),
+        already_stored=len(plan.done),
         chunks_enqueued=enqueued,
         trace_parent=submit_span.span_id,
     )

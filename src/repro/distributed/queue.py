@@ -58,7 +58,7 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -940,7 +940,8 @@ class WorkQueue:
     # SELECTs on this handle's private connection; every deletion runs
     # in the _write transaction below, which re-applies only decisions
     # (done/failed chunks, stale heartbeats) that cannot re-enter
-    # flight — GC never cancels pending or claimed work.
+    # flight and re-checks job rows against a concurrent top-up — GC
+    # never cancels pending or claimed work.
     def gc(
         self,
         campaign_id: Optional[str] = None,
@@ -1016,27 +1017,40 @@ class WorkQueue:
         if dry_run or not (eligible or stale_workers):
             return report
 
-        def txn() -> None:
+        def txn() -> GcReport:
+            dropped = {"done": 0, "failed": 0}
             for cid in eligible:
-                self._conn.execute(
-                    "DELETE FROM chunks WHERE campaign_id = ?"
-                    " AND status IN ('done', 'failed')",
-                    (cid,),
-                )
+                for status in dropped:
+                    dropped[status] += self._conn.execute(
+                        "DELETE FROM chunks WHERE campaign_id = ?"
+                        " AND status = ?",
+                        (cid, status),
+                    ).rowcount
+            jobs = 0
             for cid in droppable_jobs:
-                self._conn.execute(
-                    "DELETE FROM jobs WHERE campaign_id = ?", (cid,)
-                )
-            self._conn.execute(
+                # The snapshot above predates this transaction: a
+                # top-up re-submit may have refilled the job since, and
+                # its fresh chunks need their job row.
+                jobs += self._conn.execute(
+                    "DELETE FROM jobs WHERE campaign_id = ? AND NOT EXISTS"
+                    " (SELECT 1 FROM chunks WHERE campaign_id = ?)",
+                    (cid, cid),
+                ).rowcount
+            workers = self._conn.execute(
                 "DELETE FROM workers WHERE heartbeat < ?", (stale_cutoff,)
-            )
+            ).rowcount
             self._conn.execute(
                 "DELETE FROM worker_metrics WHERE updated < ?",
                 (stale_cutoff,),
             )
+            # Count what was deleted, not what the snapshot expected.
+            return replace(
+                report, done_chunks=dropped["done"],
+                failed_chunks=dropped["failed"], jobs=jobs,
+                stale_workers=workers,
+            )
 
-        self._write(txn)
-        return report
+        return self._write(txn)
 
     @staticmethod
     def _job(row: sqlite3.Row) -> JobInfo:

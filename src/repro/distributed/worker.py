@@ -54,7 +54,6 @@ from repro.distributed.queue import (
 from repro.experiments.backends import BackendSpec, SimulationBackend
 from repro.experiments.campaign import RunRecord, _execute_chunk
 from repro.faults import InjectedWorkerCrash
-from repro.sim.batch import KERNEL_PHASES
 from repro.store import ResultStore
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -469,16 +468,9 @@ class Worker:
             items = pickle.loads(chunk.payload)
             names = {index: name for index, name, _, _ in items}
             work = [(index, params, seed) for index, _, params, seed in items]
-            phase_before = self._phase_snapshot(backend)
-            sim_span = telemetry.span("worker.simulate", scenarios=len(work))
-            with sim_span:
-                sim_wall = time.time()
+            # The kernel records its phase spans under this one.
+            with telemetry.span("worker.simulate", scenarios=len(work)):
                 outcomes = _execute_chunk(backend, job.runs_per_scenario, work)
-            # repro-lint: ok[R2] sim_wall is the span-start *epoch* for
-            # the synthetic kernel-phase spans; the durations laid out
-            # from it are KernelProfile perf_counter deltas, never
-            # wall-clock arithmetic.
-            self._record_phase_spans(backend, phase_before, sim_span, sim_wall)
             if heartbeat is not None:
                 heartbeat.settle()
             if heartbeat is not None and heartbeat.dead:
@@ -696,53 +688,6 @@ class Worker:
             # down the worker that was asked to trace into it.
             pass
         return context
-
-    @staticmethod
-    def _phase_snapshot(backend: SimulationBackend) -> Optional[dict]:
-        """Current per-phase kernel totals, when traced and profilable."""
-        if not telemetry.armed():
-            return None
-        enable = getattr(backend, "enable_profiling", None)
-        if enable is None:
-            return None
-        profile = getattr(backend, "kernel_profile", None)
-        if profile is None:
-            profile = enable()
-        return {phase: getattr(profile, phase) for phase in KERNEL_PHASES}
-
-    @staticmethod
-    def _record_phase_spans(
-        backend: SimulationBackend,
-        before: Optional[dict],
-        sim_span,
-        sim_wall: float,
-    ) -> None:
-        """Re-seat this chunk's :class:`KernelProfile` deltas as spans.
-
-        The kernel times phases in bulk, not as nested calls, so the
-        spans are synthetic: laid end to end under the simulate span in
-        canonical phase order, flagged ``synthetic`` so consumers know
-        the layout (not the totals) is reconstructed.
-        """
-        if before is None or sim_span.span_id is None:
-            return
-        collector = telemetry.collector()
-        profile = getattr(backend, "kernel_profile", None)
-        if collector is None or profile is None:
-            return
-        offset = 0.0
-        for phase in KERNEL_PHASES:
-            delta = getattr(profile, phase) - before.get(phase, 0.0)
-            if delta <= 0.0:
-                continue
-            collector.record(
-                f"kernel.{phase}",
-                sim_wall + offset,
-                delta,
-                sim_span.span_id,
-                {"synthetic": True, "campaign_id": sim_span.campaign_id},
-            )
-            offset += delta
 
     def _publish_metrics(self, queue: WorkQueue) -> None:
         """Best-effort snapshot of this worker's registry to the queue."""

@@ -50,7 +50,7 @@ import numpy as np
 from repro.acasx.logic_table import LogicTable
 from repro.avoidance.acas import AcasXuAvoidance
 from repro.encounters.encoding import EncounterParameters
-from repro.sim.batch import BatchEncounterSimulator, BatchResult, KernelProfile
+from repro.sim.batch import BatchEncounterSimulator, BatchResult
 from repro.sim.encounter import EncounterSimConfig, make_acas_pair, run_encounter
 from repro.util.rng import SeedLike, as_seed_sequence
 
@@ -237,9 +237,6 @@ class VectorizedBatchBackend:
 
     name = "vectorized-batch"
 
-    #: Accumulating per-phase timings, set by :meth:`enable_profiling`.
-    kernel_profile: Optional[KernelProfile] = None
-
     def __init__(
         self,
         table: Optional[LogicTable] = None,
@@ -258,17 +255,6 @@ class VectorizedBatchBackend:
             equipage=equipage,
             coordination=coordination,
         )
-
-    def enable_profiling(self) -> KernelProfile:
-        """Attach a :class:`~repro.sim.batch.KernelProfile` to the kernel.
-
-        Every subsequent :meth:`simulate`/:meth:`simulate_many` call
-        accumulates its per-phase timings (tape draw, decision, physics,
-        observe) into the returned profile, so one profile object covers
-        a whole chunked campaign.
-        """
-        self.kernel_profile = KernelProfile()
-        return self.kernel_profile
 
     def simulate(
         self,
@@ -297,9 +283,7 @@ class VectorizedBatchBackend:
         rngs = [
             np.random.default_rng(as_seed_sequence(seed)) for seed in seeds
         ]
-        return self._simulator.run_many(
-            params_list, num_runs, rngs, profile=self.kernel_profile
-        )
+        return self._simulator.run_many(params_list, num_runs, rngs)
 
 
 @register_backend("vectorized")

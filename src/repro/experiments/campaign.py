@@ -280,6 +280,12 @@ class ResultSet:
 #: is a few MB at this width).
 DEFAULT_CHUNK_LANES = 8192
 
+#: Wire-format caps (:meth:`Campaign.from_spec` and the service): runs
+#: per scenario, and lanes (``chunk_size × runs``) in one kernel call.
+#: Library callers building a :class:`Campaign` directly are not capped.
+MAX_WIRE_RUNS = 10_000
+MAX_WIRE_LANES = 4 * DEFAULT_CHUNK_LANES
+
 #: One task chunk: (scenario index, parameters, per-scenario seed).
 WorkChunk = List[Tuple[int, EncounterParameters, np.random.SeedSequence]]
 
@@ -337,29 +343,61 @@ def _default_chunk_size(
     return max(1, min(by_lanes, by_workers))
 
 
+def _run_chunk(
+    backend: SimulationBackend,
+    num_runs: int,
+    chunk_index: int,
+    chunk: WorkChunk,
+) -> List[Tuple[int, BatchResult]]:
+    """:func:`_execute_chunk` inside its ``campaign.chunk`` span.
+
+    The one chunk step of the serial loop and of pool workers alike, so
+    a traced campaign has the same span shape on both paths (the
+    kernel's ``kernel.*`` phase spans nest under the chunk span).
+    """
+    with telemetry.span(
+        "campaign.chunk", chunk_index=chunk_index, scenarios=len(chunk)
+    ):
+        return _execute_chunk(backend, num_runs, chunk)
+
+
 # Per-process backend set by the pool initializer: each worker receives
 # the campaign's backend once, not once per task.
 _WORKER_BACKEND: Optional[SimulationBackend] = None
 
 
-def _init_worker(backend: SimulationBackend) -> None:
+def _init_worker(
+    backend: SimulationBackend, trace: Optional[Dict[str, str]]
+) -> None:
     """Pool initializer: keep the campaign's backend for every task.
 
     Under ``fork`` (the Linux default before Python 3.14) *backend* is
     the parent's own object, inherited with the process; under
     ``spawn``/``forkserver`` it arrives pickled once per worker
     (numpy's raw array pickling for the logic table).
+
+    *trace* is the submitting process's
+    :func:`~repro.telemetry.trace_context` (``None`` when untraced):
+    the worker then joins that trace, so its chunk and kernel spans
+    land in the campaign's tree as a ``pool:<pid>`` process.
     """
     global _WORKER_BACKEND
     _WORKER_BACKEND = backend
+    if trace is not None:
+        telemetry.ensure(
+            trace["db"],
+            trace["trace_id"],
+            remote_parent=trace["parent_id"],
+            process=f"pool:{os.getpid()}",
+        )
 
 
 def _worker_execute_chunk(
-    num_runs: int, chunk: WorkChunk
+    num_runs: int, chunk_index: int, chunk: WorkChunk
 ) -> List[Tuple[int, BatchResult]]:
     """Worker task entry point: run one chunk on the per-process backend."""
     assert _WORKER_BACKEND is not None, "worker pool not initialized"
-    return _execute_chunk(_WORKER_BACKEND, num_runs, chunk)
+    return _run_chunk(_WORKER_BACKEND, num_runs, chunk_index, chunk)
 
 
 class Campaign:
@@ -448,7 +486,10 @@ class Campaign:
         silently run a different campaign than the one described);
         callers that wrap the spec in a larger envelope list their own
         keys in *ignore*.  Malformed specs raise ``ValueError`` with a
-        one-line diagnosis.
+        one-line diagnosis, as do specs over the wire-format caps
+        (:data:`MAX_WIRE_RUNS`, and
+        :data:`~repro.experiments.scenario.MAX_WIRE_SAMPLE` on
+        ``{"sample": N}``).
         """
         if not isinstance(spec, dict):
             raise ValueError(
@@ -465,6 +506,11 @@ class Campaign:
         runs = spec.get("runs", 100)
         if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
             raise ValueError(f'"runs" must be a positive integer, got {runs!r}')
+        if runs > MAX_WIRE_RUNS:
+            raise ValueError(
+                f'"runs" must be at most MAX_WIRE_RUNS = {MAX_WIRE_RUNS}, '
+                f"got {runs}"
+            )
         backend = spec.get("backend", "vectorized-batch")
         if not isinstance(backend, str):
             raise ValueError(f'"backend" must be a registry key, got {backend!r}')
@@ -536,28 +582,38 @@ class Campaign:
         """
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             return iter(self.run(seed, chunk_size=chunk_size, store=store))
-        root = as_seed_sequence(seed)
-        seed_fp = None if store is None else _fingerprint_of(root)
-        scenario_list, chunks, workers = self._plan(root, workers, chunk_size)
         if store is None:
-            return self._iter_planned(scenario_list, chunks, workers)
-        plan = self._store_plan(store, scenario_list, chunks, root, seed_fp)
+            return self._iter_planned(*self._plan(seed, workers, chunk_size))
+        scenario_list, plan, workers = self._store_plan(
+            store, seed, workers, chunk_size
+        )
         return self._iter_stored(store, plan, scenario_list, workers)
 
     def _store_plan(
         self,
         store: "ResultStore",
-        scenario_list: List,
-        chunks: List[WorkChunk],
-        root: np.random.SeedSequence,
-        seed_fp: Optional[str],
-    ) -> "_StorePlan":
-        """Register the campaign and split work into done vs missing."""
-        from repro.store import CampaignSpec
+        seed: SeedLike,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+    ) -> Tuple[List, "_StorePlan", int]:
+        """Plan against *store*: register the campaign, split its work.
 
-        # The full sequence (fingerprinted at entry), not just its
-        # entropy: spawned children share entropy and differ only in
-        # spawn_key, and each must be its own campaign.
+        The one home of the campaign-identity rule, shared by
+        :meth:`run`, :meth:`iter_records`, the fleet coordinator and
+        the service: the root seed sequence is fingerprinted *before*
+        :meth:`_plan` spawns from it, so every entry point derives the
+        same content-addressed campaign id for the same spec and seed.
+        Returns ``(scenario_list, plan, workers)`` — the scenarios,
+        the done-vs-missing split and the clamped worker count.
+        """
+        from repro.store import CampaignSpec, seed_fingerprint
+
+        root = as_seed_sequence(seed)
+        # The full sequence, not just its entropy: spawned children
+        # share entropy and differ only in spawn_key, and each must be
+        # its own campaign.
+        seed_fp = seed_fingerprint(root)
+        scenario_list, chunks, workers = self._plan(root, workers, chunk_size)
         spec = CampaignSpec.capture(self, scenario_list, root, seed_fp=seed_fp)
         campaign_id = store.open_campaign(spec)
         done = store.completed_indices(campaign_id)
@@ -566,11 +622,12 @@ class Campaign:
             for chunk in chunks
             if (remaining := [item for item in chunk if item[0] not in done])
         ]
-        return _StorePlan(
+        plan = _StorePlan(
             campaign_id=campaign_id,
             done=sorted(done),
             missing_chunks=missing,
         )
+        return scenario_list, plan, workers
 
     def _iter_stored(
         self,
@@ -668,38 +725,34 @@ class Campaign:
 
         if workers == 1:
             for chunk_index, chunk in enumerate(chunks):
-                with telemetry.span(
-                    "campaign.chunk",
-                    chunk_index=chunk_index,
-                    scenarios=len(chunk),
-                ):
-                    outcomes = _execute_chunk(
-                        self.backend, self.runs_per_scenario, chunk
-                    )
-                yield from to_records(outcomes)
+                yield from to_records(_run_chunk(
+                    self.backend, self.runs_per_scenario, chunk_index, chunk
+                ))
             return
 
-        # The backend travels once per worker, through the initializer.
+        # The backend (and the trace to join, if any) travels once per
+        # worker, through the initializer.
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(self.backend,),
+            initargs=(self.backend, telemetry.trace_context()),
         ) as pool:
             # Keep only a bounded window of chunks in flight so a slow
             # consumer of the stream does not accumulate every finished
             # chunk's results in memory.
-            def submit(chunk):
+            def submit(chunk_index, chunk):
                 return pool.submit(
-                    _worker_execute_chunk, self.runs_per_scenario, chunk
+                    _worker_execute_chunk, self.runs_per_scenario,
+                    chunk_index, chunk,
                 )
 
-            chunk_iter = iter(chunks)
+            chunk_iter = enumerate(chunks)
             pending = deque(
-                submit(chunk) for chunk in islice(chunk_iter, workers + 1)
+                submit(*item) for item in islice(chunk_iter, workers + 1)
             )
             while pending:
                 outcomes = pending.popleft().result()
-                pending.extend(submit(chunk) for chunk in islice(chunk_iter, 1))
+                pending.extend(submit(*item) for item in islice(chunk_iter, 1))
                 yield from to_records(outcomes)
 
     def run(
@@ -708,7 +761,6 @@ class Campaign:
         workers: int = 1,
         chunk_size: Optional[int] = None,
         store: Optional["ResultStore"] = None,
-        profile: bool = False,
     ) -> ResultSet:
         """Execute the campaign and aggregate a :class:`ResultSet`.
 
@@ -732,14 +784,12 @@ class Campaign:
         parallelism) and is collected from the fleet's store, bitwise
         identical to the in-process run.
 
-        With ``profile=True`` and a megabatch backend, the kernel's
-        per-phase wall-clock breakdown (tape draw / decision / physics /
-        observe) lands in ``metadata["kernel_profile"]`` — and from
-        there into every store record the result set flows through.
-        Profiling is in-process only: with ``workers > 1`` (or a
-        backend without kernel timers) the metadata instead carries an
-        honest ``{"unsupported": reason}`` note.  Fleet runs ignore the
-        flag.
+        Where the time went is a trace question: run with tracing armed
+        (``telemetry.collect(db)``, or ``repro campaign --trace``) and
+        every chunk span carries the megabatch kernel's phase split as
+        ``kernel.tape_draw`` / ``kernel.decision`` / ``kernel.physics``
+        / ``kernel.observe`` children — serially, in a worker pool, or
+        on a fleet — with results bitwise identical to an untraced run.
         """
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             # A fleet-native backend owns the whole submit → wait →
@@ -756,29 +806,23 @@ class Campaign:
         )
         with run_span:
             root = as_seed_sequence(seed)
-            seed_fp = None if store is None else _fingerprint_of(root)
-            scenario_list, chunks, workers = self._plan(
-                root, workers, chunk_size
-            )
-            run_span.set(scenarios=len(scenario_list), workers=workers)
             metadata: Dict[str, object] = {"cpu_count": os.cpu_count()}
-            if (os.cpu_count() or 1) <= 1:
-                # Timings recorded on a single-core host cannot show
-                # parallel speedup; downstream records carry the caveat
-                # so nobody reads a 1x workers-scaling number as a
-                # regression.
-                metadata["single_cpu_caveat"] = True
-            kernel_profile = self._start_profile(profile, workers, metadata)
             if store is None:
+                scenario_list, chunks, workers = self._plan(
+                    root, workers, chunk_size
+                )
+                run_span.set(scenarios=len(scenario_list), workers=workers)
                 records = list(
                     self._iter_planned(scenario_list, chunks, workers)
                 )
             else:
-                plan = self._store_plan(
-                    store, scenario_list, chunks, root, seed_fp
+                scenario_list, plan, workers = self._store_plan(
+                    store, root, workers, chunk_size
                 )
+                # Set before any chunk span opens: they inherit the id.
                 run_span.set(
-                    campaign_id=plan.campaign_id, loaded=len(plan.done)
+                    scenarios=len(scenario_list), workers=workers,
+                    campaign_id=plan.campaign_id, loaded=len(plan.done),
                 )
                 records = list(
                     self._iter_stored(store, plan, scenario_list, workers)
@@ -801,8 +845,6 @@ class Campaign:
                     loaded=len(plan.done),
                     simulated=len(scenario_list) - len(plan.done),
                 )
-            if kernel_profile is not None:
-                metadata["kernel_profile"] = kernel_profile.to_dict()
         return ResultSet(
             records=records,
             backend=self.backend_name,
@@ -814,35 +856,6 @@ class Campaign:
             wall_time=time.perf_counter() - start,
             metadata=metadata,
         )
-
-    def _start_profile(
-        self, profile: bool, workers: int, metadata: Dict[str, object]
-    ):
-        """Attach kernel phase timers to the backend, or explain why not.
-
-        Returns the live :class:`~repro.sim.batch.KernelProfile` when
-        profiling is possible (megabatch backend, in-process execution);
-        otherwise stamps ``metadata["kernel_profile"]`` with an
-        ``unsupported`` note and returns ``None`` — a silent no-op would
-        let callers mistake "not measured" for "zero cost".
-        """
-        if not profile:
-            return None
-        enable = getattr(self.backend, "enable_profiling", None)
-        if enable is None:
-            metadata["kernel_profile"] = {
-                "unsupported": f"backend {self.backend_name!r} has no "
-                "kernel phase timers"
-            }
-            return None
-        if workers > 1:
-            metadata["kernel_profile"] = {
-                "unsupported": "kernel profiling is in-process only; "
-                "subprocess workers cannot report phase timings "
-                "(re-run with workers=1)"
-            }
-            return None
-        return enable()
 
     def _check_backend_store(self, store) -> None:
         """Reject a ``store=`` that conflicts with a fleet backend.
@@ -928,10 +941,3 @@ def _entropy_of(seq: np.random.SeedSequence) -> Optional[int]:
     if isinstance(entropy, (int, np.integer)):
         return int(entropy)
     return None
-
-
-def _fingerprint_of(seq: np.random.SeedSequence) -> str:
-    """Snapshot the root sequence's store identity before spawning."""
-    from repro.store import seed_fingerprint
-
-    return seed_fingerprint(seq)

@@ -180,6 +180,12 @@ class SampledSource:
         return self.count
 
 
+#: Wire-format cap on ``{"sample": N}``: a spec is planned by whoever
+#: receives it (the service, under its submission lock), and planning
+#: costs time and memory per sampled scenario.
+MAX_WIRE_SAMPLE = 10_000
+
+
 def source_from_spec(spec) -> ScenarioSource:
     """Build a scenario source from a plain-JSON specification.
 
@@ -190,7 +196,8 @@ def source_from_spec(spec) -> ScenarioSource:
       (``["head_on", "tail_approach"]``, ``[[...], [...]]``, mixed), or
     - ``{"sample": N}`` — draw N encounters from the statistical
       encounter model at campaign run time (seeded by the campaign's
-      root seed, so the draw is part of the campaign's provenance).
+      root seed, so the draw is part of the campaign's provenance);
+      N is capped at :data:`MAX_WIRE_SAMPLE`.
 
     Raises ``ValueError`` with a one-line diagnosis for malformed
     specs — service request handlers surface it as a 400.
@@ -206,6 +213,11 @@ def source_from_spec(spec) -> ScenarioSource:
         if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ValueError(
                 f'"sample" must be a positive integer, got {count!r}'
+            )
+        if count > MAX_WIRE_SAMPLE:
+            raise ValueError(
+                f'"sample" must be at most MAX_WIRE_SAMPLE = '
+                f"{MAX_WIRE_SAMPLE}, got {count}"
             )
         from repro.encounters.statistical import StatisticalEncounterModel
 

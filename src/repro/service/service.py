@@ -35,12 +35,8 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro import faults, telemetry
-from repro.experiments.campaign import (
-    Campaign,
-    _fingerprint_of,
-)
-from repro.store import CampaignSpec, ResultStore
-from repro.util.rng import as_seed_sequence
+from repro.experiments.campaign import MAX_WIRE_LANES, Campaign
+from repro.store import ResultStore
 
 #: Bounded retry for queued submissions racing a busy fleet: attempts
 #: and base backoff for transient sqlite lock errors.  A submission
@@ -197,6 +193,11 @@ class CampaignService:
         ``"wait": true`` in the payload the call blocks until the
         campaign completes (bounded by the ``"timeout"`` key) and the
         receipt gains a terminal ``"progress"`` snapshot.
+
+        The spec is planned under the submission lock, so its size is
+        capped before that: ``"sample"``, ``"runs"`` and
+        ``"chunk_size"`` × ``"runs"`` above the wire-format caps raise
+        ``ValueError`` (a 400 over HTTP).
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -247,6 +248,15 @@ class CampaignService:
             sim_config=self.sim_config,
             ignore=self.ENVELOPE_KEYS,
         )
+        if (
+            chunk_size is not None
+            and chunk_size * campaign.runs_per_scenario > MAX_WIRE_LANES
+        ):
+            raise ValueError(
+                f'"chunk_size" x "runs" must be at most MAX_WIRE_LANES = '
+                f"{MAX_WIRE_LANES} lanes, got {chunk_size} x "
+                f"{campaign.runs_per_scenario}"
+            )
 
         with telemetry.span("service.submit") as submit_span, self._lock:
             if self.queue_path is not None:
@@ -328,23 +338,17 @@ class CampaignService:
     def _submit_inline(self, campaign, seed, chunk_size, label) -> dict:
         """Register the campaign and run its missing tail on a thread.
 
-        Mirrors the coordinator's identity rule exactly: fingerprint
-        the root seed *before* planning spawns from it, so the
-        campaign id (and every bit of every record) matches
+        Registration goes through the campaign's own identity rule, so
+        the campaign id (and every bit of every record) matches
         ``Campaign.run`` with the same spec and seed.
         """
-        root = as_seed_sequence(seed)
-        seed_fp = _fingerprint_of(root)
-        scenario_list, _chunks, _ = campaign._plan(root, 1, chunk_size)
-        spec = CampaignSpec.capture(
-            campaign, scenario_list, root, seed_fp=seed_fp
+        scenario_list, plan, _ = campaign._store_plan(
+            self.store, seed, chunk_size=chunk_size
         )
-        campaign_id = self.store.open_campaign(
-            spec, metadata={"label": label} if label else None
-        )
+        campaign_id = plan.campaign_id
         if label:
             self.store.merge_metadata(campaign_id, {"label": label})
-        already = len(self.store.completed_indices(campaign_id))
+        already = len(plan.done)
         num_scenarios = len(scenario_list)
         existing = self._submissions.get(campaign_id)
         if already >= num_scenarios:

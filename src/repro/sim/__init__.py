@@ -18,14 +18,14 @@ pieces:
   point used by everything else (GA fitness, Monte-Carlo, examples);
 - :mod:`repro.sim.batch` — the megabatch kernel, a vectorized fast
   path that simulates the noisy runs of many encounters as one lane
-  array (with pre-drawn noise tapes and per-phase
-  :class:`~repro.sim.batch.KernelProfile` timers);
+  array (with pre-drawn noise tapes; its per-phase timings become
+  ``kernel.*`` spans of a traced run);
 - :mod:`repro.sim.batch_reference` — a frozen copy of the kernel's
   pre-refactor numerics, the oracle its bitwise tests compare against.
 """
 
 from repro.sim.agents import UavAgent
-from repro.sim.batch import BatchEncounterSimulator, BatchResult, KernelProfile
+from repro.sim.batch import BatchEncounterSimulator, BatchResult
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.encounter import (
     EncounterResult,
@@ -45,7 +45,6 @@ __all__ = [
     "DisturbanceModel",
     "EncounterResult",
     "EncounterSimConfig",
-    "KernelProfile",
     "ProximityMeasurer",
     "SimulationEngine",
     "TrajectoryTrace",

@@ -22,10 +22,11 @@ kernel is organised as:
   draws while eliminating the per-decision Python RNG loop
   (:mod:`repro.sim.batch_reference` freezes that inline-draw loop as
   the independent equivalence oracle).
-- **Per-phase timers** — ``run_many(profile=...)`` accumulates a
-  :class:`KernelProfile` (tape-draw / decision / physics / observe),
-  the observability surface ``Campaign.run(profile=True)`` stamps into
-  campaign metadata.
+- **Per-phase timers** — every ``run_many`` call times its tape-draw,
+  decision, physics and observe phases and, when tracing is armed,
+  records them as ``kernel.*`` spans under the caller's open span
+  (:func:`repro.telemetry.record_phases`), so a traced campaign shows
+  its kernel split on every execution path.
 
 Supported equipage: both aircraft ACAS XU (coordinated or not),
 own-ship only, or none — the combinations the experiments need.
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from repro import telemetry
 from repro.acasx.advisories import ADVISORIES, NUM_ADVISORIES
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters, decode_encounter
@@ -59,69 +61,6 @@ _ACTIVE = np.array([a.is_active for a in ADVISORIES])
 # only happens where an advisory is active with positive acceleration.
 _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
 _RAMP_MASK = _ACTIVE & (_ACCELS > 0)
-
-
-#: Phase names of :class:`KernelProfile`, in pipeline order.
-KERNEL_PHASES: Tuple[str, ...] = (
-    "tape_draw", "decision", "physics", "observe",
-)
-
-
-@dataclass
-class KernelProfile:
-    """Per-phase wall-clock breakdown of megabatch kernel calls.
-
-    Accumulates across every ``run_many`` call it is passed to, so one
-    profile object can cover a whole chunked campaign.  Phases:
-
-    - ``tape_draw`` — noise generation (bulk tape draws, plus the
-      per-decision tape slicing);
-    - ``decision``  — sensing arithmetic + advisory selection (includes
-      the logic-table lookup);
-    - ``physics``   — substep integration of both aircraft;
-    - ``observe``   — separation / NMAC monitors.
-    """
-
-    tape_draw: float = 0.0
-    decision: float = 0.0
-    physics: float = 0.0
-    observe: float = 0.0
-    #: How many kernel invocations / scenarios / lanes accumulated.
-    calls: int = 0
-    scenarios: int = 0
-    lanes: int = 0
-
-    @property
-    def total(self) -> float:
-        """Wall-clock seconds across all profiled phases."""
-        return float(sum(getattr(self, phase) for phase in KERNEL_PHASES))
-
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON view (the shape stamped into campaign metadata)."""
-        payload: Dict[str, object] = {
-            phase: getattr(self, phase) for phase in KERNEL_PHASES
-        }
-        payload.update(
-            total=self.total,
-            calls=self.calls,
-            scenarios=self.scenarios,
-            lanes=self.lanes,
-        )
-        return payload
-
-    def describe(self) -> str:
-        """Multi-line phase breakdown for benches and the CLI."""
-        total = self.total
-        lines = [
-            f"kernel profile: {self.calls} call(s), "
-            f"{self.scenarios} scenario(s), {self.lanes} lane(s), "
-            f"{total:.3f}s in profiled phases"
-        ]
-        for phase in KERNEL_PHASES:
-            seconds = getattr(self, phase)
-            share = (seconds / total * 100.0) if total > 0 else 0.0
-            lines.append(f"  {phase:<10} {seconds:8.3f}s  ({share:5.1f}%)")
-        return "\n".join(lines)
 
 
 class _NoiseTapes(NamedTuple):
@@ -516,8 +455,6 @@ class BatchEncounterSimulator:
         params_list: Sequence[EncounterParameters],
         num_runs: int,
         seeds: Optional[Sequence[SeedLike]] = None,
-        *,
-        profile: Optional[KernelProfile] = None,
     ) -> List[BatchResult]:
         """Simulate *num_runs* runs of **each** scenario as one batch.
 
@@ -540,11 +477,8 @@ class BatchEncounterSimulator:
         :func:`repro.sim.batch_reference.reference_run_many`, the
         independent oracle the equivalence tests compare against.
 
-        Parameters
-        ----------
-        profile:
-            Optional :class:`KernelProfile` accumulating this call's
-            per-phase wall-clock times.
+        With tracing armed, the call's phase timings land as four
+        ``kernel.*`` spans under the caller's open span.
         """
         params_list = list(params_list)
         if not params_list:
@@ -715,14 +649,12 @@ class BatchEncounterSimulator:
             # else above was updated in place through the views.
             own_sra[lanes], intr_sra[lanes] = osra, isra
 
-        if profile is not None:
-            profile.tape_draw += t_tape
-            profile.decision += t_decision
-            profile.physics += t_physics
-            profile.observe += t_observe
-            profile.calls += 1
-            profile.scenarios += num_scenarios
-            profile.lanes += total
+        telemetry.record_phases(
+            ("kernel.tape_draw", t_tape),
+            ("kernel.decision", t_decision),
+            ("kernel.physics", t_physics),
+            ("kernel.observe", t_observe),
+        )
 
         # Undo the internal duration ordering: scenario s lives in slot
         # inverse[s] of the lane arrays.

@@ -9,8 +9,17 @@ results*):
   dict, no clock reads, no locks — cheap enough to leave the hooks in
   the worker/queue/store seams permanently.  Arm with :func:`arm` (or
   the :func:`collect` context manager); child processes arm themselves
-  from the queue job's ``trace`` metadata or the ``REPRO_TRACE`` env
-  var, mirroring ``REPRO_FAULT_PLAN``'s lazy one-shot pickup.
+  from the queue job's ``trace`` metadata, the process pool's
+  initializer or the ``REPRO_TRACE`` env var, mirroring
+  ``REPRO_FAULT_PLAN``'s lazy one-shot pickup.
+
+  Kernel phases are spans too: every megabatch kernel call hands its
+  phase timers to :func:`record_phases`, which writes them as
+  ``kernel.tape_draw`` / ``kernel.decision`` / ``kernel.physics`` /
+  ``kernel.observe`` children of the open span (a ``campaign.chunk``
+  on the serial and pool paths, a ``worker.simulate`` on a fleet).
+  :func:`~repro.telemetry.trace.span_totals` sums any trace per span
+  name — the phase split of a whole campaign.
 
 * **Metrics** — every process owns :data:`REGISTRY` (workers keep a
   private registry so fallback in-process drains never double-count);
@@ -35,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
@@ -53,6 +62,7 @@ from repro.telemetry.trace import (
     load_spans,
     new_id,
     render_trace,
+    span_totals,
     span_tree,
     trace_payload,
 )
@@ -79,9 +89,11 @@ __all__ = [
     "load_spans",
     "merge_samples",
     "new_id",
+    "record_phases",
     "render_trace",
     "scrape",
     "span",
+    "span_totals",
     "span_tree",
     "trace_context",
     "trace_payload",
@@ -241,6 +253,28 @@ def current_span():
     if c is None or c.pid != os.getpid():
         return None
     return c.current()
+
+
+def record_phases(*phases: Tuple[str, float]) -> None:
+    """Record ``(name, seconds)`` timers as children of the open span.
+
+    For code that times its phases in bulk rather than as nested calls
+    (the megabatch kernel).  The spans are *synthetic*: real totals,
+    laid end to end from the parent's start in the order given, so the
+    placement is reconstructed.  Disarmed, or with no span open, this
+    returns at once.
+    """
+    c = _collector
+    if c is None or c.pid != os.getpid():
+        return
+    parent = c.current()
+    if parent is None:
+        return
+    attributes = {"synthetic": True, "campaign_id": parent.campaign_id}
+    started_at = parent.started_at
+    for name, seconds in phases:
+        c.record(name, started_at, seconds, parent.span_id, attributes)
+        started_at += seconds
 
 
 def event(name: str, **attributes) -> None:

@@ -33,6 +33,7 @@ __all__ = [
     "load_spans",
     "new_id",
     "render_trace",
+    "span_totals",
     "span_tree",
     "trace_payload",
 ]
@@ -205,7 +206,7 @@ class Collector:
         attributes: Optional[dict] = None,
         status: str = "ok",
     ) -> str:
-        """Write an already-timed span (re-seated kernel phases)."""
+        """Write an already-timed span (kernel phase timers)."""
         span = Span(self, name, self.trace_id, parent_id, attributes)
         span.started_at = started_at
         span.duration = duration
@@ -346,6 +347,22 @@ def critical_path(roots: Sequence[dict]) -> List[str]:
     return path
 
 
+def span_totals(spans: Sequence[dict]) -> Dict[str, dict]:
+    """Per-span-name ``{"count", "seconds"}``, largest total first.
+
+    Over a campaign's trace this is its layer split — the four
+    ``kernel.*`` phases included — summed across every process.
+    """
+    totals: Dict[str, dict] = {}
+    for span in spans:
+        entry = totals.setdefault(span["name"], {"count": 0, "seconds": 0.0})
+        entry["count"] += 1
+        entry["seconds"] += span.get("duration") or 0.0
+    return dict(
+        sorted(totals.items(), key=lambda item: -item[1]["seconds"])
+    )
+
+
 def trace_payload(spans: Sequence[dict]) -> dict:
     """The ``GET /campaigns/{id}/trace`` body: tree + summary."""
     roots = span_tree(spans)
@@ -374,6 +391,7 @@ def trace_payload(spans: Sequence[dict]) -> dict:
         "span_count": len(spans),
         "processes": processes,
         "critical_path": critical_path(roots),
+        "totals": span_totals(spans),
         "roots": [strip(root) for root in roots],
     }
 
@@ -426,4 +444,9 @@ def render_trace(spans: Sequence[dict], width: int = 32) -> str:
     lines.append(
         f"critical path: {len(critical)} spans, {crit_time:.3f}s summed"
     )
+    lines.append("totals per span name:")
+    for name, total in span_totals(spans).items():
+        lines.append(
+            f"  {name:<36.36} {total['count']:>6}x {total['seconds']:>9.3f}s"
+        )
     return "\n".join(lines)

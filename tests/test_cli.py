@@ -164,6 +164,27 @@ class TestCampaignStore:
         second = capsys.readouterr().out
         assert "loaded 3, simulated 0" in second
 
+    def test_traced_campaign_then_trace_prints_kernel_totals(
+        self, tmp_path, capsys
+    ):
+        store_path = str(tmp_path / "s.sqlite")
+        assert main([
+            "campaign", "--sample", "3", "--runs", "2", "--seed", "5",
+            "--equipage", "none", "--store", store_path, "--trace",
+        ]) == 0
+        out = capsys.readouterr().out
+        campaign_id = out.split("trace recorded: repro trace ")[1].split()[0]
+        assert main(["trace", campaign_id, "--store", store_path]) == 0
+        trace = capsys.readouterr().out
+        assert "kernel.decision" in trace
+        footer = trace[trace.index("totals per span name:"):]
+        for name in ("campaign.chunk", "kernel.tape_draw", "kernel.decision",
+                     "kernel.physics", "kernel.observe"):
+            assert name in footer
+        # The phase split comes from the trace; --profile is gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--profile"])
+
     def test_store_list_show_export_diff(self, tmp_path, capsys):
         store_path = str(tmp_path / "s.sqlite")
         base = ["campaign", "--sample", "3", "--runs", "2", "--seed", "5",

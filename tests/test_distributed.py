@@ -1180,6 +1180,35 @@ class TestQueueGc:
             assert queue.chunk_counts("two").done == 1
             assert [job.campaign_id for job in queue.jobs()] == ["two"]
 
+    def test_gc_keeps_the_job_a_concurrent_top_up_refilled(
+        self, paths, monkeypatch
+    ):
+        """A re-submit landing between gc's snapshot and its write (the
+        verify --repair → re-submit flow) keeps its job row, so the
+        top-up chunk stays runnable."""
+        queue_path, _ = paths
+        with WorkQueue(queue_path) as queue, WorkQueue(queue_path) as other:
+            self._enqueue(queue, "cid1", chunks=1)
+            self._finish(queue, "cid1", 1)
+            snapshot = queue.counts
+
+            def counts_then_top_up(campaign_id=None):
+                tallies = snapshot(campaign_id)
+                assert other.submit_job(
+                    "cid1", "store.sqlite", b"spec", RUNS, 1, [b"top-up"]
+                ) == 1
+                return tallies
+
+            monkeypatch.setattr(queue, "counts", counts_then_top_up)
+            report = queue.gc()
+            monkeypatch.undo()
+
+            assert report.done_chunks == 1
+            assert report.jobs == 0  # counted as deleted, not as planned
+            assert queue.job("cid1").campaign_id == "cid1"
+            chunk = queue.claim("w", lease_seconds=30, campaign_id="cid1")
+            assert chunk is not None and chunk.payload == b"top-up"
+
     def test_gc_drops_stale_worker_rows(self, paths):
         queue_path, _ = paths
         base = 3_000_000.0

@@ -9,13 +9,15 @@ array.  These tests pin the contract down:
   equipage × coordination × substeps combination, and each scenario's
   slice equals its one-scenario :meth:`run` call;
 - chunking cannot change a single bit;
-- :class:`~repro.sim.batch.KernelProfile` phase timings flow through
-  ``Campaign.run(profile=True)`` into result-set (and store) metadata.
+- with tracing armed, every kernel call's phase timers land as four
+  synthetic ``kernel.*`` spans under the open chunk span — serially and
+  in a worker pool — without changing a bit.
 """
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.encounters import (
     StatisticalEncounterModel,
     head_on_encounter,
@@ -23,7 +25,7 @@ from repro.encounters import (
 )
 from repro.experiments import Campaign, make_backend
 from repro.experiments.campaign import _execute_chunk
-from repro.sim.batch import KERNEL_PHASES, BatchEncounterSimulator, KernelProfile
+from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.batch_reference import reference_run_many
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore, results_digest
@@ -137,100 +139,132 @@ class TestEmptyTail:
 
 
 # ----------------------------------------------------------------------
-# Kernel profiling observability
+# Kernel phase spans
 # ----------------------------------------------------------------------
-class TestKernelProfile:
-    def test_profile_accumulates_phases(self, test_table, mixed_durations):
-        sim = BatchEncounterSimulator(test_table)
-        profile = KernelProfile()
-        seeds = list(range(len(mixed_durations)))
-        sim.run_many(mixed_durations, 5, seeds, profile=profile)
-        assert profile.calls == 1
-        assert profile.scenarios == len(mixed_durations)
-        assert profile.lanes == len(mixed_durations) * 5
-        assert profile.total > 0.0
-        sim.run_many(mixed_durations, 5, seeds, profile=profile)
-        assert profile.calls == 2
+KERNEL_SPANS = (
+    "kernel.tape_draw", "kernel.decision", "kernel.physics", "kernel.observe",
+)
 
-    def test_to_dict_and_describe(self):
-        profile = KernelProfile()
-        payload = profile.to_dict()
-        assert set(KERNEL_PHASES) <= set(payload)
-        text = KernelProfile().describe()
-        for phase in KERNEL_PHASES:
-            assert phase in text
+
+def traced_run(db, campaign, **kwargs):
+    """``campaign.run`` under a fresh trace; returns (results, spans)."""
+    with telemetry.collect(str(db)) as collector:
+        results = campaign.run(**kwargs)
+    return results, telemetry.load_spans(str(db), trace_id=collector.trace_id)
+
+
+def children(spans, parent):
+    return [s for s in spans if s["parent_id"] == parent["span_id"]]
+
+
+class TestKernelProfile:
+    """The kernel's phase timers, read back as ``kernel.*`` spans."""
+
+    def test_profile_accumulates_phases(
+        self, test_table, mixed_durations, tmp_path
+    ):
+        sim = BatchEncounterSimulator(test_table)
+        seeds = list(range(len(mixed_durations)))
+        db = str(tmp_path / "trace.sqlite")
+        with telemetry.collect(db) as collector:
+            with telemetry.span("outer"):
+                sim.run_many(mixed_durations, 5, seeds)
+                sim.run_many(mixed_durations, 5, seeds)
+            sim.run_many(mixed_durations, 5, seeds)  # no open span
+        spans = telemetry.load_spans(db, trace_id=collector.trace_id)
+        outer = next(s for s in spans if s["name"] == "outer")
+        kernel = children(spans, outer)
+        assert len(spans) == 1 + len(kernel)
+        assert sorted(s["name"] for s in kernel) == sorted(KERNEL_SPANS * 2)
+        for span in kernel:
+            assert span["attributes"]["synthetic"] is True
+            assert span["duration"] >= 0.0
+            assert span["started_at"] >= outer["started_at"]
+        assert sum(s["duration"] for s in kernel) > 0.0
+        # Disarmed, the kernel records nothing and needs no collector.
+        sim.run_many(mixed_durations, 5, seeds)
+
+    def test_to_dict_and_describe(self, test_table, mixed_durations, tmp_path):
+        campaign = Campaign(
+            mixed_durations, table=test_table, runs_per_scenario=3,
+        )
+        _, spans = traced_run(
+            tmp_path / "trace.sqlite", campaign, seed=2, chunk_size=2
+        )
+        totals = telemetry.span_totals(spans)
+        for name in KERNEL_SPANS:
+            assert totals[name]["count"] == 3
+            assert totals[name]["seconds"] == pytest.approx(sum(
+                s["duration"] for s in spans if s["name"] == name
+            ))
+        assert telemetry.trace_payload(spans)["totals"] == totals
+        text = telemetry.render_trace(spans)
+        footer = text[text.index("totals per span name:"):]
+        for name in KERNEL_SPANS + ("campaign.chunk", "campaign.run"):
+            assert name in footer
 
     def test_campaign_run_stamps_profile_metadata(
-        self, test_table, mixed_durations
+        self, test_table, mixed_durations, tmp_path
     ):
         campaign = Campaign(
             mixed_durations, backend="vectorized-batch",
             table=test_table, runs_per_scenario=5,
         )
-        rs = campaign.run(seed=1, profile=True)
-        payload = rs.metadata["kernel_profile"]
-        assert set(KERNEL_PHASES) <= set(payload)
-        assert payload["scenarios"] == len(mixed_durations)
-        assert payload["total"] > 0.0
+        rs, spans = traced_run(
+            tmp_path / "trace.sqlite", campaign, seed=1, chunk_size=4
+        )
+        chunks = [s for s in spans if s["name"] == "campaign.chunk"]
+        assert len(chunks) == 2
+        for chunk in chunks:
+            kernel = children(spans, chunk)
+            assert sorted(s["name"] for s in kernel) == sorted(KERNEL_SPANS)
+            assert all(s["attributes"]["synthetic"] for s in kernel)
+        # The phase split moved to the trace: the knob is gone.
+        with pytest.raises(TypeError):
+            campaign.run(seed=1, profile=True)
 
-    def test_profile_does_not_change_bits(self, test_table, mixed_durations):
+    def test_profile_does_not_change_bits(
+        self, test_table, mixed_durations, tmp_path
+    ):
         campaign = Campaign(
             mixed_durations, backend="vectorized-batch",
             table=test_table, runs_per_scenario=5,
         )
-        assert results_digest(
-            campaign.run(seed=4, profile=True)
-        ) == results_digest(campaign.run(seed=4))
+        traced, _ = traced_run(tmp_path / "trace.sqlite", campaign, seed=4)
+        assert results_digest(traced) == results_digest(campaign.run(seed=4))
 
-    def test_multiworker_profile_is_honestly_unsupported(
-        self, test_table, mixed_durations
+    def test_pool_kernel_spans_join_the_campaign_trace(
+        self, test_table, mixed_durations, tmp_path
     ):
         campaign = Campaign(
             mixed_durations, backend="vectorized-batch",
             table=test_table, runs_per_scenario=3,
         )
-        rs = campaign.run(seed=1, workers=2, chunk_size=3, profile=True)
-        assert "unsupported" in rs.metadata["kernel_profile"]
+        rs, spans = traced_run(
+            tmp_path / "trace.sqlite", campaign,
+            seed=1, workers=2, chunk_size=3,
+        )
+        assert results_digest(rs) == results_digest(campaign.run(seed=1))
+        by_id = {s["span_id"]: s for s in spans}
+        (root,) = [s for s in spans if s["parent_id"] is None]
+        assert root["name"] == "campaign.run"
+        chunks = [s for s in spans if s["name"] == "campaign.chunk"]
+        assert len(chunks) == 2
+        for chunk in chunks:
+            assert chunk["process"].startswith("pool:")
+            assert by_id[chunk["parent_id"]] is root
+            kernel = children(spans, chunk)
+            assert sorted(s["name"] for s in kernel) == sorted(KERNEL_SPANS)
+            assert {s["process"] for s in kernel} == {chunk["process"]}
 
     def test_non_megabatch_backend_is_honestly_unsupported(
-        self, test_table, mixed_durations
+        self, test_table, mixed_durations, tmp_path
     ):
         campaign = Campaign(
             mixed_durations[:2], backend="agent",
             table=test_table, runs_per_scenario=3,
         )
-        rs = campaign.run(seed=1, profile=True)
-        assert "unsupported" in rs.metadata["kernel_profile"]
-
-    def test_profile_persists_through_store_ingest(
-        self, test_table, mixed_durations
-    ):
-        """The bench recording path (record_campaign → ingest) keeps
-        the phase breakdown in the stored campaign's metadata."""
-        campaign = Campaign(
-            mixed_durations, backend="vectorized-batch",
-            table=test_table, runs_per_scenario=4,
-        )
-        rs = campaign.run(seed=8, profile=True)
-        with ResultStore(":memory:") as store:
-            campaign_id = store.ingest(rs, label="profiled")
-            info = [
-                c for c in store.campaigns()
-                if c.campaign_id == campaign_id
-            ][0]
-        stored = info.metadata["kernel_profile"]
-        assert set(KERNEL_PHASES) <= set(stored)
-
-    def test_single_cpu_caveat_tracks_cpu_count(
-        self, test_table, mixed_durations, monkeypatch
-    ):
-        import repro.experiments.campaign as campaign_mod
-
-        campaign = Campaign(
-            mixed_durations[:2], backend="vectorized-batch",
-            table=test_table, runs_per_scenario=3,
-        )
-        monkeypatch.setattr(campaign_mod.os, "cpu_count", lambda: 1)
-        assert campaign.run(seed=1).metadata["single_cpu_caveat"] is True
-        monkeypatch.setattr(campaign_mod.os, "cpu_count", lambda: 8)
-        assert "single_cpu_caveat" not in campaign.run(seed=1).metadata
+        _, spans = traced_run(tmp_path / "trace.sqlite", campaign, seed=1)
+        names = [s["name"] for s in spans]
+        assert names.count("campaign.chunk") == 2
+        assert not [n for n in names if n.startswith("kernel.")]

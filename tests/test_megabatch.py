@@ -319,9 +319,9 @@ class TestPoolWorkers:
             max_workers=1,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
-            initargs=(backend,),
+            initargs=(backend, None),  # untraced
         ) as pool:
-            future = pool.submit(_worker_execute_chunk, 4, chunk)
+            future = pool.submit(_worker_execute_chunk, 4, 0, chunk)
             outcome = future.result(timeout=120)
         assert [index for index, _ in outcome] == [0, 1]
         for (_, want), (_, got) in zip(expected, outcome):

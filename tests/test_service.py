@@ -23,7 +23,13 @@ import pytest
 from repro.acasx.logic_table import LogicTable
 from repro.distributed import WorkQueue
 from repro.experiments import Campaign
-from repro.experiments.campaign import RunRecord, _execute_chunk
+from repro.experiments.campaign import (
+    MAX_WIRE_LANES,
+    MAX_WIRE_RUNS,
+    RunRecord,
+    _execute_chunk,
+)
+from repro.experiments.scenario import MAX_WIRE_SAMPLE
 from repro.service import (
     CampaignService,
     Watchlist,
@@ -259,6 +265,43 @@ class TestErrorPaths:
         response = client.post("/campaigns", body=at_cap)
         assert response.status == 202
         assert response.json()["progress"]["complete"] is True
+
+    def test_specs_over_the_wire_caps_are_400(self, client):
+        # The service plans under its submission lock: a spec sized
+        # past the caps must be refused before any planning starts.
+        for bad, cap in (
+            ({**UNEQUIPPED, "scenarios": {"sample": MAX_WIRE_SAMPLE + 1}},
+             "MAX_WIRE_SAMPLE"),
+            ({**UNEQUIPPED, "runs": MAX_WIRE_RUNS + 1}, "MAX_WIRE_RUNS"),
+            ({**UNEQUIPPED, "runs": 8,
+              "chunk_size": MAX_WIRE_LANES // 8 + 1}, "MAX_WIRE_LANES"),
+        ):
+            response = client.post("/campaigns", json_body=bad)
+            assert response.status == 400, bad
+            assert cap in response.json()["error"], bad
+        assert client.get("/campaigns").json()["campaigns"] == []
+        # Exactly MAX_WIRE_LANES lanes per chunk is accepted.
+        response = client.post("/campaigns", json_body={
+            **UNEQUIPPED, "runs": 8, "chunk_size": MAX_WIRE_LANES // 8,
+        })
+        assert response.status == 202
+        assert response.json()["progress"]["complete"] is True
+
+    def test_from_spec_checks_the_caps_without_planning(self):
+        at_caps = {
+            "scenarios": {"sample": MAX_WIRE_SAMPLE},
+            "runs": MAX_WIRE_RUNS,
+            "equipage": "none",
+        }
+        for key, over, cap in (
+            ("scenarios", {"sample": 10**9}, "MAX_WIRE_SAMPLE"),
+            ("runs", 10**9, "MAX_WIRE_RUNS"),
+        ):
+            with pytest.raises(ValueError, match=cap):
+                Campaign.from_spec({**at_caps, key: over})
+        campaign = Campaign.from_spec(at_caps)
+        assert campaign.source.count == MAX_WIRE_SAMPLE
+        assert campaign.runs_per_scenario == MAX_WIRE_RUNS
 
     def test_non_finite_genome_is_400(self, client):
         # Python's json parses the NaN token, so a non-finite genome

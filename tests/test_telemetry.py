@@ -221,6 +221,20 @@ class TestFleetTracing:
         drain_spans = [s for s in spans if s["name"] == "worker.drain"]
         assert len(chunk_spans) == 6
         assert len(drain_spans) == 6
+        # The kernel's phase spans sit under every simulate span, in
+        # the worker process that ran it.
+        simulate_spans = [s for s in spans if s["name"] == "worker.simulate"]
+        assert len(simulate_spans) == 6
+        for simulate in simulate_spans:
+            kernel = [
+                s for s in spans if s["parent_id"] == simulate["span_id"]
+            ]
+            assert sorted(s["name"] for s in kernel) == [
+                "kernel.decision", "kernel.observe", "kernel.physics",
+                "kernel.tape_draw",
+            ]
+            assert {s["process"] for s in kernel} == {simulate["process"]}
+            assert all(s["attributes"]["synthetic"] for s in kernel)
         root = next(s for s in spans if s["name"] == "campaign.submit")
         assert root["parent_id"] is None
         # One connected tree: every span walks up to the submit root.
