@@ -123,10 +123,11 @@ lease mid-chunk abandons the result instead of racing its rival.
 
 On the command line: ``repro submit`` / ``repro worker`` (one per
 host or core) / ``repro status`` / ``repro queue gc`` (drop finished
-chunks and orphaned job rows; ``--dry-run``/``--max-age``), ``repro
-campaign --backend distributed --queue ... --store ...``, and ``repro
-store list --queue`` shows in-flight chunk counts.  Re-submitting a
-completed campaign enqueues nothing and simulates nothing.
+chunks and orphaned job and table rows; ``--dry-run``/``--max-age``),
+``repro campaign --backend distributed --queue ... --store ...``, and
+``repro store list --queue`` shows in-flight chunk counts.
+Re-submitting a completed campaign enqueues nothing and simulates
+nothing.
 
 **The campaign service.**  Everything above also runs behind a
 long-lived stdlib-only HTTP front door (:mod:`repro.service`)::

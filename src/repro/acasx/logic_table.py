@@ -11,10 +11,10 @@ machinery Section IV of the paper flags as validation-relevant.
 
 from __future__ import annotations
 
-import io
 import json
+import struct
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,32 @@ from repro.mdp.grid import Grid, UniformAxis
 #: NUM_ADVISORIES × 8 corners of float64 ≈ 160 KB of temporaries, small
 #: enough to stay in cache at any batch width.
 _Q_BATCH_BLOCK = 256
+
+#: The raw byte layout's header-length prefix, and the boundary its
+#: padded header ends on, so Q is an aligned view of the buffer.
+_LENGTH = struct.Struct("<Q")
+_Q_ALIGN = 64
+
+#: The :class:`AcasConfig` fields both byte layouts record.
+_CONFIG_KEYS = (
+    "h_max",
+    "num_h",
+    "rate_max",
+    "num_rate",
+    "horizon",
+    "dt",
+    "own_noise",
+    "intruder_noise",
+    "nmac_cost",
+    "nmac_vertical",
+    "alert_cost",
+    "strong_alert_extra",
+    "coc_reward",
+    "reversal_cost",
+    "strengthen_cost",
+    "new_alert_cost",
+    "conflict_horizontal_radius",
+)
 
 
 def make_cube_grid(config: AcasConfig) -> Grid:
@@ -243,52 +269,78 @@ class LogicTable:
         self._write_npz(Path(path))
 
     def to_bytes(self) -> bytes:
-        """The table as compressed npz bytes (see :meth:`from_bytes`).
+        """The table as raw bytes: :meth:`byte_parts`, joined.
 
-        The byte form is what a queued job's
-        :class:`~repro.experiments.backends.BackendSpec` carries to fleet
-        workers on other hosts; nothing else uses it.  It is not cheap:
-        at paper resolution the 28.4 MB Q array compresses only to
-        about 16.2 MB, and one call takes 1.2–1.5 s on a 2-CPU x86 host.
-        Local process pools pass the table itself instead.
+        The fleet path never joins them: the work queue streams the
+        parts into its table rows rather than build one more 28 MB
+        object.  :meth:`from_bytes` reads either form back.
         """
-        buffer = io.BytesIO()
-        self._write_npz(buffer)
-        return buffer.getvalue()
+        return b"".join(self.byte_parts())
+
+    def byte_parts(self) -> Tuple[bytes, memoryview]:
+        """The raw byte layout as two buffers, without copying Q.
+
+        The first buffer is a little-endian ``uint64`` header length,
+        then a JSON header (config, metadata, dtype, shape) padded with
+        spaces so Q starts on a 64-byte boundary; the second is a byte
+        view of Q in C order.  There is no compression: at paper
+        resolution zlib spent over a second to shrink 28.4 MB of Q to
+        16.2 MB, while copying or hashing the raw bytes takes
+        hundredths of one.
+        """
+        q = np.ascontiguousarray(self.q)
+        header = json.dumps({
+            "config": self._config_dict(),
+            "metadata": self.metadata,
+            "dtype": q.dtype.str,
+            "shape": list(q.shape),
+        }).encode()
+        pad = -(_LENGTH.size + len(header)) % _Q_ALIGN
+        header += b" " * pad
+        return _LENGTH.pack(len(header)) + header, memoryview(q).cast("B")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LogicTable":
-        """Rebuild a table from :meth:`to_bytes` output."""
-        with np.load(io.BytesIO(data), allow_pickle=False) as npz:
-            return cls._from_npz(npz)
+        """Rebuild a table from :meth:`to_bytes` output.
+
+        Q is a read-only view of *data* (``np.frombuffer``), not a
+        copy, so the table keeps *data* alive.
+        """
+        (size,) = _LENGTH.unpack_from(data)
+        start = _LENGTH.size + size
+        header = json.loads(bytes(memoryview(data)[_LENGTH.size:start]))
+        shape = tuple(header["shape"])
+        q = np.frombuffer(
+            data, dtype=np.dtype(header["dtype"]),
+            count=int(np.prod(shape)), offset=start,
+        ).reshape(shape)
+        if start + q.nbytes != len(data):
+            raise ValueError(
+                f"logic table bytes hold {len(data) - start} bytes of Q "
+                f"after the header, expected {q.nbytes}"
+            )
+        return cls(
+            config=cls._config_from_dict(header["config"]),
+            q_values=q,
+            metadata=header["metadata"],
+        )
+
+    def _config_dict(self) -> Dict[str, object]:
+        return {key: getattr(self.config, key) for key in _CONFIG_KEYS}
+
+    @staticmethod
+    def _config_from_dict(config_dict: Dict[str, object]) -> AcasConfig:
+        for key in ("own_noise", "intruder_noise"):
+            config_dict[key] = tuple(
+                tuple(pair) for pair in config_dict[key]
+            )
+        return AcasConfig(**config_dict)
 
     def _write_npz(self, target) -> None:
-        config_dict = {
-            key: getattr(self.config, key)
-            for key in (
-                "h_max",
-                "num_h",
-                "rate_max",
-                "num_rate",
-                "horizon",
-                "dt",
-                "own_noise",
-                "intruder_noise",
-                "nmac_cost",
-                "nmac_vertical",
-                "alert_cost",
-                "strong_alert_extra",
-                "coc_reward",
-                "reversal_cost",
-                "strengthen_cost",
-                "new_alert_cost",
-                "conflict_horizontal_radius",
-            )
-        }
         np.savez_compressed(
             target,
             q=self.q,
-            config=np.array(json.dumps(config_dict)),
+            config=np.array(json.dumps(self._config_dict())),
             metadata=np.array(json.dumps(self.metadata)),
         )
 
@@ -300,14 +352,8 @@ class LogicTable:
 
     @classmethod
     def _from_npz(cls, data) -> "LogicTable":
-        config_dict = json.loads(str(data["config"]))
-        for key in ("own_noise", "intruder_noise"):
-            config_dict[key] = tuple(
-                tuple(pair) for pair in config_dict[key]
-            )
-        config = AcasConfig(**config_dict)
         return cls(
-            config=config,
+            config=cls._config_from_dict(json.loads(str(data["config"]))),
             q_values=data["q"],
             metadata=json.loads(str(data["metadata"])),
         )

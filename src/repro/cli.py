@@ -1218,16 +1218,17 @@ def build_parser() -> argparse.ArgumentParser:
                                          required=True)
     queue_gc = queue_sub.add_parser(
         "gc",
-        help="drop finished chunks and orphaned job rows",
+        help="drop finished chunks and orphaned job and table rows",
         description=(
             "Garbage-collect the work queue: delete done/failed chunk "
             "rows (their payloads are the bulk of the file) of "
             "campaigns with no actionable work left — or, with "
             "--max-age, of campaigns older than that many seconds — "
-            "plus job rows left without chunks and stale worker "
-            "liveness rows.  Pending and claimed chunks always "
-            "survive: gc never cancels work.  --dry-run reports what "
-            "would be dropped without touching anything."
+            "plus job rows left without chunks, logic-table rows no "
+            "job names, and stale worker liveness rows.  Pending and "
+            "claimed chunks always survive: gc never cancels work.  "
+            "--dry-run reports what would be dropped without touching "
+            "anything."
         ),
     )
     queue_gc.add_argument("path", help="shared work-queue sqlite path")

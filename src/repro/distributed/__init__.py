@@ -12,12 +12,14 @@ This package closes the loop:
   queue (WAL mode, write retries) shareable over a filesystem by any
   number of processes or hosts, holding per-campaign chunk tasks with
   lease-based ``claim``/``renew``/``release`` and automatic reclaim of
-  dead workers' chunks on lease expiry;
+  dead workers' chunks on lease expiry, plus each logic table once as
+  raw bytes keyed by its digest;
 - :mod:`repro.distributed.worker` — :class:`Worker`, the durable
-  worker loop: build the backend once from the submitted spec, claim
-  chunks, simulate them through the exact megabatch path, drain
-  records into the :class:`~repro.store.ResultStore` (duplicate
-  delivery dedups), heartbeat the lease while simulating;
+  worker loop: load each table once and check its digest, build the
+  backend once from the submitted spec, claim chunks, simulate them
+  through the exact megabatch path, drain records into the
+  :class:`~repro.store.ResultStore` (duplicate delivery dedups),
+  heartbeat the lease while simulating;
 - :mod:`repro.distributed.coordinator` — :func:`submit` (plan a
   campaign into chunks with pre-spawned seeds; re-submitting a
   completed campaign enqueues nothing), :class:`DistributedRun`

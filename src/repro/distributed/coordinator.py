@@ -337,14 +337,17 @@ def submit(
 
     The campaign's backend must be registry-built (capturable as a
     :class:`~repro.experiments.backends.BackendSpec`): the queue ships
-    the spec, never a pickled backend instance.
+    the spec, never a pickled backend instance.  The spec names the
+    backend's logic table by the digest the campaign id already
+    hashes, and the queue stores the table's raw bytes once per
+    digest, so re-submitting on a table the queue holds ships none.
     """
     queue_path = _queue_path(queue)
     store_path = _store_path(store)
     submit_span = telemetry.span("campaign.submit")
     with submit_span:
         try:
-            backend_spec = BackendSpec.capture(campaign.backend)
+            BackendSpec.validate(campaign.backend)
         except TypeError as error:
             raise TypeError(
                 "distributed campaigns need a registry-built backend whose "
@@ -360,6 +363,10 @@ def submit(
                 result_store, seed, chunk_size=chunk_size
             )
         campaign_id = plan.campaign_id
+        backend_spec = BackendSpec.capture(
+            campaign.backend, table_digest=plan.table_digest
+        )
+        table = getattr(campaign.backend, "table", None)
         submit_span.set(
             campaign_id=campaign_id, num_scenarios=len(scenario_list),
             already_stored=len(plan.done),
@@ -413,6 +420,10 @@ def submit(
                     len(scenario_list),
                     payloads,
                     metadata=metadata,
+                    table=(
+                        None if table is None
+                        else (backend_spec.table_digest, table.byte_parts())
+                    ),
                 )
                 if payloads
                 else 0

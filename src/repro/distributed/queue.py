@@ -1,13 +1,24 @@
 """The sqlite-backed :class:`WorkQueue`: durable chunk tasks with leases.
 
 One queue database coordinates any number of worker processes — on one
-machine or on many hosts sharing a filesystem.  Layout is two tables:
-``jobs`` holds one row per submitted campaign (the picklable
-:class:`~repro.experiments.backends.BackendSpec` blob a worker rebuilds
-its backend from, the result-store path it drains into, and the
-campaign's shape), and ``chunks`` holds one row per work chunk (a
-pickled list of ``(scenario_index, params, seed)`` items), keyed
-``(campaign_id, chunk_index)``.
+machine or on many hosts sharing a filesystem.  Its work lives in three
+tables:
+
+- ``jobs`` holds one row per submitted campaign: the picklable
+  :class:`~repro.experiments.backends.BackendSpec` blob a worker
+  rebuilds its backend from (about a kilobyte), the digest of the
+  logic table it names (NULL when unequipped), the result-store path
+  it drains into, and the campaign's shape;
+- ``tables`` holds each logic table **once**, as the raw bytes of
+  :meth:`~repro.acasx.logic_table.LogicTable.to_bytes` keyed by its
+  :func:`~repro.store.spec.table_digest`, however many jobs name it;
+- ``chunks`` holds one row per work chunk (a pickled list of
+  ``(scenario_index, params, seed)`` items), keyed ``(campaign_id,
+  chunk_index)``.
+
+The ``workers`` and ``worker_metrics`` tables track fleet liveness and
+published metrics.  A queue file written before ``tables`` existed
+gains it, and the ``jobs.table_digest`` column, when it is opened.
 
 Delivery is *at-least-once* via lease-based claiming:
 
@@ -49,7 +60,9 @@ campaign in-process instead of hanging on an empty fleet.
 Concurrency: the database runs in WAL mode with a busy timeout, and
 every write transaction opens ``BEGIN IMMEDIATE`` inside a short
 retry loop, so many workers hammering one queue file serialize cleanly
-instead of surfacing ``database is locked`` errors.
+instead of surfacing ``database is locked`` errors.  Opening a handle
+switches the journal mode and creates the schema under the same
+bounded retry, so handles opening a fresh file at once do not race.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro import faults
+from repro import faults, telemetry
 from repro.telemetry.metrics import MetricsRegistry, REGISTRY, merge_samples
 
 _SCHEMA = """
@@ -75,7 +88,12 @@ CREATE TABLE IF NOT EXISTS jobs (
     runs_per_scenario INTEGER NOT NULL,
     num_scenarios     INTEGER NOT NULL,
     num_chunks        INTEGER NOT NULL,
-    metadata          TEXT NOT NULL DEFAULT '{}'
+    metadata          TEXT NOT NULL DEFAULT '{}',
+    table_digest      TEXT
+);
+CREATE TABLE IF NOT EXISTS tables (
+    digest TEXT PRIMARY KEY,
+    data   BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS chunks (
     campaign_id   TEXT NOT NULL REFERENCES jobs(campaign_id),
@@ -137,6 +155,27 @@ _HEARTBEAT_REFRESH = DEFAULT_WORKER_TTL / 4.0
 _WRITE_RETRIES = 5
 _RETRY_BACKOFF = 0.05
 
+#: A job's logic table as :meth:`WorkQueue.submit_job` takes it: its
+#: digest and the buffers whose concatenation is the table's raw bytes.
+TableParts = Tuple[str, Sequence[Union[bytes, memoryview]]]
+
+
+def _retry_locked(fn):
+    """Call *fn*, retrying with backoff while the database is locked.
+
+    Some lock conflicts return at once instead of waiting out the busy
+    timeout (sqlite refuses to wait where waiting could deadlock, and
+    a journal-mode switch needs the file to itself), so a bounded
+    retry absorbs them.
+    """
+    for attempt in range(_WRITE_RETRIES):
+        try:
+            return fn()
+        except sqlite3.OperationalError:
+            if attempt == _WRITE_RETRIES - 1:
+                raise
+            time.sleep(_RETRY_BACKOFF * (attempt + 1))
+
 
 @dataclass(frozen=True)
 class JobInfo:
@@ -150,6 +189,10 @@ class JobInfo:
     num_scenarios: int
     num_chunks: int
     metadata: dict
+    #: Digest of the logic table in the queue's ``tables`` row that the
+    #: spec names (``None`` when unequipped, or queued before tables
+    #: were stored apart from the spec).
+    table_digest: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -249,6 +292,8 @@ class GcReport:
     failed_chunks: int = 0
     jobs: int = 0
     stale_workers: int = 0
+    #: Logic-table rows no remaining job names.
+    tables: int = 0
 
     @property
     def chunks(self) -> int:
@@ -262,6 +307,7 @@ class GcReport:
             f"({self.done_chunks} done, {self.failed_chunks} failed), "
             f"{self.jobs} job row(s) "
             f"across {len(self.campaigns)} campaign(s), "
+            f"{self.tables} table row(s), "
             f"{self.stale_workers} stale worker row(s)"
         )
 
@@ -334,9 +380,42 @@ class WorkQueue:
         self._conn.execute("PRAGMA busy_timeout = 30000")
         if self.path != ":memory:":
             # WAL lets readers (status polling) proceed under writers.
-            self._conn.execute("PRAGMA journal_mode = WAL")
+            _retry_locked(self._enable_wal)
             self._conn.execute("PRAGMA synchronous = NORMAL")
-        self._conn.executescript(_SCHEMA)
+        _retry_locked(lambda: self._conn.executescript(_SCHEMA))
+        if "table_digest" not in self._columns("jobs"):
+            self._write(self._add_table_digest_column)
+
+    # repro-lint: ok[R4] part of __init__: runs before the handle is
+    # returned to anyone, and a journal-mode switch cannot run inside a
+    # transaction.
+    def _enable_wal(self) -> None:
+        """Switch to WAL unless the file already is (most opens)."""
+        mode = self._conn.execute("PRAGMA journal_mode").fetchone()[0]
+        if mode != "wal":
+            self._conn.execute("PRAGMA journal_mode = WAL")
+
+    # repro-lint: ok[R4] read-only schema PRAGMA on this handle's
+    # private connection; the migration re-reads it inside _write.
+    def _columns(self, table: str) -> List[str]:
+        return [
+            row["name"]
+            for row in self._conn.execute(f"PRAGMA table_info({table})")
+        ]
+
+    # repro-lint: ok[R4] runs inside the _write transaction that opened
+    # it, which re-reads the columns under the write lock.
+    def _add_table_digest_column(self) -> None:
+        """Upgrade a queue file written before tables were stored apart.
+
+        Its job rows keep a NULL digest; their specs predate
+        ``table_digest``, and a worker fails their chunks with a
+        request to re-submit.
+        """
+        if "table_digest" not in self._columns("jobs"):
+            self._conn.execute(
+                "ALTER TABLE jobs ADD COLUMN table_digest TEXT"
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -373,39 +452,36 @@ class WorkQueue:
 
     def _write(self, fn):
         """Run *fn* inside ``BEGIN IMMEDIATE``, retrying on lock."""
-        for attempt in range(_WRITE_RETRIES):
-            try:
-                # Fault seam: a "queue.write" fire behaves exactly like
-                # a busy database — transient storms are absorbed by
-                # this very retry loop, sustained ones propagate.
-                faults.maybe_fail(
-                    "queue.write",
-                    lambda event: sqlite3.OperationalError(
-                        "database is locked (injected busy storm)"
-                    ),
-                )
-                self._conn.execute("BEGIN IMMEDIATE")
-            except sqlite3.OperationalError:
-                if attempt == _WRITE_RETRIES - 1:
-                    raise
-                time.sleep(_RETRY_BACKOFF * (attempt + 1))
-                continue
-            try:
-                result = fn()
-                # Fault seam: "queue.commit" stretches the window in
-                # which this transaction holds the write lock.
-                faults.maybe_delay("queue.commit")
-                self._conn.execute("COMMIT")
-                return result
-            # repro-lint: ok[R3] rollback-and-reraise, not a swallow:
-            # the open BEGIN IMMEDIATE must be rolled back even for
-            # BaseException (InjectedWorkerCrash, KeyboardInterrupt) or
-            # the handle would hold the write lock forever and no lease
-            # could ever be released; the unconditional raise keeps the
-            # fault seam open.
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+
+        def begin() -> None:
+            # Fault seam: a "queue.write" fire behaves exactly like a
+            # busy database — transient storms are absorbed by this
+            # very retry loop, sustained ones propagate.
+            faults.maybe_fail(
+                "queue.write",
+                lambda event: sqlite3.OperationalError(
+                    "database is locked (injected busy storm)"
+                ),
+            )
+            self._conn.execute("BEGIN IMMEDIATE")
+
+        _retry_locked(begin)
+        try:
+            result = fn()
+            # Fault seam: "queue.commit" stretches the window in which
+            # this transaction holds the write lock.
+            faults.maybe_delay("queue.commit")
+            self._conn.execute("COMMIT")
+            return result
+        # repro-lint: ok[R3] rollback-and-reraise, not a swallow: the
+        # open BEGIN IMMEDIATE must be rolled back even for
+        # BaseException (InjectedWorkerCrash, KeyboardInterrupt) or the
+        # handle would hold the write lock forever and no lease could
+        # ever be released; the unconditional raise keeps the fault
+        # seam open.
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
 
     # ------------------------------------------------------------------
     # Submission
@@ -419,8 +495,15 @@ class WorkQueue:
         num_scenarios: int,
         chunk_payloads: Sequence[bytes],
         metadata: Optional[dict] = None,
+        table: Optional[TableParts] = None,
     ) -> int:
         """Enqueue one campaign's chunks; idempotent per campaign id.
+
+        *table* is the job's logic table as ``(digest, buffers)``.  Its
+        row is written only if the queue does not hold that digest yet,
+        in the same transaction as the job row, so a job never names a
+        table that is not there (a concurrent :meth:`gc` drops only
+        tables no job names).
 
         Returns the number of chunks newly enqueued.  A re-submit while
         the existing job still has chunks in flight (pending or
@@ -434,15 +517,21 @@ class WorkQueue:
         store verify --repair``) and attempts-exhausted failures get
         back into the queue — the caller only ships payloads for
         scenarios absent from the store, so a top-up re-enqueues
-        exactly the damaged tail.
+        exactly the damaged tail.  A top-up also rewrites the job's
+        spec and table digest: the campaign id pins what they describe,
+        and a job queued before tables were stored apart gets its
+        table this way.
         """
+        digest = None if table is None else table[0]
 
         def txn() -> int:
+            if table is not None:
+                self._put_table(*table)
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO jobs (campaign_id, submitted_at,"
                 " store_path, backend_spec, runs_per_scenario,"
-                " num_scenarios, num_chunks, metadata)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                " num_scenarios, num_chunks, metadata, table_digest)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     campaign_id,
                     datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -452,6 +541,7 @@ class WorkQueue:
                     num_scenarios,
                     len(chunk_payloads),
                     json.dumps(metadata or {}),
+                    digest,
                 ),
             )
             if cursor.rowcount == 0:
@@ -478,9 +568,11 @@ class WorkQueue:
                     ],
                 )
                 self._conn.execute(
-                    "UPDATE jobs SET num_chunks = num_chunks + ?"
+                    "UPDATE jobs SET num_chunks = num_chunks + ?,"
+                    " backend_spec = ?, table_digest = ?"
                     " WHERE campaign_id = ?",
-                    (len(chunk_payloads), campaign_id),
+                    (len(chunk_payloads), backend_spec, digest,
+                     campaign_id),
                 )
                 return len(chunk_payloads)
             self._conn.executemany(
@@ -497,6 +589,56 @@ class WorkQueue:
         if enqueued:
             self._m_enqueued.inc(enqueued)
         return enqueued
+
+    # repro-lint: ok[R4] runs inside submit_job's _write transaction
+    # by contract, so the table row commits with the job row naming it.
+    def _put_table(
+        self, digest: str, parts: Sequence[Union[bytes, memoryview]]
+    ) -> None:
+        """Store one logic table under *digest*, unless already stored.
+
+        The bytes are streamed into a ``zeroblob`` row through an
+        incremental blob handle: binding one 28 MB parameter would
+        make sqlite hold its own copy of the whole table.
+        """
+        size = sum(memoryview(part).nbytes for part in parts)
+        with telemetry.span("queue.put_table", digest=digest) as span:
+            stored = self._conn.execute(
+                "SELECT 1 FROM tables WHERE digest = ?", (digest,)
+            ).fetchone()
+            if stored is None:
+                rowid = self._conn.execute(
+                    "INSERT INTO tables (digest, data)"
+                    " VALUES (?, zeroblob(?))",
+                    (digest, size),
+                ).lastrowid
+                with self._conn.blobopen("tables", "data", rowid) as blob:
+                    for part in parts:
+                        blob.write(part)
+            span.set(bytes=size, inserted=stored is None)
+
+    # repro-lint: ok[R4] read-only SELECT and read-only blob handle on
+    # this handle's private connection (see job()); table rows are
+    # written once and never modified.
+    def table_bytes(self, digest: str) -> bytes:
+        """The raw bytes of the logic table stored under *digest*.
+
+        Read through a blob handle straight into one ``bytes`` object
+        (a plain ``SELECT`` would stage a second full copy).  Raises
+        ``KeyError`` naming the digest and this queue when no row
+        holds it.
+        """
+        row = self._conn.execute(
+            "SELECT rowid FROM tables WHERE digest = ?", (digest,)
+        ).fetchone()
+        if row is None:
+            raise KeyError(
+                f"no logic table {digest} in queue {self.path}"
+            )
+        with self._conn.blobopen(
+            "tables", "data", row[0], readonly=True
+        ) as blob:
+            return blob.read()
 
     # ------------------------------------------------------------------
     # Lease-based claiming
@@ -949,7 +1091,7 @@ class WorkQueue:
         dry_run: bool = False,
         worker_ttl: float = 300.0,
     ) -> GcReport:
-        """Drop finished work: done/failed chunks and orphaned job rows.
+        """Drop finished work: done/failed chunks, orphaned job and table rows.
 
         A campaign is *eligible* when it has no actionable chunks left
         (nothing pending, nothing claimed — drained or terminally
@@ -960,6 +1102,7 @@ class WorkQueue:
         rows left without any chunks are deleted too.  Pending and
         claimed chunks always survive: GC never cancels work.
 
+        Logic-table rows no remaining job names are dropped with them.
         Worker liveness rows whose heartbeat is older than
         *worker_ttl* seconds are dropped as well (dead fleets).
 
@@ -972,6 +1115,14 @@ class WorkQueue:
             + (" WHERE campaign_id = ?" if campaign_id is not None else ""),
             (campaign_id,) if campaign_id is not None else (),
         ).fetchall()
+        named_tables = self._conn.execute(
+            "SELECT campaign_id, table_digest FROM jobs"
+            " WHERE table_digest IS NOT NULL"
+        ).fetchall()
+        stored_tables = {
+            row["digest"]
+            for row in self._conn.execute("SELECT digest FROM tables")
+        }
         tallies = self.counts(campaign_id)
 
         eligible: List[str] = []
@@ -1005,6 +1156,11 @@ class WorkQueue:
             "SELECT COUNT(*) FROM workers WHERE heartbeat < ?",
             (stale_cutoff,),
         ).fetchone()[0]
+        orphaned_tables = stored_tables - {
+            row["table_digest"]
+            for row in named_tables
+            if row["campaign_id"] not in droppable_jobs
+        }
 
         report = GcReport(
             dry_run=dry_run,
@@ -1013,8 +1169,9 @@ class WorkQueue:
             failed_chunks=failed_chunks,
             jobs=len(droppable_jobs),
             stale_workers=stale_workers,
+            tables=len(orphaned_tables),
         )
-        if dry_run or not (eligible or stale_workers):
+        if dry_run or not (eligible or stale_workers or orphaned_tables):
             return report
 
         def txn() -> GcReport:
@@ -1043,11 +1200,17 @@ class WorkQueue:
                 "DELETE FROM worker_metrics WHERE updated < ?",
                 (stale_cutoff,),
             )
+            # Judged inside the transaction: a job submitted since the
+            # snapshot keeps the table it names.
+            tables = self._conn.execute(
+                "DELETE FROM tables WHERE digest NOT IN (SELECT"
+                " table_digest FROM jobs WHERE table_digest IS NOT NULL)"
+            ).rowcount
             # Count what was deleted, not what the snapshot expected.
             return replace(
                 report, done_chunks=dropped["done"],
                 failed_chunks=dropped["failed"], jobs=jobs,
-                stale_workers=workers,
+                stale_workers=workers, tables=tables,
             )
 
         return self._write(txn)
@@ -1063,6 +1226,7 @@ class WorkQueue:
             num_scenarios=row["num_scenarios"],
             num_chunks=row["num_chunks"],
             metadata=json.loads(row["metadata"]),
+            table_digest=row["table_digest"],
         )
 
 

@@ -7,8 +7,10 @@ A worker is one process's share of a distributed campaign.  Its loop:
    their lease expires);
 2. build the simulation backend from the job's submitted
    :class:`~repro.experiments.backends.BackendSpec` — **once** per
-   distinct spec (keyed by the spec blob's sha256), cached across every
-   chunk the worker executes;
+   distinct spec blob (about a kilobyte: the spec names its logic
+   table by digest), cached across every chunk the worker executes.
+   The table is read from the queue's ``tables`` row once per digest,
+   checked against that digest, and shared by every spec naming it;
 3. simulate the chunk through the exact megabatch path serial campaigns
    use (:func:`repro.experiments.campaign._execute_chunk`), so each
    scenario's bits derive only from its own pre-spawned seed and
@@ -31,18 +33,18 @@ before the drain (the heartbeat only samples every ``lease/3``).
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro import faults, telemetry
+from repro.acasx.logic_table import LogicTable
 from repro.distributed.queue import (
     DEFAULT_SKEW_MARGIN,
     DEFAULT_WORKER_TTL,
@@ -54,7 +56,7 @@ from repro.distributed.queue import (
 from repro.experiments.backends import BackendSpec, SimulationBackend
 from repro.experiments.campaign import RunRecord, _execute_chunk
 from repro.faults import InjectedWorkerCrash
-from repro.store import ResultStore
+from repro.store import ResultStore, table_digest
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Exit status of ``repro worker`` when the lease-heartbeat thread died
@@ -248,15 +250,15 @@ class Worker:
         self.poll_interval = poll_interval
         self.campaign_id = campaign_id
         self.skew_margin = skew_margin
-        # Backends are rebuilt at most once per distinct submitted
-        # spec, keyed by the spec blob's sha256; every chunk of a
-        # campaign (and any campaign sharing the spec) reuses the same
-        # instance.  Job rows are fetched once per campaign and cached
-        # with that key in place of the blob (a serialized logic
-        # table, MBs), so a long-lived worker holds no blob at all.
-        self._backends: Dict[str, SimulationBackend] = {}
+        # Job rows are fetched once per campaign.  Backends are built
+        # at most once per distinct spec blob (about a kilobyte), and
+        # tables loaded at most once per digest, so every campaign on
+        # one table shares one table and, with equal settings, one
+        # backend.
+        self._jobs: Dict[str, JobInfo] = {}
+        self._backends: Dict[bytes, SimulationBackend] = {}
+        self._tables: Dict[str, LogicTable] = {}
         self._stores: Dict[str, ResultStore] = {}
-        self._jobs: Dict[str, Tuple[JobInfo, str]] = {}
         # Private registry (never the process default): an in-process
         # fallback worker inside a coordinator must not double-count
         # against the coordinator's own registry, and publication to
@@ -394,7 +396,7 @@ class Worker:
         chunk_start = time.perf_counter()
         try:
             faults.maybe_crash("worker.crash.post-claim")
-            job, spec_key = self._job_for(queue, chunk.campaign_id)
+            job = self._job_for(queue, chunk.campaign_id)
         except InjectedWorkerCrash:
             if heartbeat is not None:
                 heartbeat.stop()
@@ -440,8 +442,8 @@ class Worker:
         try:
             with chunk_span:
                 self._execute_traced(
-                    queue, chunk, stats, heartbeat, job, spec_key,
-                    chunk_span, chunk_start,
+                    queue, chunk, stats, heartbeat, job, chunk_span,
+                    chunk_start,
                 )
         finally:
             collector = telemetry.collector()
@@ -455,13 +457,12 @@ class Worker:
         stats: WorkerStats,
         heartbeat: Optional[_LeaseHeartbeat],
         job: JobInfo,
-        spec_key: str,
         chunk_span,
         chunk_start: float,
     ) -> None:
         """The span-wrapped body of :meth:`_execute`."""
         try:
-            backend = self._backend_for(queue, job, spec_key, stats)
+            backend = self._backend_for(queue, job, stats)
             # Payload items are (index, name, params, seed): the name
             # travels with the work because workers never see the
             # campaign's scenario list.
@@ -613,43 +614,70 @@ class Worker:
             self.lease_seconds,
         )
 
-    def _job_for(
-        self, queue: WorkQueue, campaign_id: str
-    ) -> Tuple[JobInfo, str]:
-        """A campaign's job row and its spec key, fetched once.
-
-        The row's backend-spec blob (a serialized logic table, MBs) is
-        hashed to the key backends are cached under and then dropped:
-        the cached row keeps an empty ``backend_spec``.
-        """
-        cached = self._jobs.get(campaign_id)
-        if cached is None:
-            job = queue.job(campaign_id)
-            spec_key = hashlib.sha256(job.backend_spec).hexdigest()
-            cached = (replace(job, backend_spec=b""), spec_key)
-            self._jobs[campaign_id] = cached
-        return cached
+    def _job_for(self, queue: WorkQueue, campaign_id: str) -> JobInfo:
+        """A campaign's job row, fetched once."""
+        job = self._jobs.get(campaign_id)
+        if job is None:
+            job = self._jobs[campaign_id] = queue.job(campaign_id)
+        return job
 
     def _backend_for(
-        self,
-        queue: WorkQueue,
-        job: JobInfo,
-        spec_key: str,
-        stats: WorkerStats,
+        self, queue: WorkQueue, job: JobInfo, stats: WorkerStats
     ) -> SimulationBackend:
-        """The backend for a submitted spec, built exactly once.
-
-        Only a spec with no backend built yet re-reads its blob from
-        the queue.
-        """
-        backend = self._backends.get(spec_key)
+        """The backend for a job's spec blob, built exactly once."""
+        backend = self._backends.get(job.backend_spec)
         if backend is None:
-            blob = queue.job(job.campaign_id).backend_spec
-            spec: BackendSpec = pickle.loads(blob)
-            backend = spec.build()
-            self._backends[spec_key] = backend
+            spec: BackendSpec = pickle.loads(job.backend_spec)
+            if (
+                spec.table_digest is None
+                and spec.table_path is None
+                and spec.equipage != "none"
+            ):
+                # Queued by a version that pickled the table into the
+                # spec.  Forget the row: a re-submit rewrites it.
+                self._jobs.pop(job.campaign_id, None)
+                raise RuntimeError(
+                    f"job {job.campaign_id[:12]} in queue {queue.path} "
+                    "predates logic tables stored by digest and carries "
+                    "no table this worker can load; re-submit the "
+                    "campaign to queue its table"
+                )
+            table = (
+                None if spec.table_digest is None
+                else self._table_for(queue, spec.table_digest)
+            )
+            backend = self._backends[job.backend_spec] = spec.build(table)
             stats.backends_built += 1
         return backend
+
+    def _table_for(self, queue: WorkQueue, digest: str) -> LogicTable:
+        """The logic table stored under *digest*, loaded and checked once.
+
+        A missing row or bytes that do not hash back to *digest* raise,
+        failing the chunk with an error naming both digest and queue.
+        """
+        table = self._tables.get(digest)
+        if table is not None:
+            return table
+        with telemetry.span("worker.load_table", digest=digest) as span:
+            data = queue.table_bytes(digest)
+            check_start = time.perf_counter()
+            try:
+                table = LogicTable.from_bytes(data)
+                actual = table_digest(table)
+            except Exception as error:
+                actual = f"unreadable bytes ({error})"
+            span.set(
+                bytes=len(data),
+                check_s=time.perf_counter() - check_start,
+            )
+        if actual != digest:
+            raise ValueError(
+                f"logic table {digest} in queue {queue.path} is corrupt: "
+                f"its row reads back as {actual}"
+            )
+        self._tables[digest] = table
+        return table
 
     def _store_for(self, store_path: str) -> ResultStore:
         """The result store a job drains into, opened once per path."""

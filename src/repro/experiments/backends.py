@@ -23,11 +23,14 @@ under its own name, plus the queue and store paths that make
 fleet — drained in-process when no fleet member is alive.
 
 :class:`BackendSpec` is the fleet's wire format for a backend —
-registry key, table bytes/path, config, equipage — stored in each
-queued job's row so a ``repro worker`` process, which shares nothing
-with the submitter but the queue file, can rebuild the backend once.
-Local process pools do not use it: their workers receive the
-campaign's backend object itself.
+registry key, config, equipage, and the *digest* of its logic table
+(or a path to load the table from) — stored in each queued job's row
+so a ``repro worker`` process, which shares nothing with the submitter
+but the queue file, can rebuild the backend once.  The table itself
+travels beside the spec: the queue keeps one raw copy per digest, and
+a worker loads and checks it once however many jobs name it.  Local
+process pools do not use a spec: their workers receive the campaign's
+backend object itself.
 """
 
 from __future__ import annotations
@@ -317,12 +320,16 @@ class BackendSpec:
     """The fleet's wire format for a backend: a picklable description.
 
     A queued job stores one pickled spec in its row.  It carries the
-    registry key, the table (as compressed npz bytes, or a path to load
-    it from), and the plain-dataclass config/equipage settings; each
-    fleet worker rebuilds its backend **once** per distinct spec and
-    reuses it for every chunk it executes.  (``Campaign.run(workers=N)``
-    does not go through a spec: its pool workers receive the backend
-    object itself.)
+    registry key, the plain-dataclass config/equipage settings, and
+    names the table by its :func:`~repro.store.spec.table_digest` —
+    the digest every campaign id already hashes — or by a path to load
+    it from.  The spec never holds the table's bytes: the queue stores
+    each table once per digest, so a pickled spec is about a kilobyte
+    and equal for every campaign on one table.  Each fleet worker
+    rebuilds its backend **once** per distinct spec and reuses it for
+    every chunk it executes.  (``Campaign.run(workers=N)`` does not go
+    through a spec: its pool workers receive the backend object
+    itself.)
 
     A spec names the backend by its ``name``, so capturing the
     ``"distributed"`` backend describes the plain megabatch backend its
@@ -333,17 +340,16 @@ class BackendSpec:
     equipage: str = "both"
     coordination: bool = True
     config: Optional[EncounterSimConfig] = None
-    table_bytes: Optional[bytes] = None
+    table_digest: Optional[str] = None
     table_path: Optional[str] = None
 
-    @classmethod
-    def capture(cls, backend: SimulationBackend) -> "BackendSpec":
-        """Describe a registry-built backend so workers can rebuild it.
+    @staticmethod
+    def validate(backend: SimulationBackend) -> None:
+        """Raise ``TypeError`` unless :meth:`capture` can describe *backend*.
 
-        Raises ``TypeError`` for backend instances that did not come
-        from the registry (no ``name``/``table``/``config`` surface):
-        such a backend cannot be described to another host, so it
-        cannot be submitted to a fleet.
+        A backend instance that did not come from the registry (no
+        ``name``/``table``/``config`` surface) cannot be described to
+        another host, so it cannot be submitted to a fleet.
         """
         name = getattr(backend, "name", None)
         if name not in _REGISTRY:
@@ -361,23 +367,49 @@ class BackendSpec:
                 f"cannot capture a spec for {type(backend).__name__}: "
                 f"missing construction attributes {missing}"
             )
+
+    @classmethod
+    def capture(
+        cls,
+        backend: SimulationBackend,
+        table_digest: Optional[str] = None,
+    ) -> "BackendSpec":
+        """Describe a registry-built backend so workers can rebuild it.
+
+        *table_digest* is the digest of the backend's table when the
+        caller already has it (a campaign's plan computes it), so Q is
+        hashed once; without it the table is hashed here.  Raises
+        ``TypeError`` as :meth:`validate` does.
+        """
+        cls.validate(backend)
         table = getattr(backend, "table", None)
+        if table is not None and table_digest is None:
+            from repro.store.spec import table_digest as digest_of
+
+            table_digest = digest_of(table)
         return cls(
-            backend=name,
+            backend=backend.name,
             equipage=backend.equipage,
             coordination=backend.coordination,
             config=backend.config,
-            table_bytes=table.to_bytes() if table is not None else None,
+            table_digest=table_digest if table is not None else None,
         )
 
-    def build(self) -> SimulationBackend:
-        """Construct the described backend (in the current process)."""
-        if self.table_path is not None:
+    def build(self, table: Optional[LogicTable] = None) -> SimulationBackend:
+        """Construct the described backend (in the current process).
+
+        *table* is the table the spec's ``table_digest`` names, already
+        resolved by the caller (a fleet worker reads it from its queue
+        and checks its digest); a spec with a ``table_path`` loads its
+        own.
+        """
+        if table is None and self.table_path is not None:
             table = LogicTable.load(Path(self.table_path))
-        elif self.table_bytes is not None:
-            table = LogicTable.from_bytes(self.table_bytes)
-        else:
-            table = None
+        if table is None and self.table_digest is not None:
+            raise ValueError(
+                f"this spec names logic table {self.table_digest[:12]}; "
+                "pass that table to build()"
+            )
         return make_backend(
             self.backend,
             table=table,

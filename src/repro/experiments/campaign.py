@@ -626,6 +626,7 @@ class Campaign:
             campaign_id=campaign_id,
             done=sorted(done),
             missing_chunks=missing,
+            table_digest=spec.table_digest,
         )
         return scenario_list, plan, workers
 
@@ -933,6 +934,8 @@ class _StorePlan:
     campaign_id: str
     done: List[int]
     missing_chunks: List[WorkChunk]
+    #: The campaign's logic-table digest, hashed once for its id.
+    table_digest: Optional[str] = None
 
 
 def _entropy_of(seq: np.random.SeedSequence) -> Optional[int]:

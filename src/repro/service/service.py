@@ -36,6 +36,7 @@ from typing import Dict, Optional, Union
 
 from repro import faults, telemetry
 from repro.experiments.campaign import MAX_WIRE_LANES, Campaign
+from repro.sim.batch import check_tape_budget
 from repro.store import ResultStore
 
 #: Bounded retry for queued submissions racing a busy fleet: attempts
@@ -196,8 +197,10 @@ class CampaignService:
 
         The spec is planned under the submission lock, so its size is
         capped before that: ``"sample"``, ``"runs"`` and
-        ``"chunk_size"`` × ``"runs"`` above the wire-format caps raise
-        ``ValueError`` (a 400 over HTTP).
+        ``"chunk_size"`` × ``"runs"`` above the wire-format caps, and
+        any chunk whose noise tapes would exceed
+        :data:`~repro.sim.batch.MAX_TAPE_BYTES`, raise ``ValueError``
+        (a 400 over HTTP).
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -256,6 +259,17 @@ class CampaignService:
                 f'"chunk_size" x "runs" must be at most MAX_WIRE_LANES = '
                 f"{MAX_WIRE_LANES} lanes, got {chunk_size} x "
                 f"{campaign.runs_per_scenario}"
+            )
+        # The kernel's noise-tape budget, per chunk this submission
+        # will run: an absurd duration is a 400 here, not a worker
+        # killed allocating its tape.
+        _, chunks, _ = campaign._plan(seed, 1, chunk_size)
+        for chunk in chunks:
+            check_tape_budget(
+                campaign.backend.config,
+                campaign.equipage,
+                [params for _, params, _ in chunk],
+                campaign.runs_per_scenario,
             )
 
         with telemetry.span("service.submit") as submit_span, self._lock:

@@ -62,6 +62,68 @@ _ACTIVE = np.array([a.is_active for a in ADVISORIES])
 _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
 _RAMP_MASK = _ACTIVE & (_ACCELS > 0)
 
+#: Most bytes of noise tape one :meth:`BatchEncounterSimulator.run_many`
+#: call may allocate.  The largest tapes the library itself sizes — a
+#: default chunk of :data:`~repro.experiments.campaign.DEFAULT_CHUNK_LANES`
+#: (8,192) lanes at about 60 decisions — take at most about 165 MB (both
+#: disturbances on; 87 MB at the default config), 13x below it.  A
+#: request past it cannot describe a physical encounter run:
+#: ``time_to_cpa=1e6`` at 100 runs would need up to 34 GB.
+MAX_TAPE_BYTES = 2 * 1024 ** 3
+
+
+def _num_decisions(config: EncounterSimConfig, params) -> int:
+    """Decisions one scenario steps through: its duration over dt.
+
+    Same rounding (and at-least-one-decision floor) as
+    ``SimulationEngine.run``, keeping the engines step-for-step equal.
+    """
+    duration = params.time_to_cpa + config.extra_duration
+    return max(1, int(round(duration / config.decision_dt)))
+
+
+def tape_bytes(
+    config: EncounterSimConfig,
+    equipage: str,
+    params_list: Sequence[EncounterParameters],
+    num_runs: int,
+) -> int:
+    """Bytes of noise tape ``run_many(params_list, num_runs)`` allocates.
+
+    ``D_max`` decisions × lanes × the doubles one lane draws per
+    decision: 12 sensor-report values when equipped, plus per physics
+    substep and side a vertical-rate and two horizontal-acceleration
+    values when those disturbances are on (22 equipped at the default
+    config, 42 with horizontal disturbance on too).
+    """
+    disturbance = config.disturbance
+    per_decision = 12 * (equipage in ("both", "own-only")) + (
+        2 * config.physics_substeps * (
+            (disturbance.vertical_rate_std > 0)
+            + 2 * (disturbance.horizontal_accel_std > 0)
+        )
+    )
+    d_max = max(_num_decisions(config, params) for params in params_list)
+    return 8 * per_decision * d_max * len(params_list) * num_runs
+
+
+def check_tape_budget(
+    config: EncounterSimConfig,
+    equipage: str,
+    params_list: Sequence[EncounterParameters],
+    num_runs: int,
+) -> None:
+    """Raise ``ValueError`` if the tapes exceed :data:`MAX_TAPE_BYTES`."""
+    need = tape_bytes(config, equipage, params_list, num_runs)
+    if need > MAX_TAPE_BYTES:
+        longest = max(params.time_to_cpa for params in params_list)
+        raise ValueError(
+            f"{len(params_list)} scenario(s) x {num_runs} runs with "
+            f"time_to_cpa up to {longest:g} s need {need:,} bytes of "
+            f"noise tape, over MAX_TAPE_BYTES = {MAX_TAPE_BYTES:,}; "
+            "shorten the encounters or run fewer lanes per chunk"
+        )
+
 
 class _NoiseTapes(NamedTuple):
     """Decision-major pre-drawn noise for one ``run_many`` invocation.
@@ -374,9 +436,11 @@ class BatchEncounterSimulator:
         calls they replace.
 
         The tapes are the kernel's dominant working set (~``D_max *
-        total * 42`` doubles at default substeps); megabatch chunk
-        sizing (:data:`repro.experiments.campaign.DEFAULT_CHUNK_LANES`)
-        keeps that bounded to a few hundred MB at worst.
+        total * 42`` doubles at default substeps, :func:`tape_bytes`);
+        megabatch chunk sizing
+        (:data:`repro.experiments.campaign.DEFAULT_CHUNK_LANES`) keeps
+        that to a few hundred MB, and :meth:`run_many` refuses calls
+        over :data:`MAX_TAPE_BYTES` before drawing anything.
         """
         config = self.config
         substeps = config.physics_substeps
@@ -478,7 +542,9 @@ class BatchEncounterSimulator:
         independent oracle the equivalence tests compare against.
 
         With tracing armed, the call's phase timings land as four
-        ``kernel.*`` spans under the caller's open span.
+        ``kernel.*`` spans under the caller's open span.  A call whose
+        noise tapes would exceed :data:`MAX_TAPE_BYTES` raises
+        ``ValueError`` before anything is drawn.
         """
         params_list = list(params_list)
         if not params_list:
@@ -492,19 +558,18 @@ class BatchEncounterSimulator:
             raise ValueError(
                 f"got {len(seeds)} seeds for {len(params_list)} scenarios"
             )
+        config = self.config
+        check_tape_budget(config, self.equipage, params_list, num_runs)
         rngs = [as_generator(seed) for seed in seeds]
 
-        config = self.config
         num_scenarios = len(params_list)
         n = num_runs
         total = num_scenarios * n
 
-        num_decisions = np.empty(num_scenarios, dtype=np.int64)
-        for s, params in enumerate(params_list):
-            duration = params.time_to_cpa + config.extra_duration
-            # Same rounding (and at-least-one-decision floor) as
-            # SimulationEngine.run, keeping the engines step-for-step equal.
-            num_decisions[s] = max(1, int(round(duration / config.decision_dt)))
+        num_decisions = np.array(
+            [_num_decisions(config, params) for params in params_list],
+            dtype=np.int64,
+        )
 
         # Process scenarios internally in descending-duration order
         # (stable, so equal durations keep their input order).  With the

@@ -94,9 +94,9 @@ def config_digest(config) -> Optional[str]:
 def table_digest(table) -> Optional[str]:
     """Digest of a logic table: its Q-array bytes plus its config.
 
-    Hashes the array buffer directly (not the npz container, whose zip
-    framing is not guaranteed byte-stable) so the same solved table
-    always digests identically.
+    Hashes the array buffer directly (not a serialized container) so
+    the same solved table always digests identically, and hashes it in
+    place: a byte view of Q, not a ``tobytes()`` copy of it.
     """
     if table is None:
         return None
@@ -104,7 +104,7 @@ def table_digest(table) -> Optional[str]:
     return _sha256(
         str(q.dtype).encode(),
         _canonical_json(list(q.shape)),
-        q.tobytes(),
+        memoryview(q).cast("B"),
         _canonical_json(dataclasses.asdict(table.config))
         if dataclasses.is_dataclass(table.config)
         else repr(table.config).encode(),

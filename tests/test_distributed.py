@@ -11,11 +11,14 @@ performs zero new simulations.
 
 import multiprocessing
 import pickle
+import sqlite3
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.acasx.logic_table import LogicTable
 from repro.distributed import (
     Worker,
     WorkQueue,
@@ -26,7 +29,7 @@ from repro.encounters import StatisticalEncounterModel
 from repro.experiments import Campaign, SampledSource
 from repro.experiments.campaign import RunRecord, _execute_chunk
 from repro.montecarlo import MonteCarloEstimator
-from repro.store import ResultStore
+from repro.store import ResultStore, table_digest
 
 SCENARIOS = 5
 RUNS = 3
@@ -224,8 +227,9 @@ class TestDistributedExecution:
     def test_campaigns_sharing_a_table_share_one_backend(
         self, paths, tiny_table
     ):
-        """A long-lived worker builds one backend per distinct spec and
-        keeps no spec blob (a serialized logic table) per campaign."""
+        """A long-lived worker loads one table per digest and builds
+        one backend per distinct spec blob, which names the table by
+        digest instead of carrying it."""
         queue_path, store_path = paths
         campaign = Campaign(
             SampledSource(StatisticalEncounterModel(), 2),
@@ -242,10 +246,12 @@ class TestDistributedExecution:
         assert stats.chunks_done == 3
         assert stats.backends_built == 1
         assert len(worker._backends) == 1
+        assert list(worker._tables) == [table_digest(tiny_table)]
         assert set(worker._jobs) == {run.campaign_id for run in runs}
-        for job, spec_key in worker._jobs.values():
-            assert job.backend_spec == b""
-            assert spec_key in worker._backends
+        for job in worker._jobs.values():
+            assert job.table_digest == table_digest(tiny_table)
+            assert len(job.backend_spec) < 4096
+            assert job.backend_spec in worker._backends
         for seed, run in zip((1, 2, 3), runs):
             assert_bitwise_equal(campaign.run(seed=seed), run.collect())
 
@@ -949,13 +955,14 @@ class TestDistributedBackend:
         spec = BackendSpec.capture(backend)
         assert [f.name for f in fields(spec)] == [
             "backend", "equipage", "coordination", "config",
-            "table_bytes", "table_path",
+            "table_digest", "table_path",
         ]
         assert spec.backend == "vectorized-batch"
         assert (spec.equipage, spec.coordination) == ("own-only", False)
         assert spec.config == backend.config
+        assert spec.table_digest == table_digest(tiny_table)
         assert spec.table_path is None
-        rebuilt = pickle.loads(pickle.dumps(spec)).build()
+        rebuilt = pickle.loads(pickle.dumps(spec)).build(tiny_table)
         assert type(rebuilt) is VectorizedBatchBackend
         assert not isinstance(rebuilt, DistributedBackend)
         assert (rebuilt.table.q == tiny_table.q).all()
@@ -1218,6 +1225,297 @@ class TestQueueGc:
             report = later.gc(worker_ttl=300)
             assert report.stale_workers == 1
             assert later.live_workers(ttl=10_000) == []
+
+    def test_gc_drops_table_rows_no_job_names(self, paths):
+        queue_path, _ = paths
+        with WorkQueue(queue_path) as queue:
+            for cid, digest in (("finished", "t-old"),
+                                ("finished-2", "t-shared"),
+                                ("active", "t-shared")):
+                queue.submit_job(
+                    cid, "store.sqlite", b"spec", RUNS, 1, [b"chunk"],
+                    table=(digest, [b"raw ", digest.encode()]),
+                )
+            self._finish(queue, "finished", 1)
+            self._finish(queue, "finished-2", 1)
+
+            dry = queue.gc(dry_run=True)
+            assert (dry.jobs, dry.tables) == (2, 1)
+            assert "1 table row(s)" in dry.describe()
+            assert queue.table_bytes("t-old") == b"raw t-old"
+
+            report = queue.gc()
+            assert (report.jobs, report.tables) == (2, 1)
+            with pytest.raises(KeyError, match="t-old"):
+                queue.table_bytes("t-old")
+            # Still named by the pending job.
+            assert queue.table_bytes("t-shared") == b"raw t-shared"
+
+    def test_gc_keeps_a_table_a_concurrent_submit_named(
+        self, paths, monkeypatch
+    ):
+        """A job submitted between gc's snapshot and its write keeps
+        the table it names: the orphan test runs inside gc's own
+        transaction."""
+        queue_path, _ = paths
+        with WorkQueue(queue_path) as queue, WorkQueue(queue_path) as other:
+            queue.submit_job(
+                "cid1", "store.sqlite", b"spec", RUNS, 1, [b"c"],
+                table=("t1", [b"table"]),
+            )
+            self._finish(queue, "cid1", 1)
+            snapshot = queue.counts
+
+            def counts_then_submit(campaign_id=None):
+                tallies = snapshot(campaign_id)
+                assert other.submit_job(
+                    "cid2", "store.sqlite", b"spec", RUNS, 1, [b"c"],
+                    table=("t1", [b"table"]),
+                ) == 1
+                return tallies
+
+            monkeypatch.setattr(queue, "counts", counts_then_submit)
+            report = queue.gc()
+            monkeypatch.undo()
+
+            assert report.jobs == 1 and report.tables == 0
+            assert queue.job("cid2").table_digest == "t1"
+            assert queue.table_bytes("t1") == b"table"
+
+
+# ----------------------------------------------------------------------
+# Logic tables: one raw row per digest, checked when a worker loads it
+# ----------------------------------------------------------------------
+def equipped_campaign(table, scenarios: int = 2) -> Campaign:
+    return Campaign(
+        SampledSource(StatisticalEncounterModel(), scenarios),
+        table=table,
+        runs_per_scenario=RUNS,
+    )
+
+
+def table_rows(queue_path):
+    """``(digest, byte length)`` of every ``tables`` row."""
+    conn = sqlite3.connect(queue_path)
+    try:
+        return conn.execute(
+            "SELECT digest, length(data) FROM tables ORDER BY digest"
+        ).fetchall()
+    finally:
+        conn.close()
+
+
+#: The ``jobs`` table as queue files stored it while the logic table
+#: still travelled pickled inside each job's backend spec.
+OLD_QUEUE_SCHEMA = """
+CREATE TABLE jobs (
+    campaign_id       TEXT PRIMARY KEY,
+    submitted_at      TEXT NOT NULL,
+    store_path        TEXT NOT NULL,
+    backend_spec      BLOB NOT NULL,
+    runs_per_scenario INTEGER NOT NULL,
+    num_scenarios     INTEGER NOT NULL,
+    num_chunks        INTEGER NOT NULL,
+    metadata          TEXT NOT NULL DEFAULT '{}'
+);
+CREATE TABLE chunks (
+    campaign_id   TEXT NOT NULL REFERENCES jobs(campaign_id),
+    chunk_index   INTEGER NOT NULL,
+    payload       BLOB NOT NULL,
+    status        TEXT NOT NULL DEFAULT 'pending',
+    worker_id     TEXT,
+    lease_expires REAL,
+    attempts      INTEGER NOT NULL DEFAULT 0,
+    done_at       REAL,
+    last_error    TEXT,
+    PRIMARY KEY (campaign_id, chunk_index)
+);
+"""
+
+
+def old_format_spec(config) -> bytes:
+    """An equipped spec pickled as it was queued with ``table_bytes``."""
+    from repro.experiments import BackendSpec
+
+    spec = BackendSpec(backend="vectorized-batch", config=config)
+    state = vars(spec)
+    del state["table_digest"]
+    state["table_bytes"] = b"compressed npz bytes"
+    return pickle.dumps(spec)
+
+
+class TestLogicTableRows:
+    def test_campaigns_on_one_table_share_one_row(
+        self, paths, tiny_table, monkeypatch
+    ):
+        queue_path, store_path = paths
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("submit must stream the table's parts")
+
+        monkeypatch.setattr(LogicTable, "to_bytes", refuse)
+        for seed in (1, 2, 3):
+            submit(equipped_campaign(tiny_table), seed,
+                   queue=queue_path, store=store_path)
+        monkeypatch.undo()
+        digest = table_digest(tiny_table)
+        assert table_rows(queue_path) == [
+            (digest, len(tiny_table.to_bytes()))
+        ]
+        with WorkQueue(queue_path) as queue:
+            assert queue.table_bytes(digest) == tiny_table.to_bytes()
+            jobs = queue.jobs()
+        assert len(jobs) == 3
+        for job in jobs:
+            assert job.table_digest == digest
+            assert pickle.loads(job.backend_spec).table_digest == digest
+
+    def test_submit_hashes_q_once(self, paths, tiny_table, monkeypatch):
+        import repro.store.spec as spec_module
+
+        queue_path, store_path = paths
+        calls = []
+        digest_of = spec_module.table_digest
+
+        def counting(table):
+            calls.append(table)
+            return digest_of(table)
+
+        monkeypatch.setattr(spec_module, "table_digest", counting)
+        submit(equipped_campaign(tiny_table), SEED, queue=queue_path,
+               store=store_path)
+        assert calls == [tiny_table]
+
+    def test_unequipped_job_ships_no_table(self, paths):
+        queue_path, store_path = paths
+        run = submit(make_campaign(), SEED, queue=queue_path,
+                     store=store_path)
+        assert table_rows(queue_path) == []
+        with WorkQueue(queue_path) as queue:
+            assert queue.job(run.campaign_id).table_digest is None
+
+    @pytest.mark.parametrize("damage", ["corrupt", "missing"])
+    def test_bad_table_row_fails_chunks_naming_digest_and_queue(
+        self, paths, tiny_table, damage
+    ):
+        queue_path, store_path = paths
+        run = submit(equipped_campaign(tiny_table), SEED,
+                     queue=queue_path, store=store_path, chunk_size=1)
+        digest = table_digest(tiny_table)
+        conn = sqlite3.connect(queue_path)
+        if damage == "corrupt":
+            data = bytearray(tiny_table.to_bytes())
+            data[-1] ^= 0xFF  # one bit pattern of one Q value
+            conn.execute("UPDATE tables SET data = ?", (bytes(data),))
+        else:
+            conn.execute("DELETE FROM tables")
+        conn.commit()
+        conn.close()
+
+        stats = Worker(queue_path, poll_interval=0.02).run()
+        assert stats.chunks_done == 0 and stats.records_written == 0
+        assert stats.backends_built == 0
+        with WorkQueue(queue_path) as queue:
+            states = queue.chunk_states(run.campaign_id)
+        assert [state.status for state in states] == ["failed", "failed"]
+        for state in states:
+            assert digest in state.last_error
+            assert str(queue_path) in state.last_error
+        with ResultStore(store_path) as store:
+            assert not store.completed_indices(run.campaign_id)
+
+    def test_old_format_queue_file(self, tmp_path, tiny_table, capsys):
+        """A queue file from before tables were stored apart: status
+        and gc read it, its equipped chunks fail asking for a
+        re-submit, and the re-submit ships the table."""
+        from repro.cli import main
+
+        queue_path = tmp_path / "old-queue.sqlite"
+        store_path = tmp_path / "store.sqlite"
+        campaign = equipped_campaign(tiny_table)
+        with ResultStore(store_path) as store:
+            scenario_list, plan, _ = campaign._store_plan(
+                store, SEED, chunk_size=1
+            )
+        spec = old_format_spec(campaign.backend.config)
+        conn = sqlite3.connect(queue_path)
+        conn.executescript(OLD_QUEUE_SCHEMA)
+        conn.execute(
+            "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, '{}')",
+            (plan.campaign_id, "2026-01-01T00:00:00+00:00",
+             str(store_path), spec, RUNS, len(scenario_list),
+             len(plan.missing_chunks)),
+        )
+        conn.executemany(
+            "INSERT INTO chunks (campaign_id, chunk_index, payload)"
+            " VALUES (?, ?, ?)",
+            [
+                (plan.campaign_id, position, pickle.dumps([
+                    (index, scenario_list[index].name, params, child)
+                    for index, params, child in chunk
+                ]))
+                for position, chunk in enumerate(plan.missing_chunks)
+            ],
+        )
+        conn.commit()
+        conn.close()
+
+        assert main(["status", str(queue_path)]) == 0
+        assert "1 campaign(s), 1 incomplete" in capsys.readouterr().out
+        assert main(["queue", "gc", str(queue_path), "--dry-run"]) == 0
+        assert "0 table row(s)" in capsys.readouterr().out
+
+        worker = Worker(queue_path, poll_interval=0.02)
+        stats = worker.run()
+        assert stats.chunks_done == 0 and stats.backends_built == 0
+        assert worker._jobs == {}
+        with WorkQueue(queue_path) as queue:
+            assert queue.job(plan.campaign_id).table_digest is None
+            states = queue.chunk_states(plan.campaign_id)
+        assert [state.status for state in states] == ["failed", "failed"]
+        for state in states:
+            assert "re-submit" in state.last_error
+            assert "need a logic table" not in state.last_error
+
+        run = submit(campaign, SEED, queue=queue_path, store=store_path,
+                     chunk_size=1)
+        assert run.campaign_id == plan.campaign_id
+        assert run.chunks_enqueued == 2
+        assert Worker(queue_path, poll_interval=0.02).run().chunks_done == 2
+        assert_bitwise_equal(campaign.run(seed=SEED), run.collect())
+
+        capsys.readouterr()
+        assert main(["queue", "gc", str(queue_path)]) == 0
+        assert "1 table row(s)" in capsys.readouterr().out
+        assert table_rows(queue_path) == []
+
+
+class TestQueueOpen:
+    def test_handles_opening_a_fresh_file_together_all_succeed(
+        self, tmp_path
+    ):
+        """Eight handles opening one new file at once: the WAL switch
+        and the schema script retry instead of raising "database is
+        locked" (which killed workers at start-up)."""
+        errors = []
+        for attempt in range(25):
+            path = tmp_path / f"fresh-{attempt}.sqlite"
+            barrier = threading.Barrier(8)
+
+            def open_queue():
+                barrier.wait()
+                try:
+                    WorkQueue(path).close()
+                except Exception as error:
+                    errors.append(error)
+
+            threads = [threading.Thread(target=open_queue)
+                       for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert errors == []
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,9 @@ from repro.encounters import (
 )
 from repro.experiments import Campaign, make_backend
 from repro.experiments.campaign import _execute_chunk
-from repro.sim.batch import BatchEncounterSimulator
+from repro.sim.batch import MAX_TAPE_BYTES, BatchEncounterSimulator, tape_bytes
 from repro.sim.batch_reference import reference_run_many
+from repro.sim.disturbance import DisturbanceModel
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore, results_digest
 
@@ -105,6 +106,61 @@ class TestTapeKernelBitwise:
 # ----------------------------------------------------------------------
 # Empty-tail short-circuit (fully-stored resume)
 # ----------------------------------------------------------------------
+class TestTapeBudget:
+    def test_tape_bytes_is_what_the_kernel_draws(
+        self, test_table, mixed_durations
+    ):
+        config = EncounterSimConfig(
+            disturbance=DisturbanceModel(horizontal_accel_std=0.1)
+        )
+        decisions = np.array([
+            max(1, int(round(
+                (p.time_to_cpa + config.extra_duration) / config.decision_dt
+            )))
+            for p in mixed_durations
+        ])
+        for equipage in ("both", "none"):
+            sim = BatchEncounterSimulator(
+                test_table, config, equipage=equipage
+            )
+            rngs = [
+                np.random.default_rng(i) for i in range(len(mixed_durations))
+            ]
+            tapes = sim._draw_noise_tapes(
+                rngs, decisions, 4, 4 * len(mixed_durations)
+            )
+            drawn = sum(
+                array.nbytes
+                for part in tapes if part is not None
+                for array in (part if isinstance(part, list) else [part])
+            )
+            assert tape_bytes(
+                sim.config, equipage, mixed_durations, 4
+            ) == drawn
+
+    def test_oversized_tape_is_refused_before_drawing(
+        self, test_table, monkeypatch
+    ):
+        sim = BatchEncounterSimulator(test_table)
+        params = head_on_encounter(time_to_cpa=1e6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tape drawn past the budget")
+
+        monkeypatch.setattr(sim, "_draw_noise_tapes", refuse)
+        with pytest.raises(ValueError, match="MAX_TAPE_BYTES"):
+            sim.run_many([params], 100)
+        assert tape_bytes(sim.config, "both", [params], 100) > MAX_TAPE_BYTES
+        # The library's own largest chunk sits at least 10x below it.
+        chunk = [head_on_encounter(time_to_cpa=40.0)] * 82
+        both_noises = EncounterSimConfig(
+            disturbance=DisturbanceModel(horizontal_accel_std=0.1)
+        )
+        assert 10 * tape_bytes(both_noises, "both", chunk, 100) < (
+            MAX_TAPE_BYTES
+        )
+
+
 class TestEmptyTail:
     def test_backend_short_circuits_empty_chunk(self, test_table):
         backend = make_backend("vectorized-batch", table=test_table)

@@ -163,6 +163,32 @@ class TestPersistence:
         assert loaded.config == tiny_table.config
         assert loaded.metadata == tiny_table.metadata
 
+    def test_bytes_are_a_header_then_raw_q(self, tiny_table):
+        header, body = tiny_table.byte_parts()
+        assert header + bytes(body) == tiny_table.to_bytes()
+        assert len(header) % 64 == 0  # Q starts aligned
+        assert bytes(body) == np.ascontiguousarray(tiny_table.q).tobytes()
+        assert np.shares_memory(np.frombuffer(body, np.uint8), tiny_table.q)
+
+    def test_from_bytes_views_q_without_copying(self, tiny_table):
+        data = tiny_table.to_bytes()
+        loaded = LogicTable.from_bytes(data)
+        assert np.shares_memory(loaded.q, np.frombuffer(data, np.uint8))
+        assert loaded.q.flags.aligned and not loaded.q.flags.writeable
+        np.testing.assert_array_equal(
+            loaded.q_values_batch(np.array([3.0]), np.array([0]),
+                                  np.array([[10.0, 1.0, -1.0]])),
+            tiny_table.q_values_batch(np.array([3.0]), np.array([0]),
+                                      np.array([[10.0, 1.0, -1.0]])),
+        )
+
+    def test_truncated_bytes_are_refused(self, tiny_table):
+        data = tiny_table.to_bytes()
+        with pytest.raises(ValueError):
+            LogicTable.from_bytes(data[:-4])
+        with pytest.raises(ValueError, match="bytes of Q"):
+            LogicTable.from_bytes(data + b"\0" * 4)
+
     def test_save_load_round_trip(self, tiny_table, tmp_path):
         path = tmp_path / "table.npz"
         tiny_table.save(path)

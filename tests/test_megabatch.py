@@ -34,7 +34,7 @@ from repro.experiments.campaign import (
 )
 from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.encounter import EncounterSimConfig
-from repro.store import results_digest
+from repro.store import results_digest, table_digest
 
 RESULT_FIELDS = (
     "min_separation",
@@ -207,7 +207,11 @@ class TestBackendSpec:
             coordination=False,
         )
         spec = BackendSpec.capture(backend)
-        rebuilt = spec.build()
+        # The spec names the table by digest; the caller resolves it.
+        assert spec.table_digest == table_digest(test_table)
+        with pytest.raises(ValueError, match=spec.table_digest[:12]):
+            spec.build()
+        rebuilt = spec.build(test_table)
         assert rebuilt.name == "vectorized-batch"
         assert rebuilt.equipage == "own-only"
         assert rebuilt.coordination is False
@@ -220,7 +224,7 @@ class TestBackendSpec:
 
     def test_capture_without_table(self):
         spec = BackendSpec.capture(make_backend("vectorized", equipage="none"))
-        assert spec.table_bytes is None
+        assert spec.table_digest is None
         assert spec.build().equipage == "none"
 
     def test_capture_rejects_unregistered_instance(self, test_table):

@@ -315,6 +315,21 @@ class TestErrorPaths:
         assert response.status == 400
         assert "intruder_vertical_speed" in response.json()["error"]
 
+    def test_oversized_noise_tape_is_400(self, client):
+        # time_to_cpa=1e6 is finite, but one chunk of it would ask a
+        # worker for gigabytes of noise tape: refused before planning.
+        absurd = [30, 0, 1e6, 50, 1, -10, 25, 2.5, 0]
+        response = client.post("/campaigns", json_body={
+            **UNEQUIPPED, "scenarios": [absurd], "runs": 100,
+        })
+        assert response.status == 400
+        assert "MAX_TAPE_BYTES" in response.json()["error"]
+        assert client.get("/campaigns").json()["campaigns"] == []
+        sane = [30, 0, 30, 50, 1, -10, 25, 2.5, 0]
+        assert client.post("/campaigns", json_body={
+            **UNEQUIPPED, "scenarios": [sane], "runs": 100,
+        }).status == 202
+
     def test_malformed_where_and_params_are_400(self, client):
         cid = client.post("/campaigns", json_body=UNEQUIPPED).json()[
             "campaign_id"

@@ -20,7 +20,7 @@ from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
-from repro.store import CampaignSpec, ResultStore
+from repro.store import CampaignSpec, ResultStore, table_digest
 
 
 @pytest.fixture
@@ -122,6 +122,14 @@ class TestCampaignSpec:
         spec_a = self._spec(make_campaign(test_table), big)
         spec_b = self._spec(make_campaign(test_table), near)
         assert spec_a.campaign_id != spec_b.campaign_id
+
+    def test_test_preset_table_digest_is_pinned(self, test_table):
+        # Campaign ids hash this digest, and fleet queues key table
+        # rows by it: hashing Q through a byte view instead of a
+        # tobytes() copy must not move it.
+        assert table_digest(test_table) == (
+            "fb17472dcd32bc4ce7a26661fbaea01c941184ea38695ff5afbd9bd06b423651"
+        )
 
 
 class TestStoreRoundtrip:

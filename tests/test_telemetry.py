@@ -32,9 +32,9 @@ SEED = 11
 
 
 def make_campaign(scenarios: int = 4, **kwargs) -> Campaign:
+    kwargs.setdefault("equipage", "none")
     return Campaign(
         SampledSource(StatisticalEncounterModel(), scenarios),
-        equipage="none",
         runs_per_scenario=RUNS,
         **kwargs,
     )
@@ -256,6 +256,47 @@ class TestFleetTracing:
         assert payload["span_count"] == len(spans)
         assert len(payload["roots"]) == 1
         assert len(payload["critical_path"]) >= 2
+
+    def test_table_shipping_is_traced(self, paths, tiny_table):
+        """Submits record the table write, the worker its one load and
+        digest check, so trace totals show what shipping cost."""
+        from repro.store import table_digest
+
+        queue_path, store_path = paths
+        digest = table_digest(tiny_table)
+        with telemetry.collect(str(store_path), trace_id="7ab1e5"):
+            runs = [
+                submit(
+                    make_campaign(2, table=tiny_table, equipage="both"),
+                    seed, queue=queue_path, store=store_path,
+                )
+                for seed in (1, 2)
+            ]
+            worker = multiprocessing.Process(
+                target=_traced_fleet_member, args=(str(queue_path),)
+            )
+            worker.start()
+            worker.join(timeout=60)
+            for run in runs:
+                assert run.wait(timeout=30, poll=0.05).complete
+
+        spans = telemetry.load_spans(str(store_path), trace_id="7ab1e5")
+        by_id = {s["span_id"]: s for s in spans}
+        puts = [s for s in spans if s["name"] == "queue.put_table"]
+        assert [s["attributes"]["inserted"] for s in puts] == [True, False]
+        for put in puts:
+            assert put["attributes"]["digest"] == digest
+            assert put["attributes"]["bytes"] == len(tiny_table.to_bytes())
+            assert by_id[put["parent_id"]]["name"] == "campaign.enqueue"
+        (load,) = [s for s in spans if s["name"] == "worker.load_table"]
+        assert load["process"].startswith("worker:")
+        assert load["attributes"]["digest"] == digest
+        assert load["attributes"]["bytes"] == len(tiny_table.to_bytes())
+        assert 0 <= load["attributes"]["check_s"] <= load["duration"]
+        assert by_id[load["parent_id"]]["name"] == "worker.chunk"
+        totals = telemetry.span_totals(spans)
+        assert totals["queue.put_table"]["count"] == 2
+        assert totals["worker.load_table"]["count"] == 1
 
     @pytest.mark.slow
     def test_worker_metrics_aggregate_through_queue(self, paths):
