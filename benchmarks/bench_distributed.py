@@ -17,7 +17,7 @@ from pathlib import Path
 
 from conftest import record_campaign
 
-from repro.distributed import run_workers, submit
+from repro.distributed import FleetSupervisor, submit
 from repro.encounters import StatisticalEncounterModel
 from repro.experiments import Campaign, SampledSource
 
@@ -50,8 +50,10 @@ def test_bench_distributed_vs_serial(fast_table, smoke):
         # One chunk per eventual worker so both fleet members get work.
         chunk_size=max(1, len(serial) // WORKERS),
     )
-    run_workers(queue_path, num_workers=WORKERS, lease_seconds=60,
-                poll_interval=0.05)
+    report = FleetSupervisor(
+        queue_path, workers=WORKERS, lease_seconds=60, poll_interval=0.05
+    ).run()
+    assert report.drained
     final = run.wait(timeout=600, poll=0.1)
     distributed = run.collect()
     assert final.complete

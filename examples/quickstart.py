@@ -15,9 +15,9 @@ campaign API:
    would simulate);
 5. demonstrate distributed execution: submit the campaign to a shared
    work queue (nothing enqueues — the store already holds it), then
-   submit a fresh campaign, drain it with a 2-process worker fleet
-   (``run_workers``), collect it, and check it matches the in-process
-   run bit for bit;
+   submit a fresh campaign, drain it with a supervised 2-process worker
+   fleet (``FleetSupervisor``, what ``repro fleet`` runs), collect it,
+   and check it matches the in-process run bit for bit;
 6. demonstrate the fleet as a *backend*: ``backend="distributed"``
    makes a single ``Campaign.run`` target an already-running external
    worker fleet — and when none is live (as here), the run's own wait
@@ -93,9 +93,9 @@ Workers claim chunks under heartbeated leases (a dead worker's chunk is
 reclaimed when its lease expires), build their backend once from the
 submitted spec, and drain records into the result store, whose
 ``(campaign, scenario)`` key makes at-least-once delivery harmless.
-Scripts drive the cycle as ``submit`` → ``run_workers`` (or ``repro
-worker`` on any host) → ``collect``; the ``"distributed"`` backend key
-wraps it in one call: ``Campaign(backend="distributed",
+Scripts drive the cycle as ``submit`` → ``FleetSupervisor(...).run()``
+(or ``repro worker`` on any host) → ``collect``; the ``"distributed"``
+backend key wraps it in one call: ``Campaign(backend="distributed",
 backend_options={"queue": ..., "store": ...})`` (or the
 ``$REPRO_QUEUE``/``$REPRO_STORE`` environment variables) targets an
 already-running external fleet from a single ``run()`` call, draining
@@ -191,7 +191,7 @@ from repro import (
     run_encounter,
     test_config,
 )
-from repro.distributed import run_workers
+from repro.distributed import FleetSupervisor
 from repro.sim import EncounterSimConfig
 from repro.sim.trace import render_vertical_profile
 
@@ -253,12 +253,17 @@ def main() -> None:
           f"chunks ({already_done.already_stored} scenarios already "
           f"stored) — zero new simulations")
     # A fresh seed exercises the fleet for real: enqueue, drain with two
-    # local worker processes pinned to this campaign (`repro worker` on
-    # any host sharing the queue file does the same), then collect.
+    # supervised `repro worker` processes pinned to this campaign (the
+    # same command on any host sharing the queue file joins in), then
+    # collect.
     run = Campaign(
         SCENARIOS, table=table, runs_per_scenario=RUNS
     ).submit(seed=7, queue=queue_path, store=store)
-    run_workers(queue_path, num_workers=2, campaign_id=run.campaign_id)
+    report = FleetSupervisor(
+        queue_path, workers=2, campaign_id=run.campaign_id,
+        lease_seconds=60,
+    ).run()
+    assert report.drained
     run.wait()
     fleet = run.collect()
     local = Campaign(
@@ -349,7 +354,6 @@ def main() -> None:
     # Plant a torn write with the deterministic chaos layer: the next
     # store write is truncated mid-blob, as a crash or bit-rot would.
     from repro import faults
-    from repro.distributed import FleetSupervisor
     from repro.faults import FaultPlan, FaultRule
 
     victim = baseline.records[0]

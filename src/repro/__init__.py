@@ -88,12 +88,12 @@ from the submitted spec, and drain records into the result store,
 whose ``(campaign, scenario)`` key dedups at-least-once delivery.
 Submit now, run workers anywhere, collect later::
 
-    from repro.distributed import run_workers
+    from repro.distributed import FleetSupervisor
 
     run = Campaign(..., table=table).submit(
         seed=0, queue="queue.sqlite", store="results.sqlite")
-    run_workers("queue.sqlite", num_workers=4,   # or `repro worker`
-                campaign_id=run.campaign_id)     # on any host
+    FleetSupervisor("queue.sqlite", workers=4,   # or `repro worker`
+                    campaign_id=run.campaign_id).run()  # on any host
     run.wait(); results = run.collect()   # == serial run, bit for bit
 
 Fleets are also a first-class **backend**: with ``repro worker``

@@ -515,7 +515,7 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_status(args) -> int:
-    from repro.distributed import ChunkCounts
+    from repro.distributed import ChunkCounts, Progress
 
     with _open_queue(args.queue) as queue:
         jobs = queue.jobs()
@@ -552,8 +552,9 @@ def cmd_status(args) -> int:
                     "store_path": job.store_path,
                     "store_missing": store is None,
                     "records_done": done,
-                    "complete": (done is not None
-                                 and done >= job.num_scenarios),
+                    "complete": done is not None and Progress(
+                        job.campaign_id, tally, done, job.num_scenarios
+                    ).complete,
                     "chunks": tally.to_dict(),
                 })
         finally:

@@ -26,8 +26,13 @@ This package closes the loop:
   (``wait``/``iter_progress``/``collect`` — the collected
   :class:`~repro.experiments.ResultSet` is bitwise identical to a
   serial storeless run; a waiter no live worker serves drains the
-  campaign itself), and :func:`run_workers`, which spawns a local
-  fleet for scripted ``submit`` → ``run_workers`` → ``collect`` cycles.
+  campaign itself), and :class:`Progress`, the one rule for when a
+  fleet campaign is complete or stuck;
+- :mod:`repro.distributed.supervisor` — :class:`FleetSupervisor`, the
+  local multi-process fleet: it spawns ``repro worker`` processes,
+  restarts crashed ones and returns when the queue settles, for
+  scripted ``submit`` → ``FleetSupervisor(...).run()`` → ``collect``
+  cycles.
 
 Fleets are also a first-class *backend*: the megabatch backend plus a
 queue and a store path (:class:`DistributedBackend`) sits in the
@@ -38,15 +43,15 @@ registry under the ``"distributed"`` key, so
 
 On the command line: ``repro submit`` enqueues a campaign, ``repro
 worker`` runs a worker (one per host/core, anywhere the queue file is
-reachable), ``repro status`` tracks the fleet, ``repro queue gc``
-collects finished chunks and orphaned job rows, and ``repro campaign
---backend distributed`` runs a whole campaign against the fleet.
+reachable), ``repro fleet`` supervises a local fleet, ``repro status``
+tracks the fleet, ``repro queue gc`` collects finished chunks and
+orphaned job rows, and ``repro campaign --backend distributed`` runs
+a whole campaign against the fleet.
 """
 
 from repro.distributed.coordinator import (
     DistributedRun,
     Progress,
-    run_workers,
     submit,
 )
 from repro.distributed.queue import (
@@ -91,6 +96,5 @@ __all__ = [
     "WorkerStats",
     "WorkQueue",
     "default_worker_id",
-    "run_workers",
     "submit",
 ]

@@ -20,15 +20,16 @@ record round-trips losslessly and every scenario's bits derive only
 from its own pre-spawned seed.  A waiter that finds no live worker
 able to serve its campaign drains it in-process.
 
-:func:`run_workers` spawns a local fleet for scripted submit → work →
-collect cycles; the ``"distributed"`` backend
-(:mod:`repro.distributed.backend`) runs submit → wait → collect
-behind ``Campaign.run``.
+:class:`Progress` is the one rule for when a fleet campaign is done or
+stuck: the waiter, the campaign service and ``repro status`` all judge
+through it.  Local multi-process fleets come from
+:class:`~repro.distributed.FleetSupervisor` (``repro fleet``); the
+``"distributed"`` backend (:mod:`repro.distributed.backend`) runs
+submit → wait → collect behind ``Campaign.run``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
@@ -38,7 +39,7 @@ from typing import Iterator, Optional, Union
 
 from repro import telemetry
 from repro.distributed.queue import ChunkCounts, WorkQueue
-from repro.distributed.worker import Worker, WorkerStats
+from repro.distributed.worker import Worker
 from repro.experiments.backends import BackendSpec
 from repro.experiments.campaign import Campaign, ResultSet
 from repro.store import ResultStore
@@ -69,74 +70,6 @@ def _store_path(store: StoreLike) -> str:
     return os.path.abspath(path)
 
 
-def _stuck_message(queue: WorkQueue, campaign_id: str, snapshot) -> str:
-    """Diagnosis for a campaign whose chunks failed permanently.
-
-    Carries each poisoned chunk's ``last_error`` so the error a caller
-    sees from ``Campaign.run``/``wait()`` names the actual failure,
-    not just the count.
-    """
-    failures = [
-        state
-        for state in queue.chunk_states(campaign_id)
-        if state.status == "failed"
-    ]
-    detail = "; ".join(
-        f"chunk {state.chunk_index} after {state.attempts} attempt(s): "
-        f"{state.last_error or 'unknown error'}"
-        for state in failures[:3]
-    )
-    if len(failures) > 3:
-        detail += f"; ... {len(failures) - 3} more"
-    return (
-        f"campaign {campaign_id[:12]} is stuck: "
-        f"{snapshot.chunks.failed} chunk(s) failed permanently "
-        f"({snapshot.describe()})" + (f" — {detail}" if detail else "")
-    )
-
-
-def _vanished_message(campaign_id: str, snapshot) -> str:
-    """Diagnosis for an incomplete campaign with no chunk rows left."""
-    return (
-        f"campaign {campaign_id[:12]} has "
-        f"{snapshot.records_done}/{snapshot.num_scenarios} records but "
-        "no chunks in this queue — its rows were garbage-collected "
-        "(or this is the wrong queue); re-submit to enqueue the "
-        "missing work"
-    )
-
-
-def _check_not_terminal(queue: WorkQueue, campaign_id: str,
-                        snapshot) -> None:
-    """Raise if an *incomplete* campaign can never progress.
-
-    The dead-end states of :meth:`DistributedRun.iter_progress`, the
-    poll loop every waiter runs: chunk rows vanished from the queue
-    (garbage-collected mid-wait, or a wrong queue path), and every
-    remaining chunk failed permanently.  Call only when
-    ``snapshot.complete`` is already false.
-    """
-    if snapshot.chunks.total == 0:
-        raise RuntimeError(_vanished_message(campaign_id, snapshot))
-    if snapshot.chunks.failed and snapshot.chunks.pending == 0 and (
-        snapshot.chunks.claimed == 0
-    ):
-        raise RuntimeError(_stuck_message(queue, campaign_id, snapshot))
-    if snapshot.chunks.done == snapshot.chunks.total:
-        # Workers mark a chunk done only after committing its records,
-        # so all-done with records still missing means this waiter is
-        # reading a different store than the one the job drained into
-        # (the queue's job row pins the store path) — no amount of
-        # polling will ever fill it.
-        raise RuntimeError(
-            f"campaign {campaign_id[:12]}: every chunk is done but "
-            f"only {snapshot.records_done}/{snapshot.num_scenarios} "
-            "records are in this store — the queue's job row points "
-            "at a different result store; collect from that store "
-            "instead"
-        )
-
-
 @dataclass(frozen=True)
 class Progress:
     """One poll of a distributed campaign's completion state."""
@@ -151,11 +84,69 @@ class Progress:
 
     @property
     def complete(self) -> bool:
-        """All chunks drained and every scenario's record stored."""
+        """Every scenario's record stored and every chunk settled.
+
+        Workers store a chunk's records *before* releasing it, so the
+        record count alone would read complete while the last chunk is
+        still claimed.  A failed chunk whose records are all stored
+        (an earlier attempt wrote them) does not hold the campaign up.
+        """
         return (
-            self.chunks.remaining == 0
-            and self.records_done >= self.num_scenarios
+            self.records_done >= self.num_scenarios and self.chunks.settled
         )
+
+    def problem(self, queue: WorkQueue) -> Optional[str]:
+        """Why this campaign can never complete, or ``None``.
+
+        The dead ends: its chunk rows vanished from *queue*
+        (garbage-collected, or the wrong queue); chunks failed
+        permanently (naming up to three ``last_error``s, the only case
+        that reads the chunk rows); or every chunk is done with records
+        still missing.  Snapshots count chunks *before* records:
+        workers store records before releasing a chunk, so that last
+        state can then never be a worker caught in between.
+        """
+        if self.complete:
+            return None
+        chunks = self.chunks
+        head = f"campaign {self.campaign_id[:12]}"
+        if chunks.total == 0:
+            return (
+                f"{head} has {self.records_done}/{self.num_scenarios} "
+                "records but no chunks in this queue — its rows were "
+                "garbage-collected (or this is the wrong queue); "
+                "re-submit to enqueue the missing work"
+            )
+        if chunks.settled and chunks.failed:
+            failures = [
+                state for state in queue.chunk_states(self.campaign_id)
+                if state.status == "failed"
+            ]
+            detail = "; ".join(
+                f"chunk {state.chunk_index} after {state.attempts} "
+                f"attempt(s): {state.last_error or 'unknown error'}"
+                for state in failures[:3]
+            )
+            if len(failures) > 3:
+                detail += f"; ... {len(failures) - 3} more"
+            return (
+                f"{head} is stuck: {chunks.failed} chunk(s) failed "
+                f"permanently ({self.describe()})"
+                + (f" — {detail}" if detail else "")
+            )
+        if chunks.done == chunks.total:
+            # Workers mark a chunk done only after committing its
+            # records, so the records left this store afterwards or
+            # never reached it; no amount of polling fills them.
+            return (
+                f"{head}: every chunk is done but only "
+                f"{self.records_done}/{self.num_scenarios} records are "
+                "in this store — either the queue's job row points at a "
+                "different result store (collect from that one), or "
+                "records were quarantined by `repro store verify "
+                "--repair` (re-submit to top the job up)"
+            )
+        return None
 
     def describe(self) -> str:
         """One status line."""
@@ -195,6 +186,7 @@ class DistributedRun:
     ) -> Progress:
         return Progress(
             campaign_id=self.campaign_id,
+            # Chunks before records (see Progress.problem).
             chunks=queue.chunk_counts(self.campaign_id),
             records_done=len(store.completed_indices(self.campaign_id)),
             num_scenarios=self.num_scenarios,
@@ -215,10 +207,11 @@ class DistributedRun:
 
         The terminal snapshot (``complete == True``) is yielded too.
         Raises ``TimeoutError`` if *timeout* elapses first, and
-        ``RuntimeError`` if chunks fail permanently (no worker can make
-        further progress).  One queue and one store connection are held
-        for the whole polling loop (re-opening them per poll would
-        needlessly contend with the workers writing to the same files).
+        ``RuntimeError`` carrying :meth:`Progress.problem` when the
+        campaign reaches a dead end.  One queue and one store
+        connection are held for the whole polling loop (re-opening
+        them per poll would needlessly contend with the workers
+        writing to the same files).
 
         Drain contract: when a poll finds claimable chunks and no live
         worker that could serve this campaign (unpinned or pinned to
@@ -242,7 +235,9 @@ class DistributedRun:
                 yield snapshot
                 if snapshot.complete:
                     return
-                _check_not_terminal(queue, self.campaign_id, snapshot)
+                problem = snapshot.problem(queue)
+                if problem is not None:
+                    raise RuntimeError(problem)
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(
                         f"campaign {self.campaign_id[:12]} incomplete "
@@ -439,54 +434,3 @@ def submit(
         chunks_enqueued=enqueued,
         trace_parent=submit_span.span_id,
     )
-
-
-def _worker_main(
-    queue_path: str,
-    lease_seconds: float,
-    poll_interval: float,
-    campaign_id: Optional[str],
-    skew_margin: float,
-) -> None:
-    """Entry point of a spawned local worker process (drain and exit)."""
-    Worker(
-        queue_path,
-        lease_seconds=lease_seconds,
-        poll_interval=poll_interval,
-        campaign_id=campaign_id,
-        skew_margin=skew_margin,
-    ).run()
-
-
-def run_workers(
-    queue: QueueLike,
-    num_workers: int = 2,
-    lease_seconds: float = 60.0,
-    poll_interval: float = 0.1,
-    campaign_id: Optional[str] = None,
-    skew_margin: float = 0.0,
-) -> None:
-    """Spawn *num_workers* local worker processes and join them.
-
-    Each worker drains the queue (claims until every chunk is done or
-    failed) and exits; *campaign_id* pins the fleet to one campaign's
-    chunks, so shared queues with other in-flight jobs neither feed
-    this fleet unrelated work nor keep it waiting on unrelated leases.
-    Multi-host deployments run ``repro worker`` on each host instead.
-    """
-    if num_workers < 1:
-        raise ValueError("num_workers must be >= 1")
-    queue_path = _queue_path(queue)
-    processes = [
-        multiprocessing.Process(
-            target=_worker_main,
-            args=(queue_path, lease_seconds, poll_interval, campaign_id,
-                  skew_margin),
-        )
-        for _ in range(num_workers)
-    ]
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join()
-

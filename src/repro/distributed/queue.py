@@ -240,6 +240,11 @@ class ChunkCounts:
         """Chunks not yet done (failed ones count: they need attention)."""
         return self.total - self.done
 
+    @property
+    def settled(self) -> bool:
+        """Nothing pending or claimed: no worker will touch these again."""
+        return self.pending == 0 and self.claimed == 0
+
     def describe(self) -> str:
         """Compact ``pending/claimed/done`` display cell."""
         text = f"{self.pending}p/{self.claimed}c/{self.done}d"
@@ -885,10 +890,11 @@ class WorkQueue:
             for row in rows
         ]
 
-    def drained(self, campaign_id: str) -> bool:
-        """Whether every chunk of *campaign_id* is done."""
-        tally = self.chunk_counts(campaign_id)
-        return tally.remaining == 0
+    def settled(self, campaign_id: Optional[str] = None) -> bool:
+        """No chunk of *campaign_id* (or of any job) is pending or claimed."""
+        return all(
+            tally.settled for tally in self.counts(campaign_id).values()
+        )
 
     # repro-lint: ok[R4] read-only snapshot SELECT on this handle's
     # private connection (see job() above); actual claims re-test the
@@ -1093,10 +1099,10 @@ class WorkQueue:
     ) -> GcReport:
         """Drop finished work: done/failed chunks, orphaned job and table rows.
 
-        A campaign is *eligible* when it has no actionable chunks left
-        (nothing pending, nothing claimed — drained or terminally
-        failed), or when *max_age* is given and its job row is older
-        than that many seconds (aged out, whatever its state).  For
+        A campaign is *eligible* when its chunks are settled (nothing
+        pending, nothing claimed — drained or terminally failed), or
+        when *max_age* is given and its job row is older than that
+        many seconds (aged out, whatever its state).  For
         eligible campaigns the ``done``/``failed`` chunk rows are
         deleted — their payloads are the bulk of the file — and job
         rows left without any chunks are deleted too.  Pending and
@@ -1130,7 +1136,6 @@ class WorkQueue:
         done_chunks = failed_chunks = 0
         for row in job_rows:
             tally = tallies.get(row["campaign_id"], ChunkCounts())
-            drained = tally.pending == 0 and tally.claimed == 0
             aged_out = False
             if max_age is not None:
                 try:
@@ -1141,14 +1146,14 @@ class WorkQueue:
                     submitted = None
                 if submitted is not None:
                     aged_out = now - submitted > max_age
-            if not (drained or aged_out):
+            if not (tally.settled or aged_out):
                 continue
             eligible.append(row["campaign_id"])
             done_chunks += tally.done
             failed_chunks += tally.failed
             # Deleting the done/failed chunks leaves the job orphaned
             # exactly when it had no pending/claimed chunks.
-            if drained:
+            if tally.settled:
                 droppable_jobs.append(row["campaign_id"])
 
         stale_cutoff = now - worker_ttl

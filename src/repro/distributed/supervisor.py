@@ -1,11 +1,12 @@
 """`FleetSupervisor`: a self-healing local worker fleet.
 
-``run_workers`` (the coordinator's fleet) assumes its processes live
-until the queue drains; a worker that segfaults, gets OOM-killed, or
-exits with :data:`~repro.distributed.worker.EXIT_HEARTBEAT_DEAD` just
-leaves the fleet one worker short.  The supervisor closes that gap: it
-spawns ``repro worker`` **subprocesses**, watches them (exit codes,
-plus the queue's own heartbeat table for live-but-wedged workers), and
+The supervisor is how a script or ``repro fleet`` starts local worker
+processes.  A fleet that merely spawned workers and joined them would
+end one worker short each time one segfaults, gets OOM-killed, or
+exits with :data:`~repro.distributed.worker.EXIT_HEARTBEAT_DEAD`.  The
+supervisor spawns ``repro worker`` **subprocesses**, watches them (exit
+codes, plus the queue's own heartbeat table for live-but-wedged
+workers), and
 
 - **restarts** crashed workers with exponential backoff — a SIGKILLed
   worker's chunk is reclaimed when its lease expires, and the
@@ -46,6 +47,11 @@ from repro.distributed.queue import (
 
 #: How many trailing stderr bytes a crash report keeps per worker.
 _STDERR_TAIL_BYTES = 4096
+
+#: Each restart of a slot waits this many times longer than the last,
+#: up to :data:`MAX_BACKOFF` seconds.
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF = 5.0
 
 
 def _read_tail(path: str, limit: int = _STDERR_TAIL_BYTES) -> str:
@@ -133,12 +139,14 @@ class FleetSupervisor:
         Pin every worker to one campaign's chunks (what
         ``repro fleet --campaign`` uses).
     lease_seconds / poll_interval / skew_margin:
-        Forwarded to each worker process.
-    restart_backoff / backoff_factor / max_backoff:
+        Forwarded to each worker process.  The supervisor polls its
+        workers at the same ``poll_interval``.
+    restart_backoff:
         Exponential backoff between a slot's restarts: first restart
         after ``restart_backoff`` seconds, each further one
-        ``backoff_factor`` times later, capped at ``max_backoff``.  A
-        slot's backoff resets once its crashes age out of the window.
+        :data:`BACKOFF_FACTOR` times later, capped at
+        :data:`MAX_BACKOFF`.  A slot's backoff resets once its crashes
+        age out of the window.
     max_restarts / restart_window:
         Crash-loop detection: a slot observing ``max_restarts`` crashes
         within ``restart_window`` seconds **gives up** (no further
@@ -149,8 +157,6 @@ class FleetSupervisor:
         heartbeat is older than this (and which has been running at
         least this long) is killed and treated as crashed — the
         escape hatch for wedged-but-breathing workers.
-    monitor_interval:
-        Supervisor poll cadence.
     command:
         Factory ``(slot_index, worker_id) -> argv`` overriding the
         spawned command — tests substitute cheap scripted processes.
@@ -166,12 +172,9 @@ class FleetSupervisor:
         poll_interval: float = 0.1,
         skew_margin: float = DEFAULT_SKEW_MARGIN,
         restart_backoff: float = 0.25,
-        backoff_factor: float = 2.0,
-        max_backoff: float = 5.0,
         max_restarts: int = 5,
         restart_window: float = 60.0,
         stall_timeout: Optional[float] = None,
-        monitor_interval: float = 0.1,
         command: Optional[Callable[[int, str], Sequence[str]]] = None,
     ):
         if workers < 1:
@@ -185,12 +188,9 @@ class FleetSupervisor:
         self.poll_interval = poll_interval
         self.skew_margin = skew_margin
         self.restart_backoff = restart_backoff
-        self.backoff_factor = backoff_factor
-        self.max_backoff = max_backoff
         self.max_restarts = max_restarts
         self.restart_window = restart_window
         self.stall_timeout = stall_timeout
-        self.monitor_interval = monitor_interval
         self._command = command or self._default_command
         self._slots = [
             _Slot(index, restart_backoff) for index in range(workers)
@@ -296,8 +296,10 @@ class FleetSupervisor:
                             f"({self._restarts} restart(s); "
                             f"queue {self.queue_path})"
                         )
-                    time.sleep(self.monitor_interval)
-                drained = self._drained(queue)
+                    time.sleep(self.poll_interval)
+                # Failed chunks count as settled: diagnosing them is
+                # Progress's job, the supervisor's is worker liveness.
+                drained = queue.settled(self.campaign_id)
             finally:
                 self._cleanup_stderr_files()
             gave_up = sum(
@@ -401,9 +403,7 @@ class FleetSupervisor:
             slot.backoff = self.restart_backoff
         slot.state = "waiting"
         slot.resume_at = now + slot.backoff
-        slot.backoff = min(
-            slot.backoff * self.backoff_factor, self.max_backoff
-        )
+        slot.backoff = min(slot.backoff * BACKOFF_FACTOR, MAX_BACKOFF)
 
     def _record(
         self,
@@ -437,18 +437,6 @@ class FleetSupervisor:
             f"fleet:{kind}", slot=slot.index, worker_id=slot.worker_id,
             returncode=returncode,
         )
-
-    def _drained(self, queue: WorkQueue) -> bool:
-        """No pending or claimed chunk remains (scoped to the campaign).
-
-        ``failed`` (poison) chunks count as settled here — chunk-level
-        diagnosis is the coordinator's job; the supervisor's contract
-        is worker liveness.
-        """
-        for tally in queue.counts(self.campaign_id).values():
-            if tally.pending or tally.claimed:
-                return False
-        return True
 
     def _kill_all(self) -> None:
         for slot in self._slots:

@@ -223,10 +223,10 @@ class Worker:
     campaign_id:
         When set, the worker claims (and waits on) only this
         campaign's chunks — the scoping ``repro worker --campaign``,
-        :func:`~repro.distributed.run_workers` and
-        :class:`~repro.distributed.FleetSupervisor` use so a fleet
-        neither executes unrelated queued work nor blocks on another
-        campaign's leases.
+        ``repro fleet --campaign`` (through
+        :class:`~repro.distributed.FleetSupervisor`) and a waiter's
+        in-process drain use so a fleet neither executes unrelated
+        queued work nor blocks on another campaign's leases.
     skew_margin:
         Extra seconds beyond a lease's stamped expiry before this
         worker reclaims it (see
@@ -290,7 +290,8 @@ class Worker:
 
         Default exit condition ("drain mode"): stop when the queue has
         no claimable chunk *and* nothing is still claimed by another
-        worker — i.e. every chunk is done or failed.  While other
+        worker — i.e. it is settled, every chunk done or failed (only
+        this worker's campaign counts when it is pinned).  While other
         workers hold live leases, keep polling: their chunks become
         claimable here if their leases expire.
 
@@ -337,7 +338,9 @@ class Worker:
                                 and now - idle_since >= idle_timeout
                             ):
                                 break
-                            if not forever and self._queue_drained(queue):
+                            if not forever and queue.settled(
+                                self.campaign_id
+                            ):
                                 break
                             time.sleep(self.poll_interval)
                             continue
@@ -369,18 +372,6 @@ class Worker:
         stats.wall_time = time.perf_counter() - start
         return stats
 
-    def _queue_drained(self, queue: WorkQueue) -> bool:
-        """No chunk is claimable and none is claimed by anyone else.
-
-        Scoped to this worker's campaign when one was set, so a
-        campaign-pinned worker exits as soon as *its* campaign drains,
-        whatever other jobs share the queue.
-        """
-        for tally in queue.counts(self.campaign_id).values():
-            if tally.pending or tally.claimed:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # Chunk execution
     # ------------------------------------------------------------------
@@ -388,38 +379,12 @@ class Worker:
         self, queue: WorkQueue, chunk: ClaimedChunk, stats: WorkerStats
     ) -> None:
         """Simulate one claimed chunk and drain it into the store."""
-        heartbeat = _LeaseHeartbeat(
-            self.queue_path, chunk, self.lease_seconds
-        ) if self.queue_path != ":memory:" else None
-        if heartbeat is not None:
-            heartbeat.start()
         chunk_start = time.perf_counter()
         try:
             faults.maybe_crash("worker.crash.post-claim")
             job = self._job_for(queue, chunk.campaign_id)
-        except InjectedWorkerCrash:
-            if heartbeat is not None:
-                heartbeat.stop()
-            raise
         except Exception:
-            if heartbeat is not None:
-                heartbeat.stop()
-            error = traceback.format_exc()
-            print(
-                f"[worker {self.worker_id}] chunk "
-                f"{chunk.campaign_id[:12]}/{chunk.chunk_index} failed "
-                f"(attempt {chunk.attempts}):\n{error}",
-                file=sys.stderr,
-            )
-            queue.release(
-                chunk.campaign_id,
-                chunk.chunk_index,
-                self.worker_id,
-                done=False,
-                error=error.strip().splitlines()[-1],
-            )
-            stats.chunks_failed += 1
-            self._m_chunks.inc(outcome="failed")
+            self._fail(queue, chunk, stats)
             return
         context = self._arm_trace(job)
         chunk_span = telemetry.span(
@@ -442,8 +407,7 @@ class Worker:
         try:
             with chunk_span:
                 self._execute_traced(
-                    queue, chunk, stats, heartbeat, job, chunk_span,
-                    chunk_start,
+                    queue, chunk, stats, job, chunk_span, chunk_start
                 )
         finally:
             collector = telemetry.collector()
@@ -455,129 +419,53 @@ class Worker:
         queue: WorkQueue,
         chunk: ClaimedChunk,
         stats: WorkerStats,
-        heartbeat: Optional[_LeaseHeartbeat],
         job: JobInfo,
         chunk_span,
         chunk_start: float,
     ) -> None:
-        """The span-wrapped body of :meth:`_execute`."""
+        """The span-wrapped body of :meth:`_execute`.
+
+        The lease heartbeat runs while the chunk simulates and drains,
+        and stops in one place, before any outcome touches the chunk:
+
+        - done: the chunk is released as done;
+        - lease lost: nothing is written or released (a rival owns it);
+        - :class:`~repro.faults.InjectedWorkerCrash`: nothing is
+          released; the lease expires as after a real SIGKILL;
+        - :class:`HeartbeatFailure`: the chunk is handed back and the
+          failure re-raised, so a worker that can protect no further
+          lease exits instead of soldiering on;
+        - any other error: the chunk is handed back with its diagnosis.
+        """
+        heartbeat = _LeaseHeartbeat(
+            self.queue_path, chunk, self.lease_seconds
+        ) if self.queue_path != ":memory:" else None
+        if heartbeat is not None:
+            heartbeat.start()
         try:
-            backend = self._backend_for(queue, job, stats)
-            # Payload items are (index, name, params, seed): the name
-            # travels with the work because workers never see the
-            # campaign's scenario list.
-            items = pickle.loads(chunk.payload)
-            names = {index: name for index, name, _, _ in items}
-            work = [(index, params, seed) for index, _, params, seed in items]
-            # The kernel records its phase spans under this one.
-            with telemetry.span("worker.simulate", scenarios=len(work)):
-                outcomes = _execute_chunk(backend, job.runs_per_scenario, work)
-            if heartbeat is not None:
-                heartbeat.settle()
-            if heartbeat is not None and heartbeat.dead:
-                # The renewal machinery broke while we simulated —
-                # distinct from a *lost* lease: nobody else owns the
-                # chunk yet, but nobody is keeping it ours either.
-                raise HeartbeatFailure(
-                    f"lease heartbeat thread died while chunk "
-                    f"{chunk.campaign_id[:12]}/{chunk.chunk_index} "
-                    f"simulated: "
-                    f"{heartbeat.error or 'thread exited silently'}"
+            try:
+                held = self._simulate_and_drain(
+                    queue, chunk, stats, heartbeat, job, chunk_start
                 )
-            if not self._still_held(queue, chunk, heartbeat):
-                # The lease was lost while simulating: a rival owns the
-                # chunk (and may already have finished it).  Abandon
-                # the in-flight result — writing records or timing now
-                # would be a zombie racing the legitimate owner.
+            finally:
+                # A simulated crash stops it too: an in-process chaos
+                # harness would otherwise leak a zombie renewer.
                 if heartbeat is not None:
                     heartbeat.stop()
-                stats.chunks_lost += 1
-                self._m_chunks.inc(outcome="lost")
-                chunk_span.set(outcome="lost")
-                return
-            faults.maybe_crash("worker.crash.pre-drain")
-            store = self._store_for(job.store_path)
-            written = deduped = 0
-            with telemetry.span("worker.drain") as drain_span:
-                for position, ((index, params, _), (_, result)) in enumerate(
-                    zip(work, outcomes)
-                ):
-                    record = RunRecord(
-                        index=index,
-                        name=names[index],
-                        params=params,
-                        runs=result,
-                    )
-                    if store.add_record(chunk.campaign_id, record):
-                        written += 1
-                    else:
-                        deduped += 1
-                    if position == 0:
-                        faults.maybe_crash("worker.crash.mid-drain")
-                store.add_wall_time(
-                    chunk.campaign_id,
-                    time.perf_counter() - chunk_start,
-                    cpu_count=os.cpu_count(),
-                )
-                drain_span.set(written=written, deduped=deduped)
-            stats.records_written += written
-            stats.records_deduped += deduped
-            if written:
-                self._m_records.inc(written, outcome="written")
-            if deduped:
-                self._m_records.inc(deduped, outcome="deduped")
-        except InjectedWorkerCrash:
-            # Simulated process death: the heartbeat dies with the
-            # process (stop it — in-process chaos harnesses would
-            # otherwise leak a zombie renewer) but the chunk is NOT
-            # released.  Its lease expires and a rival reclaims it,
-            # exactly as after a real SIGKILL.
-            if heartbeat is not None:
-                heartbeat.stop()
-            raise
         except HeartbeatFailure as failure:
-            # Hand the chunk back immediately (worker-id guarded, so a
-            # no-op if the decayed lease was already reclaimed) and let
-            # the failure propagate: this worker cannot protect any
-            # further lease, so it must exit distinctly, not soldier on.
-            if heartbeat is not None:
-                heartbeat.stop()
-            queue.release(
-                chunk.campaign_id,
-                chunk.chunk_index,
-                self.worker_id,
-                done=False,
-                error=str(failure),
-            )
-            stats.chunks_failed += 1
-            self._m_chunks.inc(outcome="failed")
+            # The release is worker-id guarded: a no-op if the decayed
+            # lease was already reclaimed.
+            self._fail(queue, chunk, stats, error=str(failure))
             raise
         except Exception:
-            if heartbeat is not None:
-                heartbeat.stop()
-            # Surface the failure (workers usually run headless) and
-            # keep it on the chunk row, so a chunk that eventually
-            # lands 'failed' after MAX_ATTEMPTS carries its diagnosis.
-            error = traceback.format_exc()
-            print(
-                f"[worker {self.worker_id}] chunk "
-                f"{chunk.campaign_id[:12]}/{chunk.chunk_index} failed "
-                f"(attempt {chunk.attempts}):\n{error}",
-                file=sys.stderr,
-            )
-            queue.release(
-                chunk.campaign_id,
-                chunk.chunk_index,
-                self.worker_id,
-                done=False,
-                error=error.strip().splitlines()[-1],
-            )
-            stats.chunks_failed += 1
-            self._m_chunks.inc(outcome="failed")
+            self._fail(queue, chunk, stats)
             chunk_span.set(outcome="failed")
             return
-        if heartbeat is not None:
-            heartbeat.stop()
+        if not held:
+            stats.chunks_lost += 1
+            self._m_chunks.inc(outcome="lost")
+            chunk_span.set(outcome="lost")
+            return
         # A lease lost between the pre-drain check and here still
         # cannot corrupt anything: the release is worker-id guarded
         # and refused, and the drained records dedup in the store.
@@ -587,6 +475,111 @@ class Worker:
             stats.chunks_done += 1
             self._m_chunks.inc(outcome="done")
             self._m_chunk_seconds.observe(time.perf_counter() - chunk_start)
+
+    def _simulate_and_drain(
+        self,
+        queue: WorkQueue,
+        chunk: ClaimedChunk,
+        stats: WorkerStats,
+        heartbeat: Optional[_LeaseHeartbeat],
+        job: JobInfo,
+        chunk_start: float,
+    ) -> bool:
+        """Simulate *chunk* and write its records; ``False`` if the
+        lease was lost first (then nothing is written)."""
+        backend = self._backend_for(queue, job, stats)
+        # Payload items are (index, name, params, seed): the name
+        # travels with the work because workers never see the
+        # campaign's scenario list.
+        items = pickle.loads(chunk.payload)
+        names = {index: name for index, name, _, _ in items}
+        work = [(index, params, seed) for index, _, params, seed in items]
+        # The kernel records its phase spans under this one.
+        with telemetry.span("worker.simulate", scenarios=len(work)):
+            outcomes = _execute_chunk(backend, job.runs_per_scenario, work)
+        if heartbeat is not None:
+            heartbeat.settle()
+        if heartbeat is not None and heartbeat.dead:
+            # The renewal machinery broke while we simulated —
+            # distinct from a *lost* lease: nobody else owns the
+            # chunk yet, but nobody is keeping it ours either.
+            raise HeartbeatFailure(
+                f"lease heartbeat thread died while chunk "
+                f"{chunk.campaign_id[:12]}/{chunk.chunk_index} "
+                f"simulated: "
+                f"{heartbeat.error or 'thread exited silently'}"
+            )
+        if not self._still_held(queue, chunk, heartbeat):
+            # The lease was lost while simulating: a rival owns the
+            # chunk (and may already have finished it).  Writing
+            # records or timing now would be a zombie racing the
+            # legitimate owner.
+            return False
+        faults.maybe_crash("worker.crash.pre-drain")
+        store = self._store_for(job.store_path)
+        written = deduped = 0
+        with telemetry.span("worker.drain") as drain_span:
+            for position, ((index, params, _), (_, result)) in enumerate(
+                zip(work, outcomes)
+            ):
+                record = RunRecord(
+                    index=index,
+                    name=names[index],
+                    params=params,
+                    runs=result,
+                )
+                if store.add_record(chunk.campaign_id, record):
+                    written += 1
+                else:
+                    deduped += 1
+                if position == 0:
+                    faults.maybe_crash("worker.crash.mid-drain")
+            store.add_wall_time(
+                chunk.campaign_id,
+                time.perf_counter() - chunk_start,
+                cpu_count=os.cpu_count(),
+            )
+            drain_span.set(written=written, deduped=deduped)
+        stats.records_written += written
+        stats.records_deduped += deduped
+        if written:
+            self._m_records.inc(written, outcome="written")
+        if deduped:
+            self._m_records.inc(deduped, outcome="deduped")
+        return True
+
+    def _fail(
+        self,
+        queue: WorkQueue,
+        chunk: ClaimedChunk,
+        stats: WorkerStats,
+        error: Optional[str] = None,
+    ) -> None:
+        """Hand a failed chunk back to the queue and count it.
+
+        Without *error* the failure is the exception being handled:
+        its traceback goes to stderr (workers usually run headless)
+        and its last line stays on the chunk row, so a chunk that ends
+        up ``failed`` after MAX_ATTEMPTS carries its diagnosis.
+        """
+        if error is None:
+            trace = traceback.format_exc()
+            print(
+                f"[worker {self.worker_id}] chunk "
+                f"{chunk.campaign_id[:12]}/{chunk.chunk_index} failed "
+                f"(attempt {chunk.attempts}):\n{trace}",
+                file=sys.stderr,
+            )
+            error = trace.strip().splitlines()[-1]
+        queue.release(
+            chunk.campaign_id,
+            chunk.chunk_index,
+            self.worker_id,
+            done=False,
+            error=error,
+        )
+        stats.chunks_failed += 1
+        self._m_chunks.inc(outcome="failed")
 
     def _still_held(
         self,

@@ -334,9 +334,13 @@ class CampaignService:
                 mode = "queued"
             else:
                 mode = "fallback"
+                # The campaign's own wait() drains it in-process while
+                # no live worker serves it, raises the diagnosis of a
+                # dead end, and opens its connections in the thread.
                 self._spawn(
                     f"repro-service-fallback-{campaign_id[:8]}",
-                    lambda: self._drain_fallback(run),
+                    campaign_id,
+                    lambda: run.wait(poll=0.05),
                 )
         self._register(campaign_id, mode, label)
         return {
@@ -376,7 +380,10 @@ class CampaignService:
             mode = "inline"
             self._spawn(
                 f"repro-service-run-{campaign_id[:8]}",
-                lambda: self._run_inline(campaign, seed, chunk_size, campaign_id),
+                campaign_id,
+                lambda: campaign.run(
+                    seed=seed, chunk_size=chunk_size, store=self.store
+                ),
             )
         self._register(campaign_id, mode, label)
         return {
@@ -400,36 +407,24 @@ class CampaignService:
             label=label,
         )
 
-    def _spawn(self, name: str, target) -> None:
-        thread = threading.Thread(target=target, name=name, daemon=True)
+    def _spawn(self, name: str, campaign_id: str, job) -> None:
+        """Run *job* on a thread; its outcome marks the campaign."""
+        thread = threading.Thread(
+            target=self._run, args=(campaign_id, job), name=name,
+            daemon=True,
+        )
         self._threads.append(thread)
         thread.start()
 
-    def _run_inline(self, campaign, seed, chunk_size, campaign_id) -> None:
+    def _run(self, campaign_id: str, job) -> None:
         try:
-            campaign.run(seed=seed, chunk_size=chunk_size, store=self.store)
+            job()
         except Exception as error:  # surfaced via progress(), not lost
             self._mark(campaign_id, "failed",
                        f"{type(error).__name__}: {error}")
             traceback.print_exc(file=sys.stderr)
         else:
             self._mark(campaign_id, "done")
-
-    def _drain_fallback(self, run) -> None:
-        """Fallback drainer: the submitted campaign's own ``wait()``.
-
-        It drains in-process while no live worker serves the campaign,
-        raises the diagnosis of permanently failed chunks, and opens
-        its connections inside this thread.
-        """
-        try:
-            run.wait(poll=0.05)
-        except Exception as error:
-            self._mark(run.campaign_id, "failed",
-                       f"{type(error).__name__}: {error}")
-            traceback.print_exc(file=sys.stderr)
-        else:
-            self._mark(run.campaign_id, "done")
 
     def _mark(self, campaign_id: str, state: str,
               error: Optional[str] = None) -> None:
@@ -465,52 +460,51 @@ class CampaignService:
         (when the service runs one), and the in-process runner state —
         the whole ``GET /campaigns/{id}`` body.
 
-        With a queue, ``complete`` also needs every chunk settled: a
-        worker stores a chunk's records *before* it releases the chunk,
-        so a full record count alone can report a campaign complete
-        while its last chunk is still ``claimed``.  An incomplete
-        campaign whose chunks are all settled, some ``failed``, reads
-        ``failed``, naming each poisoned chunk's ``last_error``.
+        With a queue, the fleet's own rule judges the campaign
+        (:class:`~repro.distributed.coordinator.Progress`): ``complete``
+        needs every record stored and every chunk settled, and a dead
+        end — chunks failed permanently, chunk rows gone, or every
+        chunk done with records missing — reads ``failed`` with the
+        diagnosis.  A campaign this service did not submit and that
+        has no chunks in the queue reads ``external``.
         """
         campaign_id = self.store.resolve(campaign_id)
-        info = self.store.get_campaign(campaign_id)
-        complete = info.complete
-        chunks = stuck = None
-        if self.queue_path is not None:
-            from repro.distributed.queue import WorkQueue
+        submission = self._submissions.get(campaign_id)
+        chunks = problem = None
+        if self.queue_path is None:
+            info = self.store.get_campaign(campaign_id)
+            complete = info.complete
+        else:
+            from repro.distributed import Progress, WorkQueue
 
             with WorkQueue(self.queue_path) as queue:
+                # Chunks before records (see Progress.problem).
                 chunks = queue.chunk_counts(campaign_id)
-                settled = chunks.pending == chunks.claimed == 0
-                if settled and chunks.failed and not complete:
-                    from repro.distributed import coordinator
-
-                    stuck = coordinator._stuck_message(
-                        queue, campaign_id, coordinator.Progress(
-                            campaign_id, chunks, info.completed,
-                            info.num_scenarios,
-                        ),
-                    )
-            complete = complete and settled
+                info = self.store.get_campaign(campaign_id)
+                snapshot = Progress(
+                    campaign_id, chunks, info.completed, info.num_scenarios
+                )
+                complete = snapshot.complete
+                if submission is not None or chunks.total:
+                    problem = snapshot.problem(queue)
         out = info.to_dict()
         out["complete"] = complete
-        submission = self._submissions.get(campaign_id)
         if submission is not None:
             if complete and submission.state == "running":
                 # An external fleet may have finished it for us.
                 submission.state = "done"
-            elif stuck is not None and submission.state == "running":
+            elif problem is not None and submission.state == "running":
                 submission.state = "failed"
-                submission.error = stuck
+                submission.error = problem
             out["mode"] = submission.mode
             out["state"] = submission.state
             out["error"] = submission.error
         else:
             out["mode"] = None
             out["state"] = (
-                "done" if complete else "failed" if stuck else "external"
+                "done" if complete else "failed" if problem else "external"
             )
-            out["error"] = stuck
+            out["error"] = problem
         if chunks is not None:
             out["chunks"] = chunks.to_dict()
         return out

@@ -371,6 +371,63 @@ class TestMachineReadableViews:
         assert job["chunks"]["total"] >= 1
         assert job["complete"] is False  # nothing drained it yet
 
+    def test_status_waits_for_a_claimed_chunk(self, tmp_path, capsys):
+        # A worker stores a chunk's records before it releases the
+        # chunk; in between, status must not call the campaign complete.
+        import pickle
+
+        from repro.distributed import WorkQueue
+        from repro.experiments.campaign import RunRecord, _execute_chunk
+        from repro.store import ResultStore
+
+        store_path = str(tmp_path / "s.sqlite")
+        queue_path = str(tmp_path / "q.sqlite")
+        assert main(["submit", "--sample", "2", "--runs", "2",
+                     "--equipage", "none", "--chunk-size", "1",
+                     "--queue", queue_path, "--store", store_path]) == 0
+        capsys.readouterr()
+
+        def status():
+            assert main(["status", queue_path, "--format", "json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            return payload["jobs"][0], payload["incomplete"]
+
+        with WorkQueue(queue_path) as queue, ResultStore(
+            store_path
+        ) as store:
+            held = [queue.claim("w1", lease_seconds=60) for _ in range(2)]
+            job = queue.job(held[0].campaign_id)
+            backend = pickle.loads(job.backend_spec).build()
+            for chunk in held:
+                items = pickle.loads(chunk.payload)
+                outcomes = _execute_chunk(
+                    backend, job.runs_per_scenario,
+                    [(index, params, seed)
+                     for index, _, params, seed in items],
+                )
+                for (index, name, params, _), (_, runs) in zip(
+                    items, outcomes
+                ):
+                    store.add_record(chunk.campaign_id, RunRecord(
+                        index=index, name=name, params=params, runs=runs,
+                    ))
+            first, second = held
+            assert queue.release(
+                first.campaign_id, first.chunk_index, "w1", done=True
+            )
+            row, incomplete = status()
+            assert row["records_done"] == 2
+            assert row["chunks"]["done"] == row["chunks"]["claimed"] == 1
+            assert row["complete"] is False
+            assert incomplete == 1
+
+            assert queue.release(
+                second.campaign_id, second.chunk_index, "w1", done=True
+            )
+            row, incomplete = status()
+            assert row["complete"] is True
+            assert incomplete == 0
+
     def test_watchlist_command(self, tmp_path, capsys):
         store_path = self._seed_store(tmp_path, capsys, campaigns=1)
         assert main(["watchlist", store_path]) == 0

@@ -111,7 +111,7 @@ class TestWorkQueue:
             for index in range(2):
                 queue.claim("w1", lease_seconds=30)
                 queue.release("c1", index, "w1", done=True)
-            assert queue.drained("c1")
+            assert queue.chunk_counts("c1").remaining == 0
             assert queue.submit_job(
                 "c1", "store.sqlite", b"spec", RUNS, 2, [b"chunk-redo"]
             ) == 1
@@ -159,7 +159,7 @@ class TestWorkQueue:
             assert not queue.release("c1", 0, "dead-worker", done=True)
             # The live worker's completion sticks.
             assert queue.release("c1", 0, "live-worker", done=True)
-            assert queue.drained("c1")
+            assert queue.chunk_counts("c1").remaining == 0
 
     def test_renew_extends_live_lease(self, paths):
         queue_path, _ = paths
@@ -184,7 +184,7 @@ class TestWorkQueue:
             assert queue.claim("w-final", lease_seconds=30) is None
             tally = queue.chunk_counts("c1")
             assert tally.failed == 1
-            assert not queue.drained("c1")
+            assert queue.chunk_counts("c1").remaining == 1
 
     def test_memory_queue_rejected_for_distribution(self, tmp_path):
         with pytest.raises(ValueError, match="file-backed"):
@@ -324,10 +324,12 @@ class TestDistributedExecution:
             queue=queue_path, store=store_path, chunk_size=1,
         )
         assert run.chunks_enqueued == SCENARIOS
-        from repro.distributed import run_workers
+        from repro.distributed import FleetSupervisor
 
-        run_workers(queue_path, num_workers=2, lease_seconds=10,
-                    poll_interval=0.02)
+        report = FleetSupervisor(
+            queue_path, workers=2, lease_seconds=10, poll_interval=0.02
+        ).run(timeout=120)
+        assert report.drained
         final = run.wait(timeout=30, poll=0.05)
         assert final.complete
         collected = run.collect()
@@ -1625,6 +1627,31 @@ class TestReviewHardening:
             queue.claim("w1", lease_seconds=5)
             (worker,) = queue.live_workers(ttl=1e9)
             assert worker.heartbeat == first + 11.0
+
+    def test_failed_chunk_with_every_record_stored_is_complete(self, paths):
+        """Complete means every record stored and every chunk settled,
+        not every chunk done: a chunk that failed after an earlier
+        attempt stored its records leaves nothing to wait for."""
+        queue_path, store_path = paths
+        run = submit(
+            make_campaign(), SEED,
+            queue=queue_path, store=store_path, chunk_size=SCENARIOS,
+        )
+        with WorkQueue(queue_path) as queue:
+            for attempt in range(MAX_ATTEMPTS):
+                held = queue.claim(f"w{attempt}", lease_seconds=30)
+                queue.release(
+                    held.campaign_id, held.chunk_index, f"w{attempt}",
+                    done=False, error="crashed after its drain",
+                )
+            assert queue.claim("w-final", lease_seconds=30) is None
+            assert queue.chunk_counts(run.campaign_id).failed == 1
+        with ResultStore(store_path) as store:
+            make_campaign().run(seed=SEED, store=store)
+        final = run.wait(timeout=5, poll=0.01)
+        assert final.complete
+        assert final.chunks.failed == 1
+        assert_bitwise_equal(make_campaign().run(seed=SEED), run.collect())
 
     def test_gc_of_stuck_campaign_makes_waiters_raise(
         self, paths, monkeypatch

@@ -293,6 +293,10 @@ class TestStoreIntegrity:
             damaged = [
                 row["scenario_index"] for row in store.quarantined()
             ]
+        # Every chunk is done, so waiting cannot fill the hole; the
+        # diagnosis names the quarantine and the re-submit that heals.
+        with pytest.raises(RuntimeError, match="quarantined.*re-submit"):
+            run.wait(timeout=5, poll=0.01)
         resubmit = campaign.submit(
             seed=SEED, queue=queue_path, store=store_path, chunk_size=1
         )
@@ -412,7 +416,13 @@ class TestWorkerChaos:
                 "--lease", "0.12", "--poll", "0.02",
             ])
         assert rc == EXIT_HEARTBEAT_DEAD
-        # The chunk was handed back: a healthy replacement finishes.
+        # The chunk was handed back, not left to its lease: it is
+        # pending again, carrying the diagnosis.
+        with WorkQueue(queue_path) as queue:
+            (state,) = queue.chunk_states(run.campaign_id)
+        assert state.status == "pending"
+        assert "heartbeat thread died" in state.last_error
+        # A healthy replacement finishes.
         stats = Worker(
             queue_path, lease_seconds=10.0, poll_interval=0.02
         ).run()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+from repro.acasx.advisories import NUM_ADVISORIES
 from repro.dynamics.aircraft import cpa_horizontal_miss, time_to_cpa
 from repro.encounters.encoding import (
     EncounterParameters,
@@ -37,6 +38,60 @@ encounter_params = st.builds(
     intruder_bearing=st.floats(0.0, 2 * math.pi),
     intruder_vertical_speed=st.floats(-5.0, 5.0),
 )
+
+
+def near_or_anywhere(limit: float):
+    """Floats within *limit* of zero, or any float but NaN."""
+    return st.one_of(
+        st.floats(-limit, limit), st.floats(allow_nan=False)
+    )
+
+
+class TestInterpolationProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_q_stays_within_its_corners(self, tiny_table, data):
+        """Every interpolated Q lies between the min and max of the 16
+        values it blends: 8 cube corners at each bracketing stage.
+        Out-of-range tau and coordinates are clamped onto the table.
+
+        The blend rounds in float64 and its weights, products of
+        per-axis fractions, need not sum to exactly 1: a constant
+        corner set (the terminal NMAC band at tau 0) can come back one
+        ulp outside.  So the bounds allow 16 float64 eps of the largest
+        corner magnitude."""
+        config = tiny_table.config
+        states = data.draw(st.lists(
+            st.tuples(
+                near_or_anywhere(config.horizon * config.dt + 5.0),
+                st.integers(0, NUM_ADVISORIES - 1),
+                near_or_anywhere(2 * config.h_max),
+                near_or_anywhere(2 * config.rate_max),
+                near_or_anywhere(2 * config.rate_max),
+            ),
+            min_size=1, max_size=40,
+        ), "states")
+        tau = np.array([state[0] for state in states])
+        current = np.array([state[1] for state in states])
+        coords = np.array([state[2:] for state in states])
+
+        q = tiny_table.q_values_batch(tau, current, coords)
+
+        k = np.clip(tau / config.dt, 0.0, config.horizon)
+        k_lo = np.floor(k).astype(np.int64)
+        stages = (k_lo, np.minimum(k_lo + 1, config.horizon))
+        indices, _ = tiny_table.grid.interp_table(coords)
+        actions = np.arange(NUM_ADVISORIES)[None, :, None]
+        corners = np.concatenate([
+            tiny_table.q[
+                stage[:, None, None], current[:, None, None], actions,
+                indices[:, None, :],
+            ]
+            for stage in stages
+        ], axis=2).astype(float)  # (n, actions, 16)
+        slack = 16 * np.finfo(float).eps * np.abs(corners).max(axis=2)
+        assert np.all(q >= corners.min(axis=2) - slack)
+        assert np.all(q <= corners.max(axis=2) + slack)
 
 
 class TestEncounterGeometryProperties:

@@ -554,6 +554,72 @@ class TestQueueMode:
             fleet.join(timeout=10)
             service.close()
 
+    def test_gc_of_a_queued_campaign_reads_failed(
+        self, tmp_path, monkeypatch
+    ):
+        """gc dropped the poisoned campaign's chunk and job rows: it
+        reads failed at once instead of running until a wait times
+        out."""
+        from repro.distributed import Worker
+
+        self._poison(monkeypatch)
+        queue_path = str(tmp_path / "queue.sqlite")
+        service = CampaignService(
+            str(tmp_path / "store.sqlite"), queue=queue_path
+        )
+        client = ServiceClient(make_app(service))
+        try:
+            with WorkQueue(queue_path) as queue:
+                # An idle claim registers a live worker, so the service
+                # queues the campaign and starts no fallback thread.
+                assert queue.claim("idle-worker", lease_seconds=60) is None
+            spec = {k: v for k, v in UNEQUIPPED.items() if k != "wait"}
+            receipt = client.post("/campaigns", json_body=spec).json()
+            assert receipt["mode"] == "queued"
+            cid = receipt["campaign_id"]
+            # No progress read before the gc: it would already mark
+            # the campaign failed for its poisoned chunk.
+            Worker(queue_path, poll_interval=0.01).run()
+            with WorkQueue(queue_path) as queue:
+                assert queue.chunk_counts(cid).failed == 1
+                queue.gc()
+                assert queue.chunk_counts(cid).total == 0
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="garbage-collected"):
+                service.wait(cid, timeout=3)
+            assert time.monotonic() - start < 2
+            body = client.get(f"/campaigns/{cid}").json()
+            assert body["state"] == "failed"
+            assert body["complete"] is False
+            assert "garbage-collected" in body["error"]
+        finally:
+            service.close()
+
+    def test_interrupted_campaign_run_outside_reads_external(self, tmp_path):
+        """A campaign the service did not submit, with no chunks in its
+        queue, is someone else's business: it reads external, not
+        failed as if its chunk rows had vanished."""
+        service = CampaignService(
+            str(tmp_path / "store.sqlite"),
+            queue=str(tmp_path / "queue.sqlite"),
+        )
+        client = ServiceClient(make_app(service))
+        try:
+            # Campaign.run's record stream, stopped after one record.
+            stream = Campaign(
+                SPEC["scenarios"], equipage="none", runs_per_scenario=3
+            ).iter_records(seed=5, chunk_size=1, store=service.store)
+            next(stream)
+            stream.close()
+            (listed,) = client.get("/campaigns").json()["campaigns"]
+            body = client.get(f"/campaigns/{listed['campaign_id']}").json()
+            assert body["completed"] == 1 and body["num_scenarios"] == 2
+            assert body["complete"] is False
+            assert body["state"] == "external"
+            assert body["error"] is None
+        finally:
+            service.close()
+
     def test_claimed_chunk_keeps_campaign_incomplete(self, tmp_path):
         # A worker stores a chunk's records, then releases the chunk.
         # In between, every record is stored but the chunk is still

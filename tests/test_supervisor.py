@@ -81,7 +81,7 @@ class TestCrashLoop:
             restart_backoff=0.01,
             max_restarts=3,
             restart_window=60.0,
-            monitor_interval=0.01,
+            poll_interval=0.01,
             command=crashing_command("boom: table file missing"),
         )
         with pytest.raises(RuntimeError) as excinfo:
@@ -107,7 +107,7 @@ class TestCrashLoop:
         with WorkQueue(queue_path):
             pass  # create the database; nothing queued
         report = FleetSupervisor(
-            queue_path, workers=2, monitor_interval=0.01
+            queue_path, workers=2, poll_interval=0.01
         ).run(timeout=60)
         assert report.drained
         assert report.restarts == 0 and report.gave_up == 0
@@ -124,7 +124,7 @@ class TestCrashLoop:
             workers=1,
             restart_backoff=0.01,
             max_restarts=2,
-            monitor_interval=0.01,
+            poll_interval=0.01,
             command=crashing_command(),
         ).run(timeout=30)
         assert report.gave_up == 1
@@ -144,7 +144,6 @@ class TestDegradation:
             poll_interval=0.05,
             restart_backoff=0.01,
             max_restarts=2,
-            monitor_interval=0.05,
         )
         default = supervisor._default_command
 
@@ -173,7 +172,7 @@ class TestStallDetection:
             restart_backoff=0.01,
             max_restarts=2,
             stall_timeout=0.5,
-            monitor_interval=0.05,
+            poll_interval=0.05,
             command=sleeper_command,
         )
         with pytest.raises(RuntimeError, match="fleet gave up"):
@@ -187,7 +186,7 @@ class TestStallDetection:
         supervisor = FleetSupervisor(
             queue_path,
             workers=1,
-            monitor_interval=0.05,
+            poll_interval=0.05,
             command=sleeper_command,
         )
         with pytest.raises(TimeoutError):
@@ -212,7 +211,6 @@ class TestRealFleet:
             lease_seconds=1.0,
             poll_interval=0.05,
             restart_backoff=0.05,
-            monitor_interval=0.05,
         )
         outcome = {}
 
