@@ -59,7 +59,10 @@ agent engine agrees with the kernel statistically (under test).  For
 timings on your host run the repository benchmark:
 ``python3 perfbench/run.py --workload ga_paper``.  Very large campaigns
 can stream records without materializing the list via
-``Campaign.iter_records(seed=...)``.
+``Campaign.iter_records(seed=...)``.  Searches use every CPU: a GA
+search (``GeneticAlgorithm.run``, ``SearchRunner``, ``repro search``)
+runs all its generations on one warm process pool, bit for bit the
+serial search, and closes it when the search ends.
 
 Where did the time go?  Run the campaign traced and read the trace
 back: every chunk span carries the megabatch kernel's per-phase

@@ -56,6 +56,13 @@ ga_paper``: the paper's 50-encounter × 100-run GA generations).  For
 campaigns too large to hold in memory, ``Campaign.iter_records``
 streams the same records chunk by chunk.
 
+**Searches use every CPU.**  ``GeneticAlgorithm.run`` — and through it
+``SearchRunner``, ``repro search`` and ``compare_ga_and_random`` —
+keeps one warm process pool (:class:`~repro.experiments.WorkerPool`)
+over every CPU the process may use for the whole search, and closes
+it when the search ends.  The bits are a serial search's; ``taskset
+-c 0`` runs one serially.
+
 **Persisting campaigns.**  Pass a :class:`ResultStore` and the campaign
 writes through a sqlite store under a content-addressed provenance hash
 (seed entropy, backend, equipage, runs, table/config/scenario

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -51,6 +51,30 @@ DEFAULT_OWN_POSITION = (0.0, 0.0, 1000.0)
 #: Fixed own-ship initial bearing, radians (+x axis).
 DEFAULT_OWN_BEARING = 0.0
 
+#: Physical envelopes of an encounter (SI units), far looser than the
+#: search box of ``ParameterRanges`` (15–50 m/s, ±5 m/s, CPA offsets
+#: inside the NMAC cylinder).  A finite but absurd value (a ground
+#: speed of 1e200 m/s) would otherwise simulate into an astronomically
+#: large miss distance: a "no NMAC" verdict about no physical
+#: encounter.  ``time_to_cpa`` is bounded by the noise-tape budget
+#: (``repro.sim.batch.MAX_TAPE_BYTES``) and the angles are periodic.
+MAX_GROUND_SPEED = 400.0  # above the speed of sound at sea level
+MAX_VERTICAL_SPEED = 100.0  # about 20,000 ft/min
+MAX_CPA_HORIZONTAL_DISTANCE = 50_000.0
+MAX_CPA_VERTICAL_DISTANCE = 10_000.0
+
+#: ``(low, high)`` envelope per bounded field, checked at construction.
+ENVELOPES: Dict[str, Tuple[float, float]] = {
+    "own_ground_speed": (0.0, MAX_GROUND_SPEED),
+    "own_vertical_speed": (-MAX_VERTICAL_SPEED, MAX_VERTICAL_SPEED),
+    "cpa_horizontal_distance": (0.0, MAX_CPA_HORIZONTAL_DISTANCE),
+    "cpa_vertical_distance": (
+        -MAX_CPA_VERTICAL_DISTANCE, MAX_CPA_VERTICAL_DISTANCE,
+    ),
+    "intruder_ground_speed": (0.0, MAX_GROUND_SPEED),
+    "intruder_vertical_speed": (-MAX_VERTICAL_SPEED, MAX_VERTICAL_SPEED),
+}
+
 
 @dataclass(frozen=True)
 class EncounterParameters:
@@ -74,12 +98,15 @@ class EncounterParameters:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.own_ground_speed < 0 or self.intruder_ground_speed < 0:
-            raise ValueError("ground speeds must be non-negative")
+        for name, (low, high) in ENVELOPES.items():
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(
+                    f"{name} must lie in its physical envelope "
+                    f"[{low:g}, {high:g}], got {value!r}"
+                )
         if self.time_to_cpa <= 0:
             raise ValueError("time_to_cpa must be positive")
-        if self.cpa_horizontal_distance < 0:
-            raise ValueError("cpa_horizontal_distance must be non-negative")
 
     def as_array(self) -> np.ndarray:
         """The parameters as a genome vector (order: PARAMETER_NAMES)."""

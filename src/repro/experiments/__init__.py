@@ -16,7 +16,9 @@ package expresses it declaratively:
 - :mod:`repro.experiments.campaign` — the :class:`Campaign` object
   (scenarios × backend × equipage × runs) with deterministic serial,
   process-parallel or streaming (:meth:`Campaign.iter_records`)
-  execution and :class:`ResultSet` export.
+  execution and :class:`ResultSet` export, plus :class:`WorkerPool`,
+  the one process pool: one-shot for ``run(workers=N)``, or kept warm
+  across many campaigns with ``run(pool=...)``.
 
 Everything downstream — GA fitness, Monte-Carlo estimation, the CLI —
 executes through this API, so sharding, persistence and new workloads
@@ -34,7 +36,12 @@ from repro.experiments.backends import (
     make_backend,
     register_backend,
 )
-from repro.experiments.campaign import Campaign, ResultSet, RunRecord
+from repro.experiments.campaign import (
+    Campaign,
+    ResultSet,
+    RunRecord,
+    WorkerPool,
+)
 from repro.experiments.scenario import (
     PRESETS,
     ExplicitSource,
@@ -65,6 +72,7 @@ __all__ = [
     "SimulationBackend",
     "VectorizedBackend",
     "VectorizedBatchBackend",
+    "WorkerPool",
     "as_scenario_source",
     "source_from_spec",
     "available_backends",

@@ -11,18 +11,24 @@ Determinism is the load-bearing property: the campaign's root seed is
 expanded with ``SeedSequence.spawn`` into one child per scenario before
 any simulation starts, so the result is bitwise identical whether the
 scenarios execute serially (``workers=1``), fan out across a
-``ProcessPoolExecutor`` (``workers>1``, each worker receiving the
-campaign's backend once, through the pool initializer: fork-started
+:class:`WorkerPool` of processes, run as megabatch chunks (the
+``"vectorized-batch"`` backend flattens whole chunks of scenarios into
+one lane array), or stream incrementally through
+:meth:`Campaign.iter_records`.
+
+:class:`WorkerPool` is the one process-pool path.  Each worker
+receives the backend once, through the pool initializer: fork-started
 workers inherit it, logic table and all, without copying or encoding
-anything, and spawn-started ones unpickle it once), run as megabatch
-chunks (the ``"vectorized-batch"`` backend flattens whole chunks of
-scenarios into one lane array), or stream incrementally through
-:meth:`Campaign.iter_records`.  That is the seam sharded or multi-host
-execution attaches to, and the seam the result store already uses:
-``run(store=...)`` / ``iter_records(store=...)`` persist every record
-under a content-addressed provenance hash (:mod:`repro.store`),
-resuming interrupted campaigns and skipping already-stored scenarios
-entirely.
+anything, and spawn-started ones unpickle it once.  ``run(workers=N)``
+opens a one-shot pool for the call; a caller that runs many campaigns
+on one backend keeps a pool warm across them with ``run(pool=...)``,
+which is how a GA search runs every generation on every CPU
+(:class:`~repro.search.fitness.EncounterFitness`).
+
+The result store attaches at the same seam: ``run(store=...)`` /
+``iter_records(store=...)`` persist every record under a
+content-addressed provenance hash (:mod:`repro.store`), resuming
+interrupted campaigns and skipping already-stored scenarios entirely.
 """
 
 from __future__ import annotations
@@ -362,42 +368,150 @@ def _run_chunk(
 
 
 # Per-process backend set by the pool initializer: each worker receives
-# the campaign's backend once, not once per task.
+# the pool's backend once, not once per task.
 _WORKER_BACKEND: Optional[SimulationBackend] = None
 
 
-def _init_worker(
-    backend: SimulationBackend, trace: Optional[Dict[str, str]]
-) -> None:
-    """Pool initializer: keep the campaign's backend for every task.
+def _init_worker(backend: SimulationBackend) -> None:
+    """Pool initializer: keep the pool's backend for every task.
 
     Under ``fork`` (the Linux default before Python 3.14) *backend* is
     the parent's own object, inherited with the process; under
     ``spawn``/``forkserver`` it arrives pickled once per worker
     (numpy's raw array pickling for the logic table).
-
-    *trace* is the submitting process's
-    :func:`~repro.telemetry.trace_context` (``None`` when untraced):
-    the worker then joins that trace, so its chunk and kernel spans
-    land in the campaign's tree as a ``pool:<pid>`` process.
     """
     global _WORKER_BACKEND
     _WORKER_BACKEND = backend
-    if trace is not None:
-        telemetry.ensure(
-            trace["db"],
-            trace["trace_id"],
-            remote_parent=trace["parent_id"],
-            process=f"pool:{os.getpid()}",
-        )
+
+
+def _task_trace() -> Optional[Dict[str, str]]:
+    """The trace context a pool task carries (``None`` when untraced).
+
+    Its parent is the span open at submission (a ``campaign.run``), not
+    the trace's root, so a pooled chunk sits where the serial loop would
+    put it.
+    """
+    context = telemetry.trace_context()
+    current = telemetry.current_span()
+    if context is not None and current is not None:
+        context["parent_id"] = current.span_id
+    return context
 
 
 def _worker_execute_chunk(
-    num_runs: int, chunk_index: int, chunk: WorkChunk
+    num_runs: int,
+    chunk_index: int,
+    chunk: WorkChunk,
+    trace: Optional[Dict[str, str]],
 ) -> List[Tuple[int, BatchResult]]:
-    """Worker task entry point: run one chunk on the per-process backend."""
+    """Worker task entry point: run one chunk on the per-process backend.
+
+    *trace* is the submitter's :func:`_task_trace`.  The worker joins
+    that trace as a ``pool:<pid>`` process and seats this chunk's span
+    under the parent the task names: a warm pool serves many campaigns,
+    so the parent must come with each task, never from whichever task
+    armed the worker first.  A task without a context records nothing.
+    """
     assert _WORKER_BACKEND is not None, "worker pool not initialized"
+    if trace is None:
+        if telemetry.armed():
+            telemetry.disarm()
+    else:
+        telemetry.ensure(
+            trace["db"], trace["trace_id"], process=f"pool:{os.getpid()}"
+        ).remote_parent = trace["parent_id"]
     return _run_chunk(_WORKER_BACKEND, num_runs, chunk_index, chunk)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (so ``taskset`` and cpusets count), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def default_pool_size(
+    backend: SimulationBackend, num_runs: int, num_scenarios: int
+) -> int:
+    """Processes worth starting for campaigns of *num_scenarios*.
+
+    ``min(usable CPUs, chunks in the default plan at that width)``:
+    every chunk gets a process and no process idles.  ``1`` means run
+    serially, in-process.
+    """
+    cpus = usable_cpus()
+    chunk = _default_chunk_size(backend, num_runs, num_scenarios, cpus)
+    return min(cpus, -(-num_scenarios // chunk))
+
+
+class WorkerPool:
+    """A process pool whose workers each hold one simulation backend.
+
+    The one process-parallel path of :class:`Campaign`:
+    ``run(workers=N)`` opens a one-shot pool for its call, and a caller
+    that runs many campaigns on one backend keeps a pool open across
+    them (``run(pool=...)``), so only the first campaign pays for
+    process start-up and each worker's first touch of the logic table.
+    Results are bitwise identical to a serial run whichever way.
+
+    Use it as a context manager (or call :meth:`close`): leaving the
+    block shuts the pool down and reaps its processes.  A pool whose
+    process died is broken: the next campaign on it raises
+    ``concurrent.futures.process.BrokenProcessPool`` at once.
+    """
+
+    def __init__(self, backend: SimulationBackend, workers: int):
+        self.backend = backend
+        self.workers = workers
+        # The backend travels once per process, through the initializer;
+        # processes start with the first task.
+        self._executor = ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(backend,),
+        )
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Cancel queued chunks, stop the processes and reap them."""
+        self._executor.shutdown(wait=True, cancel_futures=True)
+
+    def run_chunks(
+        self, num_runs: int, chunks: List[WorkChunk]
+    ) -> Iterator[List[Tuple[int, BatchResult]]]:
+        """Simulate *chunks* on the pool, yielding outcomes in order.
+
+        Only a bounded window of chunks is in flight, so a slow consumer
+        of the stream does not accumulate every finished chunk's results
+        in memory.
+        """
+        trace = _task_trace()
+
+        def submit(chunk_index, chunk):
+            return self._executor.submit(
+                _worker_execute_chunk, num_runs, chunk_index, chunk, trace
+            )
+
+        chunk_iter = enumerate(chunks)
+        pending = deque(
+            submit(*item) for item in islice(chunk_iter, self.workers + 1)
+        )
+        try:
+            while pending:
+                outcomes = pending.popleft().result()
+                pending.extend(submit(*item) for item in islice(chunk_iter, 1))
+                yield outcomes
+        finally:
+            # An abandoned stream must not leave its chunks queued ahead
+            # of the next campaign's.
+            for future in pending:
+                future.cancel()
 
 
 class Campaign:
@@ -557,7 +671,7 @@ class Campaign:
             simulation run) derives from it deterministically.
         workers:
             ``1`` simulates in-process; ``>1`` fans chunks out across a
-            ``ProcessPoolExecutor`` whose workers each receive the
+            one-shot :class:`WorkerPool` whose workers each receive the
             campaign's backend once, at start-up.
         chunk_size:
             Scenarios per execution chunk.  Default: a megabatch-sized
@@ -636,6 +750,7 @@ class Campaign:
         plan: "_StorePlan",
         scenario_list: List,
         workers: int,
+        pool: Optional[WorkerPool] = None,
     ) -> Iterator[RunRecord]:
         """Merge stored records with the fresh simulation stream.
 
@@ -657,6 +772,7 @@ class Campaign:
                 scenario_list,
                 plan.missing_chunks,
                 min(workers, len(plan.missing_chunks)),
+                pool,
             )
             for record in fresh:
                 yield from stored_upto(record.index)
@@ -711,11 +827,28 @@ class Campaign:
         scenario_list: List,
         chunks: List[WorkChunk],
         workers: int,
+        pool: Optional[WorkerPool] = None,
     ) -> Iterator[RunRecord]:
-        """Execute a fixed plan, yielding records in index order."""
+        """Execute a fixed plan, yielding records in index order.
 
-        def to_records(outcomes) -> Iterator[RunRecord]:
-            for index, result in outcomes:
+        One usable worker runs in-process.  Otherwise the chunks go to
+        *pool*, or to a one-shot :class:`WorkerPool` of *workers*.
+        """
+        if workers == 1:
+            outcomes = (
+                _run_chunk(self.backend, self.runs_per_scenario, index, chunk)
+                for index, chunk in enumerate(chunks)
+            )
+        elif pool is None:
+            with WorkerPool(self.backend, workers) as one_shot:
+                yield from self._iter_planned(
+                    scenario_list, chunks, workers, one_shot
+                )
+            return
+        else:
+            outcomes = pool.run_chunks(self.runs_per_scenario, chunks)
+        for outcome in outcomes:
+            for index, result in outcome:
                 scenario = scenario_list[index]
                 yield RunRecord(
                     index=index,
@@ -724,44 +857,13 @@ class Campaign:
                     runs=result,
                 )
 
-        if workers == 1:
-            for chunk_index, chunk in enumerate(chunks):
-                yield from to_records(_run_chunk(
-                    self.backend, self.runs_per_scenario, chunk_index, chunk
-                ))
-            return
-
-        # The backend (and the trace to join, if any) travels once per
-        # worker, through the initializer.
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(self.backend, telemetry.trace_context()),
-        ) as pool:
-            # Keep only a bounded window of chunks in flight so a slow
-            # consumer of the stream does not accumulate every finished
-            # chunk's results in memory.
-            def submit(chunk_index, chunk):
-                return pool.submit(
-                    _worker_execute_chunk, self.runs_per_scenario,
-                    chunk_index, chunk,
-                )
-
-            chunk_iter = enumerate(chunks)
-            pending = deque(
-                submit(*item) for item in islice(chunk_iter, workers + 1)
-            )
-            while pending:
-                outcomes = pending.popleft().result()
-                pending.extend(submit(*item) for item in islice(chunk_iter, 1))
-                yield from to_records(outcomes)
-
     def run(
         self,
         seed: SeedLike = None,
         workers: int = 1,
         chunk_size: Optional[int] = None,
         store: Optional["ResultStore"] = None,
+        pool: Optional[WorkerPool] = None,
     ) -> ResultSet:
         """Execute the campaign and aggregate a :class:`ResultSet`.
 
@@ -769,6 +871,14 @@ class Campaign:
         streams — same parameters, same determinism guarantee (the
         result is bitwise identical for any ``workers``/``chunk_size``
         given the same root seed).
+
+        *pool* runs the plan on an open :class:`WorkerPool` instead of
+        starting one, with or without a *store*; the plan is sized for
+        ``pool.workers``.  The pool must have been built for this
+        campaign's backend object (its processes simulate with the
+        backend they were given, so any other would return wrong bits
+        without an error), and ``workers`` must stay 1: both are
+        ``ValueError``.
 
         With a *store*, the campaign resumes: scenarios already
         persisted under the same provenance hash load from the store
@@ -781,9 +891,9 @@ class Campaign:
         self-describing.
 
         With ``backend="distributed"`` the campaign runs on a worker
-        fleet instead (``workers`` is ignored — the fleet is the
-        parallelism) and is collected from the fleet's store, bitwise
-        identical to the in-process run.
+        fleet instead (``workers`` and ``pool`` are ignored — the fleet
+        is the parallelism) and is collected from the fleet's store,
+        bitwise identical to the in-process run.
 
         Where the time went is a trace question: run with tracing armed
         (``telemetry.collect(db)``, or ``repro campaign --trace``) and
@@ -792,11 +902,20 @@ class Campaign:
         / ``kernel.observe`` children — serially, in a worker pool, or
         on a fleet — with results bitwise identical to an untraced run.
         """
+        if pool is not None:
+            if pool.backend is not self.backend:
+                raise ValueError(
+                    "pool= was built for a different backend: its "
+                    "processes would simulate with that backend's table"
+                )
+            if workers != 1:
+                raise ValueError("pass workers= or pool=, not both")
+            workers = pool.workers
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             # A fleet-native backend owns the whole submit → wait →
             # collect cycle (its queue/store paths were fixed at
-            # construction); workers= is ignored — the external fleet
-            # is the parallelism.
+            # construction); workers= and pool= are ignored — the
+            # external fleet is the parallelism.
             self._check_backend_store(store)
             return self.backend.run_campaign(
                 self, seed=seed, chunk_size=chunk_size
@@ -814,7 +933,7 @@ class Campaign:
                 )
                 run_span.set(scenarios=len(scenario_list), workers=workers)
                 records = list(
-                    self._iter_planned(scenario_list, chunks, workers)
+                    self._iter_planned(scenario_list, chunks, workers, pool)
                 )
             else:
                 scenario_list, plan, workers = self._store_plan(
@@ -826,7 +945,9 @@ class Campaign:
                     campaign_id=plan.campaign_id, loaded=len(plan.done),
                 )
                 records = list(
-                    self._iter_stored(store, plan, scenario_list, workers)
+                    self._iter_stored(
+                        store, plan, scenario_list, workers, pool
+                    )
                 )
                 if plan.missing_chunks:
                     # Only runs that simulated contribute wall time (and

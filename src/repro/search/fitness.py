@@ -14,7 +14,10 @@ registry-selected backend (``"vectorized-batch"`` by default — the
 megabatch fast path, which also lets a GA generation's whole population
 be simulated as one flattened lane array via
 :meth:`EncounterFitness.evaluate_population`; ``"agent"`` for the
-faithful engine); an ablation variant
+faithful engine).  Inside a ``with fitness:`` scope — which
+:meth:`~repro.search.ga.GeneticAlgorithm.run` opens for a whole search —
+every generation runs on one warm process pool that uses every CPU,
+with bits identical to a serial search; an ablation variant
 (:class:`CollisionRateFitness`) scores the raw NMAC rate instead, to
 show why the paper's shaped fitness searches better (a pure indicator
 gives the GA no gradient until a collision is found).
@@ -33,7 +36,7 @@ if TYPE_CHECKING:
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters
 from repro.experiments.backends import SimulationBackend, make_backend
-from repro.experiments.campaign import Campaign
+from repro.experiments.campaign import Campaign, WorkerPool, default_pool_size
 from repro.sim.batch import BatchResult
 from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_generator
@@ -88,6 +91,18 @@ class EncounterFitness:
         campaigns log through — every generation's population campaign
         is persisted with provenance, so a search's raw simulation
         evidence survives the run and can be queried afterwards.
+
+    The fitness is a context manager, and
+    :meth:`~repro.search.ga.GeneticAlgorithm.run` enters it for the
+    whole search.  Inside the scope, the first
+    :meth:`evaluate_population` opens a :class:`WorkerPool` of
+    ``min(usable CPUs, chunks in the generation's plan)`` processes,
+    every later one reuses it, and the outermost exit closes it, also
+    when the search raises.  Scopes nest: an inner ``with`` reuses the
+    open pool.  Outside any scope, on one CPU, or on a fleet-bound
+    backend (``"distributed"``, whose fleet is the parallelism)
+    evaluation stays serial in-process.  Pooled or not, the
+    fitnesses, stored records and campaign ids are bitwise identical.
     """
 
     def __init__(
@@ -119,6 +134,32 @@ class EncounterFitness:
         self.store = store
         self._rng = as_generator(seed)
         self.evaluations = 0
+        self._scopes = 0
+        self._pool: Optional[WorkerPool] = None
+
+    def __enter__(self) -> "EncounterFitness":
+        self._scopes += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._scopes -= 1
+        if self._scopes == 0 and self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.close()
+
+    def _scope_pool(self, num_genomes: int) -> Optional[WorkerPool]:
+        """The open scope's pool, started by its first evaluation."""
+        if (
+            self._pool is None
+            and self._scopes
+            and not hasattr(self.backend, "run_campaign")
+        ):
+            workers = default_pool_size(
+                self.backend, self.num_runs, num_genomes
+            )
+            if workers > 1:
+                self._pool = WorkerPool(self.backend, workers)
+        return self._pool
 
     def simulate(self, genome: np.ndarray) -> BatchResult:
         """Run one genome's campaign of stochastic simulation runs."""
@@ -144,7 +185,9 @@ class EncounterFitness:
         ``(pop × num_runs)`` simulation runs flatten into a handful of
         lane-array chunks, eliminating the per-genome campaign
         overhead.  Works with any backend (non-bulk backends simulate
-        scenario by scenario inside the campaign).
+        scenario by scenario inside the campaign).  Inside a ``with
+        fitness:`` scope the chunks run on the scope's warm
+        :class:`WorkerPool`.
         """
         genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
         campaign = Campaign(
@@ -156,7 +199,10 @@ class EncounterFitness:
             runs_per_scenario=self.num_runs,
             sim_config=self.config,
         )
-        result_set = campaign.run(seed=self._rng, store=self.store)
+        result_set = campaign.run(
+            seed=self._rng, store=self.store,
+            pool=self._scope_pool(len(genomes)),
+        )
         self.evaluations += len(genomes)
         return np.array(
             [self.score(record.runs) for record in result_set], dtype=float

@@ -18,6 +18,7 @@ Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -180,12 +181,31 @@ class GeneticAlgorithm:
         ----------
         fitness:
             Genome → scalar to maximize (typically
-            :class:`repro.search.fitness.EncounterFitness`).
+            :class:`repro.search.fitness.EncounterFitness`).  A fitness
+            that is a context manager is entered for the whole search
+            and left when it returns or raises: an
+            :class:`~repro.search.fitness.EncounterFitness` keeps one
+            warm process pool across every generation that way, and
+            none of its processes outlives the search.
         seed:
             RNG seed for the whole search.
         callback:
             Optional per-generation hook ``(index, genomes, fitnesses)``.
         """
+        scope = (
+            fitness if isinstance(fitness, AbstractContextManager)
+            else nullcontext()
+        )
+        with scope:
+            return self._evolve(fitness, seed, callback)
+
+    def _evolve(
+        self,
+        fitness: FitnessFunction,
+        seed: SeedLike,
+        callback: Optional[Callable[[int, np.ndarray, np.ndarray], None]],
+    ) -> GAResult:
+        """The generational loop of :meth:`run`."""
         rng = as_generator(seed)
         config = self.config
         num_genes = len(self._lows)

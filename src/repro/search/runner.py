@@ -66,6 +66,11 @@ class SearchOutcome:
 class SearchRunner:
     """Configures and runs one GA validation search.
 
+    :meth:`run` evaluates every generation on one warm process pool
+    over every CPU the process may use, opened and closed by the
+    search itself (see :class:`EncounterFitness`); the outcome is
+    bitwise identical to a serial search.
+
     Parameters
     ----------
     table:

@@ -19,9 +19,9 @@ pieces:
 - :mod:`repro.sim.batch` — the megabatch kernel, a vectorized fast
   path that simulates the noisy runs of many encounters as one lane
   array (with pre-drawn noise tapes; its per-phase timings become
-  ``kernel.*`` spans of a traced run);
-- :mod:`repro.sim.batch_reference` — a frozen copy of the kernel's
-  pre-refactor numerics, the oracle its bitwise tests compare against.
+  ``kernel.*`` spans of a traced run).  Its bitwise tests compare it
+  against a frozen copy of its pre-refactor numerics that lives with
+  the tests (``tests/batch_reference.py``).
 """
 
 from repro.sim.agents import UavAgent

@@ -20,8 +20,8 @@ kernel is organised as:
   ``0.0 + std * z`` over ``size`` sequential draws of the same ziggurat
   stream, so the tape slices are bitwise identical to those inline
   draws while eliminating the per-decision Python RNG loop
-  (:mod:`repro.sim.batch_reference` freezes that inline-draw loop as
-  the independent equivalence oracle).
+  (``tests/batch_reference.py`` freezes that inline-draw loop as the
+  independent equivalence oracle).
 - **Per-phase timers** — every ``run_many`` call times its tape-draw,
   decision, physics and observe phases and, when tracing is armed,
   records them as ``kernel.*`` spans under the caller's open span
@@ -537,9 +537,9 @@ class BatchEncounterSimulator:
         (``run(params, num_runs, seed)``) — independent of which
         scenarios share the batch and in what order (chunking cannot
         change results).  The pre-refactor inline-draw implementation
-        survives as
-        :func:`repro.sim.batch_reference.reference_run_many`, the
-        independent oracle the equivalence tests compare against.
+        survives as ``reference_run_many`` in
+        ``tests/batch_reference.py``, the independent oracle the
+        equivalence tests compare against.
 
         With tracing armed, the call's phase timings land as four
         ``kernel.*`` spans under the caller's open span.  A call whose

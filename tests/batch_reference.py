@@ -12,6 +12,10 @@ kernel broke or the repo's numerics were changed on purpose — in the
 latter case update this module (and say so loudly in the commit),
 because every stored campaign digest shifts with it.
 
+It lives with the tests, not in the package: only tests run it.
+``kernel_golden.json`` beside it pins the kernel's outputs by digest,
+for a change that would move the kernel and this copy together.
+
 Its shape is the pre-refactor one: a per-decision Python loop issuing
 ~``2 + 2 * substeps`` tiny ``Generator.normal`` calls per scenario, a
 gather + scatter per ``observe`` call, and per-corner Python-loop grid

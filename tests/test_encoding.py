@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.dynamics.aircraft import time_to_cpa
 from repro.encounters.encoding import (
     DEFAULT_OWN_POSITION,
+    ENVELOPES,
     PARAMETER_NAMES,
     EncounterParameters,
     cpa_states,
@@ -74,6 +75,43 @@ class TestParameters:
         genome[PARAMETER_NAMES.index("time_to_cpa")] = math.inf
         with pytest.raises(ValueError, match="time_to_cpa"):
             EncounterParameters.from_array(genome)
+
+    @pytest.mark.parametrize("field", sorted(ENVELOPES))
+    def test_envelope_edges_are_accepted(self, field):
+        low, high = ENVELOPES[field]
+        assert getattr(make_params(**{field: low}), field) == low
+        assert getattr(make_params(**{field: high}), field) == high
+
+    @pytest.mark.parametrize("side", ["below", "above", "absurd"])
+    @pytest.mark.parametrize("field", sorted(ENVELOPES))
+    def test_value_outside_envelope_rejected(self, field, side):
+        # A finite but absurd value (own_ground_speed=1e200) used to
+        # simulate into a 1e186 m miss and a "no NMAC" verdict.
+        low, high = ENVELOPES[field]
+        value = {
+            "below": math.nextafter(low, -math.inf),
+            "above": math.nextafter(high, math.inf),
+            "absurd": 1e200 if field != "cpa_horizontal_distance" else 1e308,
+        }[side]
+        envelope = f"[{low:g}, {high:g}]"
+        with pytest.raises(ValueError, match=field) as excinfo:
+            make_params(**{field: value})
+        assert envelope in str(excinfo.value)
+
+    def test_search_box_and_models_lie_inside_the_envelopes(self):
+        from repro.encounters import ParameterRanges, StatisticalEncounterModel
+        from repro.experiments import PRESETS, preset_scenario
+
+        ranges = ParameterRanges()
+        for field, (low, high) in ENVELOPES.items():
+            box_low, box_high = getattr(ranges, field)
+            # Much looser than the search box, on both sides (a zero
+            # floor is physical: speeds and distances are magnitudes).
+            assert low <= box_low - 10.0 or low == box_low == 0.0
+            assert high >= 5 * box_high
+        for name in PRESETS:
+            preset_scenario(name)
+        assert len(StatisticalEncounterModel().sample(2000, seed=0)) == 2000
 
 
 class TestDecode:

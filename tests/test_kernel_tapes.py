@@ -5,14 +5,22 @@ tapes and then runs the decision/physics/observe phases over one lane
 array.  These tests pin the contract down:
 
 - the tape kernel is **bitwise identical** to the frozen pre-refactor
-  implementation (:mod:`repro.sim.batch_reference`) across every
-  equipage × coordination × substeps combination, and each scenario's
-  slice equals its one-scenario :meth:`run` call;
+  implementation (``batch_reference.py`` beside this file) across
+  every equipage × coordination × substeps combination, and each
+  scenario's slice equals its one-scenario :meth:`run` call;
+- its outputs over that grid, whole and chunked, hash to the digests
+  committed in ``kernel_golden.json``, which also catches a change
+  (a numpy upgrade) that moves the kernel and the oracle together;
 - chunking cannot change a single bit;
 - with tracing armed, every kernel call's phase timers land as four
   synthetic ``kernel.*`` spans under the open chunk span — serially and
   in a worker pool — without changing a bit.
 """
+
+import hashlib
+import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +34,11 @@ from repro.encounters import (
 from repro.experiments import Campaign, make_backend
 from repro.experiments.campaign import _execute_chunk
 from repro.sim.batch import MAX_TAPE_BYTES, BatchEncounterSimulator, tape_bytes
-from repro.sim.batch_reference import reference_run_many
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore, results_digest
+
+from batch_reference import reference_run_many
 
 RESULT_FIELDS = (
     "min_separation",
@@ -45,8 +54,7 @@ def assert_results_equal(a, b):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
-@pytest.fixture(scope="module")
-def mixed_durations():
+def mixed_scenarios():
     """Mixed-duration scenarios so the sorted active-lane prefix, the
     tape slicing, and the early-stop mask are all exercised."""
     model = StatisticalEncounterModel()
@@ -55,6 +63,49 @@ def mixed_durations():
         head_on_encounter(time_to_cpa=8.0),
         tail_approach_encounter(time_to_cpa=55.0),
     ]
+
+
+@pytest.fixture(scope="module")
+def mixed_durations():
+    return mixed_scenarios()
+
+
+#: Committed digests of the kernel's outputs (:func:`kernel_digests`).
+KERNEL_GOLDEN = Path(__file__).with_name("kernel_golden.json")
+
+
+def kernel_digests(table, scenarios):
+    """sha256 of ``run_many``'s outputs over the bitwise test's grid.
+
+    One digest per equipage × coordination × substeps cell, for the
+    scenarios in one call ("whole") and in two ("split", 3 + the rest).
+    """
+    seeds = [1000 + i for i in range(len(scenarios))]
+    chunkings = {
+        "whole": [slice(None)],
+        "split": [slice(None, 3), slice(3, None)],
+    }
+    digests = {}
+    for equipage, coordination, substeps in itertools.product(
+        ("both", "own-only", "none"), (True, False), (1, 4)
+    ):
+        sim = BatchEncounterSimulator(
+            table if equipage != "none" else None,
+            EncounterSimConfig(physics_substeps=substeps),
+            equipage=equipage,
+            coordination=coordination,
+        )
+        for chunking, parts in chunkings.items():
+            sha = hashlib.sha256()
+            for part in parts:
+                for result in sim.run_many(scenarios[part], 7, seeds[part]):
+                    for field in RESULT_FIELDS:
+                        sha.update(np.ascontiguousarray(
+                            getattr(result, field)
+                        ).tobytes())
+            cell = f"{equipage}/coordination={coordination}/substeps={substeps}"
+            digests[f"{cell}/{chunking}"] = sha.hexdigest()
+    return digests
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +141,20 @@ class TestTapeKernelBitwise:
         batch = sim.run_many(mixed_durations, 9, seeds)
         for params, seed, result in zip(mixed_durations, seeds, batch):
             assert_results_equal(result, sim.run(params, 9, seed))
+
+    def test_matches_committed_digests(self, test_table, mixed_durations):
+        """The kernel's outputs hash to the committed golden digests.
+
+        The oracle comparison above cannot see a change that moves the
+        kernel and the oracle together (a numpy upgrade); this can.
+        """
+        golden = json.loads(KERNEL_GOLDEN.read_text())
+        assert kernel_digests(test_table, mixed_durations) == (
+            golden["digests"]
+        ), (
+            f"kernel outputs moved (digests recorded under numpy "
+            f"{golden['numpy']}, running {np.__version__})"
+        )
 
     def test_chunk_invariance(self, test_table, mixed_durations):
         """Which scenarios share a batch cannot change any bit."""

@@ -323,9 +323,11 @@ class TestPoolWorkers:
             max_workers=1,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
-            initargs=(backend, None),  # untraced
+            initargs=(backend,),
         ) as pool:
-            future = pool.submit(_worker_execute_chunk, 4, 0, chunk)
+            future = pool.submit(
+                _worker_execute_chunk, 4, 0, chunk, None  # untraced
+            )
             outcome = future.result(timeout=120)
         assert [index for index, _ in outcome] == [0, 1]
         for (_, want), (_, got) in zip(expected, outcome):

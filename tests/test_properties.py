@@ -21,9 +21,10 @@ from repro.encounters.encoding import (
 )
 from repro.search.fitness import COLLISION_GAIN, paper_fitness
 from repro.sim import BatchEncounterSimulator, EncounterSimConfig
-from repro.sim.batch_reference import reference_run_many
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.sensors import AdsBSensor
+
+from batch_reference import reference_run_many
 
 #: Strategy over the full scenario-generator parameter box.
 encounter_params = st.builds(

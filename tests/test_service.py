@@ -315,6 +315,18 @@ class TestErrorPaths:
         assert response.status == 400
         assert "intruder_vertical_speed" in response.json()["error"]
 
+    def test_geometry_outside_its_envelope_is_400(self, client):
+        # Finite but absurd: a 1e200 m/s own-ship would simulate into a
+        # 1e186 m miss, a "no NMAC" verdict about no physical encounter.
+        absurd = [1e200, 0, 30, 50, 1, -10, 25, 2.5, 0]
+        response = client.post("/campaigns", json_body={
+            **UNEQUIPPED, "scenarios": [absurd], "runs": 2,
+        })
+        assert response.status == 400
+        error = response.json()["error"]
+        assert "own_ground_speed" in error and "[0, 400]" in error
+        assert client.get("/campaigns").json()["campaigns"] == []
+
     def test_oversized_noise_tape_is_400(self, client):
         # time_to_cpa=1e6 is finite, but one chunk of it would ask a
         # worker for gigabytes of noise tape: refused before planning.
