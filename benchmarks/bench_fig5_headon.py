@@ -6,9 +6,7 @@ too, and the pair separates.  Regenerates the advisory assignment and
 the resulting separation; times one full agent-based encounter.
 """
 
-from pathlib import Path
-
-from conftest import record_result
+from conftest import record_figure, record_result
 
 from repro.analysis.figures import trajectory_figure
 from repro.encounters import head_on_encounter
@@ -39,9 +37,10 @@ def test_bench_fig5_headon(benchmark, paper_table):
         or (own_advisories & DOWN and intr_advisories & DOWN)
     )
 
-    figure = trajectory_figure(
+    figure = record_figure(
+        trajectory_figure,
         result.trace,
-        Path(__file__).parent / "results" / "fig5_trajectories.svg",
+        "fig5_trajectories.svg",
         title="Coordinated head-on resolution (cf. Fig. 5)",
     )
     record_result(

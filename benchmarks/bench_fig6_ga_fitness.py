@@ -10,10 +10,9 @@ REPRO_PAPER_SCALE=1 for the full 200 x 5 x 100).
 """
 
 import os
-from pathlib import Path
 
 import numpy as np
-from conftest import record_campaign, record_result
+from conftest import record_campaign, record_figure, record_result
 
 from repro.analysis.figures import fitness_scatter, generation_means_figure
 from repro.experiments import Campaign
@@ -58,12 +57,11 @@ def test_bench_fig6_fitness_over_generations(benchmark, fast_table, smoke):
         f"mean fitness rose {first_mean:.1f} -> {last_mean:.1f} "
         f"({last_mean / first_mean:.2f}x)"
     )
-    results_dir = Path(__file__).parent / "results"
-    scatter_path = fitness_scatter(
-        outcome.ga_result, results_dir / "fig6_scatter.svg"
+    scatter_path = record_figure(
+        fitness_scatter, outcome.ga_result, "fig6_scatter.svg"
     )
-    means_path = generation_means_figure(
-        outcome.ga_result, results_dir / "fig6_means.svg"
+    means_path = record_figure(
+        generation_means_figure, outcome.ga_result, "fig6_means.svg"
     )
     lines.append(f"figures: {scatter_path.name}, {means_path.name}")
     record_result("fig6_ga_fitness", "\n".join(lines) + "\n")

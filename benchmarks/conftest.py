@@ -18,6 +18,7 @@ primary records.  The sqlite file itself is a local accumulating cache
 
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,23 @@ def record_result(name: str, text: str) -> None:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text)
+
+
+def record_figure(draw, data, name: str, **options) -> Path:
+    """Draw a figure to ``benchmarks/results/<name>``; return its path.
+
+    ``draw(data, path, **options)`` is one of the
+    :mod:`repro.analysis.figures` helpers.  Smoke runs still draw it,
+    so the plotting code is exercised, but into a scratch directory
+    that is removed at once (the returned path is only good for its
+    name): shrunken workloads must not overwrite the recorded
+    full-size figures.
+    """
+    if _SMOKE_RUN:
+        with tempfile.TemporaryDirectory() as scratch:
+            return draw(data, Path(scratch) / name, **options)
+    RESULTS_DIR.mkdir(exist_ok=True)
+    return draw(data, RESULTS_DIR / name, **options)
 
 
 def record_campaign(name: str, result_set) -> None:

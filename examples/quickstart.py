@@ -44,11 +44,14 @@ campaign API:
     Prometheus metrics snapshot.
 
 **Choosing a backend.**  ``Campaign(backend=...)`` selects one of two
-simulation behaviours:
+simulation behaviours, each one backend class that owns the setup it
+simulates (table, config, equipage, coordination) and answers one
+call, ``run_many(params_list, num_runs, seeds)``:
 
 - ``"agent"``            — one faithful agent-based simulation per run.
   Full scrutiny: traces, advisory timelines.  Slow.
-- ``"vectorized-batch"`` — the megabatch kernel, default everywhere:
+- ``"vectorized-batch"`` — the megabatch kernel
+  (``BatchEncounterSimulator``), default everywhere:
   whole chunks of scenarios flattened into a single lane array, with
   every scenario's disturbance/sensor noise pre-drawn into tapes, so a
   scenario's bits never depend on which scenarios share its chunk.
@@ -163,8 +166,8 @@ socket) through ``repro.service.testing.ServiceClient``.
 ``telemetry.collect(db)`` context manager) records a cross-process
 span tree into the result store: submit/wait spans from the
 coordinator, claim/simulate/drain spans from every worker — the trace
-context rides the queue job's metadata and ``$REPRO_TRACE``, never the
-campaign spec, so a traced run keeps the bitwise-identical campaign id
+context rides the queue job's metadata and the pool's task arguments,
+never the campaign spec, so a traced run keeps the bitwise-identical campaign id
 and results digest of its untraced twin — plus kernel phase spans,
 store writes, and service requests.  Disarmed (the default) every hook
 returns a shared no-op object.  Metrics aggregate across the fleet

@@ -39,16 +39,23 @@ Quickstart::
     print(results.worst().name, results.worst().min_separation)
 
 **Choosing a backend.**  Two simulation behaviours trade fidelity
-scrutiny for speed:
+scrutiny for speed.  Each is one backend class that owns the whole
+setup (logic table, config, equipage, coordination) and answers one
+call, ``run_many(params_list, num_runs, seeds)``:
 
 - ``agent`` — the faithful engine: one Python-level agent simulation
   per run, every advisory and sensor report inspectable;
-- ``vectorized-batch`` (the default everywhere) — the megabatch kernel:
-  whole chunks of scenarios advance as one flattened lane array, and
-  each scenario's bits depend only on its own seed, never on the
-  chunking.
+- ``vectorized-batch`` (the default everywhere) — the megabatch kernel,
+  :class:`~repro.sim.batch.BatchEncounterSimulator` itself: whole
+  chunks of scenarios advance as one flattened lane array, and each
+  scenario's bits depend only on its own seed, never on the chunking.
 
-The two agree statistically (tests enforce it).  ``vectorized`` is a
+A campaign reads its equipage and coordination from its backend, so
+``Campaign(..., backend=make_backend("vectorized-batch",
+equipage="none"))`` is stored as the unequipped campaign it simulates;
+a ready backend passed with a table, config, equipage, coordination or
+options raises ``TypeError``.  The two agree statistically (tests
+enforce it).  ``vectorized`` is a
 legacy alias of ``vectorized-batch``, bitwise identical, kept so stored
 campaigns that name it keep resolving.  For timings on your host, run
 the repository benchmark (``python3 perfbench/run.py --workload

@@ -61,7 +61,6 @@ from repro.encounters import (
 )
 from repro.encounters.generator import ScenarioGenerator
 from repro.experiments import (
-    EQUIPAGES,
     PRESETS,
     Campaign,
     PresetSource,
@@ -74,7 +73,7 @@ from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 from repro.sim import EncounterSimConfig, run_encounter
 from repro.sim.airspace import AirspaceSimulation
-from repro.sim.encounter import make_acas_pair
+from repro.sim.encounter import EQUIPAGES, make_acas_pair
 from repro.sim.trace import render_vertical_profile
 from repro.store import ResultStore
 
@@ -950,8 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(simulate)
     simulate.add_argument("--geometry", default="head-on",
                           choices=("head-on", "tail", "random"))
-    simulate.add_argument("--equipage", default="both",
-                          choices=("both", "own-only", "none"))
+    simulate.add_argument("--equipage", default="both", choices=EQUIPAGES)
     simulate.add_argument("--trace", action="store_true",
                           help="print an ASCII vertical profile")
     simulate.set_defaults(func=cmd_simulate)

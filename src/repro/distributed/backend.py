@@ -1,11 +1,11 @@
 """The ``"distributed"`` backend: the megabatch backend bound to a fleet.
 
-:class:`DistributedBackend` is
-:class:`~repro.experiments.backends.VectorizedBatchBackend` plus the
-shared queue and store paths, and it keeps the megabatch ``name``: the
+:class:`DistributedBackend` is the megabatch kernel,
+:class:`~repro.sim.batch.BatchEncounterSimulator`, plus the shared
+queue and store paths, and it keeps the megabatch ``name``: the
 campaign's content-addressed id, its ``ResultSet`` and the spec its
 workers rebuild all describe the plain megabatch backend, because
-where chunks execute cannot change a bit.  Direct ``simulate`` calls
+where chunks execute cannot change a bit.  Direct ``run_many`` calls
 run in-process.  ``Campaign(backend="distributed", ...).run(seed)`` —
 and so ``MonteCarloEstimator``, ``SearchRunner``, ``EncounterFitness``
 and ``repro campaign --backend distributed`` — delegates to
@@ -23,7 +23,7 @@ import time
 from typing import Optional
 
 from repro.distributed.coordinator import _queue_path, _store_path, submit
-from repro.experiments.backends import VectorizedBatchBackend
+from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.encounter import EncounterSimConfig
 
 #: Environment variables supplying default queue/store paths, so
@@ -33,7 +33,7 @@ QUEUE_ENV = "REPRO_QUEUE"
 STORE_ENV = "REPRO_STORE"
 
 
-class DistributedBackend(VectorizedBatchBackend):
+class DistributedBackend(BatchEncounterSimulator):
     """The megabatch backend whose campaigns run on a worker fleet.
 
     ``make_backend("distributed", table=..., queue=..., store=...)``;

@@ -41,7 +41,7 @@ from repro import telemetry
 from repro.distributed.queue import ChunkCounts, WorkQueue
 from repro.distributed.worker import Worker
 from repro.experiments.backends import BackendSpec
-from repro.experiments.campaign import Campaign, ResultSet
+from repro.experiments.campaign import Campaign, ResultSet, usable_cpus
 from repro.store import ResultStore
 
 QueueLike = Union[str, Path, WorkQueue]
@@ -307,7 +307,7 @@ class DistributedRun:
             results = store.resultset(self.campaign_id)
         results.metadata.setdefault("loaded", self.already_stored)
         results.metadata.setdefault("simulated", self.simulated)
-        results.metadata.setdefault("cpu_count", os.cpu_count())
+        results.metadata.setdefault("cpu_count", usable_cpus())
         return results
 
 

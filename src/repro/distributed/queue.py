@@ -62,7 +62,9 @@ every write transaction opens ``BEGIN IMMEDIATE`` inside a short
 retry loop, so many workers hammering one queue file serialize cleanly
 instead of surfacing ``database is locked`` errors.  Opening a handle
 switches the journal mode and creates the schema under the same
-bounded retry, so handles opening a fresh file at once do not race.
+bounded retry (:mod:`repro.util.sqlite`, shared with the result store
+and the span table), so handles opening a fresh file at once do not
+race.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import time
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,6 +79,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, telemetry
 from repro.telemetry.metrics import MetricsRegistry, REGISTRY, merge_samples
+from repro.util.sqlite import open_schema, retry_locked
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -150,31 +152,9 @@ DEFAULT_WORKER_TTL = 15.0
 #: fresh while idle polling stays write-free.
 _HEARTBEAT_REFRESH = DEFAULT_WORKER_TTL / 4.0
 
-#: Write-transaction retries when the database stays locked beyond the
-#: busy timeout (contended multi-host filesystems).
-_WRITE_RETRIES = 5
-_RETRY_BACKOFF = 0.05
-
 #: A job's logic table as :meth:`WorkQueue.submit_job` takes it: its
 #: digest and the buffers whose concatenation is the table's raw bytes.
 TableParts = Tuple[str, Sequence[Union[bytes, memoryview]]]
-
-
-def _retry_locked(fn):
-    """Call *fn*, retrying with backoff while the database is locked.
-
-    Some lock conflicts return at once instead of waiting out the busy
-    timeout (sqlite refuses to wait where waiting could deadlock, and
-    a journal-mode switch needs the file to itself), so a bounded
-    retry absorbs them.
-    """
-    for attempt in range(_WRITE_RETRIES):
-        try:
-            return fn()
-        except sqlite3.OperationalError:
-            if attempt == _WRITE_RETRIES - 1:
-                raise
-            time.sleep(_RETRY_BACKOFF * (attempt + 1))
 
 
 @dataclass(frozen=True)
@@ -384,21 +364,11 @@ class WorkQueue:
         self._conn.isolation_level = None
         self._conn.execute("PRAGMA busy_timeout = 30000")
         if self.path != ":memory:":
-            # WAL lets readers (status polling) proceed under writers.
-            _retry_locked(self._enable_wal)
             self._conn.execute("PRAGMA synchronous = NORMAL")
-        _retry_locked(lambda: self._conn.executescript(_SCHEMA))
+        # WAL lets readers (status polling) proceed under writers.
+        open_schema(self._conn, _SCHEMA)
         if "table_digest" not in self._columns("jobs"):
             self._write(self._add_table_digest_column)
-
-    # repro-lint: ok[R4] part of __init__: runs before the handle is
-    # returned to anyone, and a journal-mode switch cannot run inside a
-    # transaction.
-    def _enable_wal(self) -> None:
-        """Switch to WAL unless the file already is (most opens)."""
-        mode = self._conn.execute("PRAGMA journal_mode").fetchone()[0]
-        if mode != "wal":
-            self._conn.execute("PRAGMA journal_mode = WAL")
 
     # repro-lint: ok[R4] read-only schema PRAGMA on this handle's
     # private connection; the migration re-reads it inside _write.
@@ -470,7 +440,7 @@ class WorkQueue:
             )
             self._conn.execute("BEGIN IMMEDIATE")
 
-        _retry_locked(begin)
+        retry_locked(begin)
         try:
             result = fn()
             # Fault seam: "queue.commit" stretches the window in which

@@ -33,7 +33,6 @@ before the drain (the heartbeat only samples every ``lease/3``).
 
 from __future__ import annotations
 
-import os
 import pickle
 import sys
 import threading
@@ -54,7 +53,7 @@ from repro.distributed.queue import (
     default_worker_id,
 )
 from repro.experiments.backends import BackendSpec, SimulationBackend
-from repro.experiments.campaign import RunRecord, _execute_chunk
+from repro.experiments.campaign import RunRecord, _execute_chunk, usable_cpus
 from repro.faults import InjectedWorkerCrash
 from repro.store import ResultStore, table_digest
 from repro.telemetry.metrics import MetricsRegistry
@@ -537,7 +536,7 @@ class Worker:
             store.add_wall_time(
                 chunk.campaign_id,
                 time.perf_counter() - chunk_start,
-                cpu_count=os.cpu_count(),
+                cpu_count=usable_cpus(),
             )
             drain_span.set(written=written, deduped=deduped)
         stats.records_written += written
@@ -621,11 +620,7 @@ class Worker:
         backend = self._backends.get(job.backend_spec)
         if backend is None:
             spec: BackendSpec = pickle.loads(job.backend_spec)
-            if (
-                spec.table_digest is None
-                and spec.table_path is None
-                and spec.equipage != "none"
-            ):
+            if spec.table_digest is None and spec.equipage != "none":
                 # Queued by a version that pickled the table into the
                 # spec.  Forget the row: a re-submit rewrites it.
                 self._jobs.pop(job.campaign_id, None)
@@ -690,7 +685,7 @@ class Worker:
         into the job metadata (never into :class:`CampaignSpec` — the
         campaign id must stay bitwise identical).  Workers re-seat the
         process collector per traced job; untraced jobs leave whatever
-        arming (e.g. ``REPRO_TRACE``) already in force untouched.
+        arming is already in force untouched.
         Returns the job's trace context when it has one.
         """
         metadata = job.metadata if isinstance(job.metadata, dict) else {}

@@ -7,12 +7,14 @@ package expresses it declaratively:
 - :mod:`repro.experiments.scenario` — the :class:`Scenario` abstraction
   unifying explicit parameters, named presets and sampled sources;
 - :mod:`repro.experiments.backends` — the :class:`SimulationBackend`
-  protocol and string-keyed registry (``"agent"`` = faithful engine,
-  one simulation per run; ``"vectorized-batch"`` = the megabatch
-  kernel flattening whole chunks of scenarios into one lane array, the
-  default; ``"vectorized"`` = its legacy alias; ``"distributed"`` =
-  the megabatch kernel on a worker fleet), plus :class:`BackendSpec`,
-  the wire format fleet workers rebuild their backend from;
+  protocol (a backend owns its setup and answers one ``run_many``
+  call) and string-keyed registry (``"agent"`` = faithful engine, one
+  simulation per run; ``"vectorized-batch"`` = the megabatch kernel,
+  :class:`~repro.sim.batch.BatchEncounterSimulator` itself, flattening
+  whole chunks of scenarios into one lane array, the default;
+  ``"vectorized"`` = its legacy alias; ``"distributed"`` = the
+  megabatch kernel on a worker fleet), plus :class:`BackendSpec`, the
+  wire format fleet workers rebuild their backend from;
 - :mod:`repro.experiments.campaign` — the :class:`Campaign` object
   (scenarios × backend × equipage × runs) with deterministic serial,
   process-parallel or streaming (:meth:`Campaign.iter_records`)
@@ -26,12 +28,10 @@ attach here.
 """
 
 from repro.experiments.backends import (
-    EQUIPAGES,
     AgentBackend,
     BackendSpec,
     SimulationBackend,
     VectorizedBackend,
-    VectorizedBatchBackend,
     available_backends,
     make_backend,
     register_backend,
@@ -56,7 +56,6 @@ from repro.experiments.scenario import (
 )
 
 __all__ = [
-    "EQUIPAGES",
     "PRESETS",
     "AgentBackend",
     "BackendSpec",
@@ -71,7 +70,6 @@ __all__ = [
     "ScenarioSource",
     "SimulationBackend",
     "VectorizedBackend",
-    "VectorizedBatchBackend",
     "WorkerPool",
     "as_scenario_source",
     "source_from_spec",

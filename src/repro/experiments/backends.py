@@ -3,18 +3,20 @@
 The library simulates the N stochastic runs of an encounter in one of
 two ways: the faithful agent-based engine (:func:`repro.sim.encounter.
 run_encounter`, one Python-level simulation per run) and the megabatch
-kernel (:meth:`repro.sim.batch.BatchEncounterSimulator.run_many`, which
+kernel (:class:`repro.sim.batch.BatchEncounterSimulator`, which
 flattens whole *chunks of scenarios* into one lane array and produces
 per-scenario results that do not depend on the chunking).  They trade
 fidelity scrutiny for speed; dedicated tests keep them equivalent.
 
-This module puts both behind one :class:`SimulationBackend` interface
-so every consumer — campaigns, GA fitness, Monte-Carlo estimation, the
+Each is one class that owns its whole setup (logic table, config,
+equipage, coordination) and answers one call,
+``run_many(params_list, num_runs, seeds)`` (:class:`SimulationBackend`).
+Every consumer — campaigns, GA fitness, Monte-Carlo estimation, the
 CLI — selects the trade-off with a single string (``"agent"``,
-``"vectorized-batch"`` or ``"distributed"``) instead of importing a
-different class.  ``"vectorized"`` is a legacy alias of
-``"vectorized-batch"`` that keeps stored campaign ids naming it
-resolvable.  New backends register under their own key and become
+``"vectorized-batch"`` or ``"distributed"``) and reads what was
+simulated from the backend it built.  ``"vectorized"`` is a legacy
+alias of ``"vectorized-batch"`` that keeps stored campaign ids naming
+it resolvable.  New backends register under their own key and become
 available everywhere at once.  The ``"distributed"`` key builds a
 :class:`~repro.distributed.backend.DistributedBackend` (imported
 lazily, so importing this module stays cheap): the megabatch backend,
@@ -23,20 +25,18 @@ under its own name, plus the queue and store paths that make
 fleet — drained in-process when no fleet member is alive.
 
 :class:`BackendSpec` is the fleet's wire format for a backend —
-registry key, config, equipage, and the *digest* of its logic table
-(or a path to load the table from) — stored in each queued job's row
-so a ``repro worker`` process, which shares nothing with the submitter
-but the queue file, can rebuild the backend once.  The table itself
-travels beside the spec: the queue keeps one raw copy per digest, and
-a worker loads and checks it once however many jobs name it.  Local
-process pools do not use a spec: their workers receive the campaign's
-backend object itself.
+registry key, config, equipage, and the *digest* of its logic table —
+stored in each queued job's row so a ``repro worker`` process, which
+shares nothing with the submitter but the queue file, can rebuild the
+backend once.  The table itself travels beside the spec: the queue
+keeps one raw copy per digest, and a worker loads and checks it once
+however many jobs name it.  Local process pools do not use a spec:
+their workers receive the campaign's backend object itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -54,34 +54,41 @@ from repro.acasx.logic_table import LogicTable
 from repro.avoidance.acas import AcasXuAvoidance
 from repro.encounters.encoding import EncounterParameters
 from repro.sim.batch import BatchEncounterSimulator, BatchResult
-from repro.sim.encounter import EncounterSimConfig, make_acas_pair, run_encounter
+from repro.sim.encounter import (
+    EncounterSimConfig,
+    check_equipage,
+    make_acas_pair,
+    run_encounter,
+)
 from repro.util.rng import SeedLike, as_seed_sequence
-
-#: Equipage spellings shared by the library and the CLI.
-EQUIPAGES: Tuple[str, ...] = ("both", "own-only", "none")
 
 
 class SimulationBackend(Protocol):
-    """Simulates the N stochastic runs of one encounter.
+    """Simulates the N stochastic runs of each of a chunk of encounters.
 
-    A backend is constructed for a fixed (table, config, equipage,
-    coordination) and then asked to simulate scenarios; per-run
-    randomness derives from the :class:`~numpy.random.SeedSequence`
-    passed to each :meth:`simulate` call, so results are independent of
-    where (which process) the call executes.
+    A backend is constructed for a fixed setup — the attributes below,
+    which is everything a campaign records about what it simulated —
+    and then asked to simulate scenarios.  Per-run randomness derives
+    from each scenario's own seed, so a scenario's result does not
+    depend on which process runs it or which scenarios share its call.
     """
 
     #: Registry key of what the backend simulates, which campaign
     #: identity records (``"distributed"`` builds a megabatch backend).
     name: str
+    table: Optional[LogicTable]
+    config: EncounterSimConfig
+    equipage: str
+    coordination: bool
 
-    def simulate(
+    def run_many(
         self,
-        params: EncounterParameters,
+        params_list: Sequence[EncounterParameters],
         num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Per-run outcome arrays for *num_runs* runs of *params*."""
+        seeds: Sequence[SeedLike],
+    ) -> List[BatchResult]:
+        """*num_runs* runs of each scenario, ``params_list[s]`` seeded
+        from ``seeds[s]``: one outcome per scenario, in input order."""
         ...
 
 
@@ -115,24 +122,34 @@ def make_backend(
     spec: Union[str, SimulationBackend],
     table: Optional[LogicTable] = None,
     config: EncounterSimConfig | None = None,
-    equipage: str = "both",
-    coordination: bool = True,
+    equipage: Optional[str] = None,
+    coordination: Optional[bool] = None,
     **options,
 ) -> SimulationBackend:
     """Resolve *spec* (a registry key or a ready backend) to a backend.
 
-    Extra keyword *options* are forwarded to the backend factory —
-    the channel backend-specific settings travel through (e.g. the
+    A registry key is built with the given setup: *equipage* ``None``
+    means ``"both"`` and *coordination* ``None`` means ``True``.  Extra
+    keyword *options* are forwarded to the backend factory — the
+    channel backend-specific settings travel through (e.g. the
     ``"distributed"`` backend's ``queue=``/``store=`` paths, which
     :class:`~repro.experiments.Campaign` exposes as
     ``backend_options=``).
+
+    A ready backend owns its setup and is returned as is; a setup
+    argument or option passed with it raises ``TypeError`` naming it.
     """
     if not isinstance(spec, str):
-        if options:
+        setup = dict(
+            table=table, config=config, equipage=equipage,
+            coordination=coordination,
+        )
+        given = [name for name, value in setup.items() if value is not None]
+        if given or options:
             raise TypeError(
-                "backend options only apply when the backend is "
-                "constructed from a registry key, not to a ready "
-                f"instance of {type(spec).__name__}"
+                f"a ready {type(spec).__name__} owns its setup, so "
+                f"{', '.join(given + sorted(options))} would be ignored; "
+                "pass a registry key to build a backend with them"
             )
         return spec
     if spec not in _REGISTRY:
@@ -141,19 +158,10 @@ def make_backend(
     return _REGISTRY[spec](
         table=table,
         config=config,
-        equipage=equipage,
-        coordination=coordination,
+        equipage="both" if equipage is None else equipage,
+        coordination=True if coordination is None else coordination,
         **options,
     )
-
-
-def _validate_equipage(equipage: str, table: Optional[LogicTable]) -> None:
-    if equipage not in EQUIPAGES:
-        raise ValueError(
-            f"unknown equipage {equipage!r} (use one of {', '.join(EQUIPAGES)})"
-        )
-    if equipage != "none" and table is None:
-        raise ValueError("equipped simulations need a logic table")
 
 
 @register_backend("agent")
@@ -161,7 +169,7 @@ class AgentBackend:
     """The faithful path: one agent-based simulation per stochastic run.
 
     Each run gets a fresh avoidance pair (stateful controllers never
-    leak between runs) and an independent child of the call's seed
+    leak between runs) and an independent child of its scenario's seed
     sequence, so a campaign's results do not depend on which process
     executed which run.
     """
@@ -175,7 +183,7 @@ class AgentBackend:
         equipage: str = "both",
         coordination: bool = True,
     ):
-        _validate_equipage(equipage, table)
+        check_equipage(equipage, table)
         self.table = table
         self.config = config or EncounterSimConfig()
         self.equipage = equipage
@@ -188,15 +196,27 @@ class AgentBackend:
             return AcasXuAvoidance(self.table, aircraft_id="ownship"), None
         return None, None
 
-    def simulate(
+    def run_many(
         self,
-        params: EncounterParameters,
+        params_list: Sequence[EncounterParameters],
         num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Run *num_runs* independent agent-based simulations."""
+        seeds: Sequence[SeedLike],
+    ) -> List[BatchResult]:
+        """Simulate the scenarios one after another, run by run.
+
+        Run ``i`` of scenario ``s`` is seeded from the ``i``-th child
+        that ``seeds[s]`` spawns.
+        """
         if num_runs < 1:
             raise ValueError("num_runs must be >= 1")
+        return [
+            self._scenario_runs(params, num_runs, seed)
+            for params, seed in zip(params_list, seeds, strict=True)
+        ]
+
+    def _scenario_runs(
+        self, params: EncounterParameters, num_runs: int, seed: SeedLike
+    ) -> BatchResult:
         children = as_seed_sequence(seed).spawn(num_runs)
         min_sep = np.empty(num_runs)
         min_horiz = np.empty(num_runs)
@@ -226,71 +246,12 @@ class AgentBackend:
         )
 
 
-@register_backend("vectorized-batch")
-class VectorizedBatchBackend:
-    """The megabatch path: whole chunks of scenarios advance together.
-
-    :meth:`simulate_many` flattens a chunk of scenarios into a single
-    ``(scenarios * runs)``-lane array simulation
-    (:meth:`repro.sim.batch.BatchEncounterSimulator.run_many`).
-    Per-scenario randomness derives from each scenario's own seed, so
-    results are independent of how scenarios are chunked — only the
-    wall clock changes.
-    """
-
-    name = "vectorized-batch"
-
-    def __init__(
-        self,
-        table: Optional[LogicTable] = None,
-        config: EncounterSimConfig | None = None,
-        equipage: str = "both",
-        coordination: bool = True,
-    ):
-        _validate_equipage(equipage, table)
-        self.table = table
-        self.config = config or EncounterSimConfig()
-        self.equipage = equipage
-        self.coordination = coordination
-        self._simulator = BatchEncounterSimulator(
-            table,
-            self.config,
-            equipage=equipage,
-            coordination=coordination,
-        )
-
-    def simulate(
-        self,
-        params: EncounterParameters,
-        num_runs: int,
-        seed: SeedLike = None,
-    ) -> BatchResult:
-        """Run one scenario through the megabatch machinery."""
-        return self.simulate_many([params], num_runs, [seed])[0]
-
-    def simulate_many(
-        self,
-        params_list: Sequence[EncounterParameters],
-        num_runs: int,
-        seeds: Sequence[SeedLike],
-    ) -> List[BatchResult]:
-        """Per-scenario outcome arrays for a whole chunk of scenarios.
-
-        An empty chunk returns an empty list rather than reaching the
-        kernel (which rejects zero-scenario batches): a campaign resumed
-        from a store that already holds every record hands its backend
-        an empty tail.
-        """
-        if not params_list:
-            return []
-        rngs = [
-            np.random.default_rng(as_seed_sequence(seed)) for seed in seeds
-        ]
-        return self._simulator.run_many(params_list, num_runs, rngs)
+# The megabatch kernel is the "vectorized-batch" backend itself.
+register_backend("vectorized-batch")(BatchEncounterSimulator)
 
 
 @register_backend("vectorized")
-class VectorizedBackend(VectorizedBatchBackend):
+class VectorizedBackend(BatchEncounterSimulator):
     """Legacy alias of ``"vectorized-batch"``, bitwise identical.
 
     Kept so stored campaign ids that name ``"vectorized"`` keep
@@ -322,8 +283,8 @@ class BackendSpec:
     A queued job stores one pickled spec in its row.  It carries the
     registry key, the plain-dataclass config/equipage settings, and
     names the table by its :func:`~repro.store.spec.table_digest` —
-    the digest every campaign id already hashes — or by a path to load
-    it from.  The spec never holds the table's bytes: the queue stores
+    the digest every campaign id already hashes.  The spec never holds
+    the table's bytes: the queue stores
     each table once per digest, so a pickled spec is about a kilobyte
     and equal for every campaign on one table.  Each fleet worker
     rebuilds its backend **once** per distinct spec and reuses it for
@@ -341,7 +302,6 @@ class BackendSpec:
     coordination: bool = True
     config: Optional[EncounterSimConfig] = None
     table_digest: Optional[str] = None
-    table_path: Optional[str] = None
 
     @staticmethod
     def validate(backend: SimulationBackend) -> None:
@@ -400,11 +360,8 @@ class BackendSpec:
 
         *table* is the table the spec's ``table_digest`` names, already
         resolved by the caller (a fleet worker reads it from its queue
-        and checks its digest); a spec with a ``table_path`` loads its
-        own.
+        and checks its digest).
         """
-        if table is None and self.table_path is not None:
-            table = LogicTable.load(Path(self.table_path))
         if table is None and self.table_digest is not None:
             raise ValueError(
                 f"this spec names logic table {self.table_digest[:12]}; "

@@ -55,7 +55,7 @@ from repro.experiments.scenario import (
     as_scenario_source,
     source_from_spec,
 )
-from repro.sim.batch import BatchResult
+from repro.sim.batch import BatchEncounterSimulator, BatchResult
 from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_seed_sequence
 
@@ -303,10 +303,9 @@ def _execute_chunk(
 ) -> List[Tuple[int, BatchResult]]:
     """Simulate one chunk of (index, params, seed) on *backend*.
 
-    Backends exposing ``simulate_many`` (the megabatch path) get the
-    whole chunk in one call; everything else is driven scenario by
-    scenario.  Either way each scenario's result derives only from its
-    own seed, so chunk boundaries cannot change any output bit.
+    The whole chunk is one ``run_many`` call, whatever the backend.
+    Each scenario's result derives only from its own seed, so chunk
+    boundaries cannot change any output bit.
 
     An empty chunk (a fully-stored resume's missing tail) short-circuits
     to no outcomes instead of reaching a backend that rejects empty
@@ -314,21 +313,8 @@ def _execute_chunk(
     """
     if not chunk:
         return []
-    bulk = getattr(backend, "simulate_many", None)
-    if bulk is not None and len(chunk) > 1:
-        results = bulk(
-            [params for _, params, _ in chunk],
-            num_runs,
-            [seed for _, _, seed in chunk],
-        )
-        return [
-            (index, result)
-            for (index, _, _), result in zip(chunk, results)
-        ]
-    return [
-        (index, backend.simulate(params, num_runs, seed=seed))
-        for index, params, seed in chunk
-    ]
+    indices, params_list, seeds = zip(*chunk)
+    return list(zip(indices, backend.run_many(params_list, num_runs, seeds)))
 
 
 def _default_chunk_size(
@@ -336,13 +322,14 @@ def _default_chunk_size(
 ) -> int:
     """Scenarios per chunk when the caller does not pin a size.
 
-    Megabatch backends want wide chunks (bounded by
-    :data:`DEFAULT_CHUNK_LANES` lanes, and split so every worker gets
-    work); per-scenario backends get single-scenario chunks, which
-    keeps serial behavior unchanged and gives the pool fine-grained
+    The megabatch kernel (:class:`BatchEncounterSimulator` and the
+    backends built on it) wants wide chunks, bounded by
+    :data:`DEFAULT_CHUNK_LANES` lanes and split so every worker gets
+    work.  The agent engine simulates scenario by scenario anyway, so
+    it gets single-scenario chunks, which give the pool fine-grained
     load balancing.
     """
-    if not hasattr(backend, "simulate_many"):
+    if not isinstance(backend, BatchEncounterSimulator):
         return 1
     by_lanes = max(1, DEFAULT_CHUNK_LANES // max(1, num_runs))
     by_workers = -(-num_scenarios // workers)  # ceil div
@@ -525,14 +512,18 @@ class Campaign:
     backend:
         Registry key (``"agent"``, ``"vectorized-batch"`` or
         ``"distributed"``) or a ready :class:`SimulationBackend`
-        instance.
+        instance.  The backend owns the simulation's setup: a ready
+        one brings its own, and passing *table*, *equipage*,
+        *coordination*, *sim_config* or *backend_options* with it
+        raises ``TypeError``.
     table:
         Logic table for equipped aircraft (``None`` only with
         ``equipage='none'``).
     equipage:
-        ``'both'``, ``'own-only'`` or ``'none'``.
+        ``'both'`` (the default), ``'own-only'`` or ``'none'``.
     coordination:
-        Whether two equipped aircraft exchange maneuver senses.
+        Whether two equipped aircraft exchange maneuver senses
+        (default ``True``).
     runs_per_scenario:
         Stochastic simulation runs per scenario (the paper uses 100).
     sim_config:
@@ -543,6 +534,10 @@ class Campaign:
         ``"distributed"`` backend takes its ``queue``/``store`` paths
         here (``backend="distributed",
         backend_options={"queue": "q.sqlite", "store": "s.sqlite"}``).
+
+    :attr:`equipage` and :attr:`coordination` are read from the
+    backend, so a campaign's id and its :class:`ResultSet` always name
+    what was simulated.
     """
 
     def __init__(
@@ -550,8 +545,8 @@ class Campaign:
         scenarios,
         backend: Union[str, SimulationBackend] = "vectorized-batch",
         table: Optional[LogicTable] = None,
-        equipage: str = "both",
-        coordination: bool = True,
+        equipage: Optional[str] = None,
+        coordination: Optional[bool] = None,
         runs_per_scenario: int = 100,
         sim_config: EncounterSimConfig | None = None,
         backend_options: Optional[Dict[str, object]] = None,
@@ -572,9 +567,17 @@ class Campaign:
         self.backend_name = getattr(
             self.backend, "name", type(self.backend).__name__
         )
-        self.equipage = equipage
-        self.coordination = coordination
         self.runs_per_scenario = runs_per_scenario
+
+    @property
+    def equipage(self) -> str:
+        """The backend's equipage: ``'both'``, ``'own-only'`` or ``'none'``."""
+        return self.backend.equipage
+
+    @property
+    def coordination(self) -> bool:
+        """Whether the backend's equipped aircraft exchange senses."""
+        return self.backend.coordination
 
     #: Keys a plain-JSON campaign spec may carry (:meth:`from_spec`).
     SPEC_KEYS = frozenset(
@@ -674,9 +677,10 @@ class Campaign:
             one-shot :class:`WorkerPool` whose workers each receive the
             campaign's backend once, at start-up.
         chunk_size:
-            Scenarios per execution chunk.  Default: a megabatch-sized
-            chunk for backends with ``simulate_many``, else one
-            scenario per chunk.
+            Scenarios per execution chunk, each simulated by one
+            ``run_many`` call.  Default: a megabatch-sized chunk on the
+            megabatch kernel, one scenario per chunk on the agent
+            engine.
         store:
             Optional :class:`~repro.store.ResultStore` to write
             through.  The campaign is registered under its
@@ -886,9 +890,9 @@ class Campaign:
         re-runs with **zero** new simulations).  The returned result
         merges both, bitwise identical to an uninterrupted storeless
         run; its metadata records ``campaign_id``, how many scenarios
-        were ``loaded`` vs freshly ``simulated``, plus the machine's
-        ``cpu_count`` — so persisted timing records are
-        self-describing.
+        were ``loaded`` vs freshly ``simulated``, plus ``cpu_count``,
+        the CPUs the process may use (:func:`usable_cpus`) — so
+        persisted timing records are self-describing.
 
         With ``backend="distributed"`` the campaign runs on a worker
         fleet instead (``workers`` and ``pool`` are ignored — the fleet
@@ -926,7 +930,7 @@ class Campaign:
         )
         with run_span:
             root = as_seed_sequence(seed)
-            metadata: Dict[str, object] = {"cpu_count": os.cpu_count()}
+            metadata: Dict[str, object] = {"cpu_count": usable_cpus()}
             if store is None:
                 scenario_list, chunks, workers = self._plan(
                     root, workers, chunk_size
@@ -956,7 +960,7 @@ class Campaign:
                     store.add_wall_time(
                         plan.campaign_id,
                         time.perf_counter() - start,
-                        cpu_count=os.cpu_count(),
+                        cpu_count=usable_cpus(),
                     )
                     store.merge_metadata(
                         plan.campaign_id,

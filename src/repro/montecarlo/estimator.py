@@ -100,7 +100,10 @@ class MonteCarloEstimator:
     backend:
         Simulation backend registry key shared by both arms
         (``"distributed"`` submits both arms to a worker fleet; pass
-        the queue/store paths via *backend_options*).
+        the queue/store paths via *backend_options*).  Each arm builds
+        its own backend from the key, since the arms differ in
+        equipage: a ready backend instance, pinned to one equipage,
+        raises ``TypeError``.
     backend_options:
         Extra factory options forwarded to each arm's backend (see
         :class:`~repro.experiments.Campaign`).
@@ -130,6 +133,12 @@ class MonteCarloEstimator:
             raise ValueError("runs_per_encounter must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        if not isinstance(backend, str):
+            raise TypeError(
+                "MonteCarloEstimator needs a backend registry key: its "
+                "equipped and unequipped arms cannot share the one "
+                f"equipage of a ready {type(backend).__name__}"
+            )
         self.table = table
         self.source = source
         self.sim_config = sim_config or EncounterSimConfig()

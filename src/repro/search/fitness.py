@@ -39,7 +39,7 @@ from repro.experiments.backends import SimulationBackend, make_backend
 from repro.experiments.campaign import Campaign, WorkerPool, default_pool_size
 from repro.sim.batch import BatchResult
 from repro.sim.encounter import EncounterSimConfig
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike, as_generator, as_seed_sequence
 
 #: The paper's collision gain constant.
 COLLISION_GAIN = 10_000.0
@@ -67,20 +67,24 @@ class EncounterFitness:
     Parameters
     ----------
     table:
-        The logic table of the system under test.
+        The logic table of the system under test (``None`` only for
+        an unequipped search or a ready *backend*).
     config:
         Simulation configuration.
     num_runs:
         Stochastic runs per evaluation (the paper uses 100).
     equipage / coordination:
-        Passed through to the simulation backend.
+        Passed through to the simulation backend (default ``"both"``
+        and ``True``).
     seed:
         Base seed; each evaluation derives an independent stream so
         repeated evaluations of the same genome differ (as in the
         paper, where fitness is a noisy estimate).
     backend:
-        Simulation backend registry key (or a ready backend instance);
-        see :func:`repro.experiments.available_backends`.
+        Simulation backend registry key (or a ready backend instance,
+        which owns its table, config, equipage and coordination, so
+        passing any of those too raises ``TypeError``); see
+        :func:`repro.experiments.available_backends`.
         ``"distributed"`` evaluates every generation's campaign on a
         worker fleet — pass queue/store paths via *backend_options*.
     backend_options:
@@ -107,11 +111,11 @@ class EncounterFitness:
 
     def __init__(
         self,
-        table: LogicTable,
+        table: Optional[LogicTable] = None,
         config: EncounterSimConfig | None = None,
         num_runs: int = 100,
-        equipage: str = "both",
-        coordination: bool = True,
+        equipage: Optional[str] = None,
+        coordination: Optional[bool] = None,
         seed: SeedLike = None,
         backend: Union[str, SimulationBackend] = "vectorized-batch",
         store: Optional["ResultStore"] = None,
@@ -119,14 +123,11 @@ class EncounterFitness:
     ):
         if num_runs < 1:
             raise ValueError("num_runs must be >= 1")
-        self.table = table
-        self.config = config or EncounterSimConfig()
-        self.equipage = equipage
-        self.coordination = coordination
         # Resolve once so an unknown backend or missing table fails at
-        # construction and every evaluation reuses the same instance.
+        # construction and every evaluation reuses the same instance,
+        # which alone holds the setup each campaign simulates.
         self.backend = make_backend(
-            backend, table=table, config=self.config,
+            backend, table=table, config=config,
             equipage=equipage, coordination=coordination,
             **(backend_options or {}),
         )
@@ -165,13 +166,7 @@ class EncounterFitness:
         """Run one genome's campaign of stochastic simulation runs."""
         params = EncounterParameters.from_array(genome)
         campaign = Campaign(
-            params,
-            backend=self.backend,
-            table=self.table,
-            equipage=self.equipage,
-            coordination=self.coordination,
-            runs_per_scenario=self.num_runs,
-            sim_config=self.config,
+            params, backend=self.backend, runs_per_scenario=self.num_runs
         )
         result_set = campaign.run(seed=self._rng, store=self.store)
         self.evaluations += 1
@@ -184,20 +179,14 @@ class EncounterFitness:
         genome; with a megabatch backend the population's
         ``(pop × num_runs)`` simulation runs flatten into a handful of
         lane-array chunks, eliminating the per-genome campaign
-        overhead.  Works with any backend (non-bulk backends simulate
+        overhead.  Works with any backend (the agent engine simulates
         scenario by scenario inside the campaign).  Inside a ``with
         fitness:`` scope the chunks run on the scope's warm
         :class:`WorkerPool`.
         """
         genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
         campaign = Campaign(
-            genomes,
-            backend=self.backend,
-            table=self.table,
-            equipage=self.equipage,
-            coordination=self.coordination,
-            runs_per_scenario=self.num_runs,
-            sim_config=self.config,
+            genomes, backend=self.backend, runs_per_scenario=self.num_runs
         )
         result_set = campaign.run(
             seed=self._rng, store=self.store,
@@ -288,7 +277,7 @@ class FalseAlarmFitness:
         # instance cannot serve both: resolve its registry key and
         # construct each arm from that.  A fleet backend instance is
         # named "vectorized-batch" — per-genome two-arm evaluations are
-        # direct simulate() calls, which execute in-process anyway.
+        # direct run_many() calls, which execute in-process anyway.
         key = backend if isinstance(backend, str) else backend.name
         self._equipped = make_backend(
             key, table=table, config=config, equipage="both"
@@ -303,10 +292,14 @@ class FalseAlarmFitness:
 
     def components(self, genome: np.ndarray) -> tuple[float, float]:
         """(alert rate, mean unmitigated miss distance) for one genome."""
-        params = EncounterParameters.from_array(genome)
-        equipped = self._equipped.simulate(params, self.num_runs, seed=self._rng)
-        unmitigated = self._unequipped.simulate(
-            params, self.num_runs, seed=self._rng
+        params = [EncounterParameters.from_array(genome)]
+        # One seed sequence per arm, each drawn from the fitness's own
+        # generator, so successive evaluations are independent.
+        (equipped,) = self._equipped.run_many(
+            params, self.num_runs, [as_seed_sequence(self._rng)]
+        )
+        (unmitigated,) = self._unequipped.run_many(
+            params, self.num_runs, [as_seed_sequence(self._rng)]
         )
         self.evaluations += 1
         alert_rate = float(equipped.own_alerted.mean())

@@ -11,6 +11,9 @@ statistical equivalence); only the random-draw order differs.
 There is one stepping loop, the megabatch kernel
 :meth:`BatchEncounterSimulator.run_many`;
 :meth:`~BatchEncounterSimulator.run` is its one-scenario call.  The
+simulator is also the ``"vectorized-batch"`` simulation backend
+(:mod:`repro.experiments.backends`): campaigns hand it whole chunks of
+scenarios through :meth:`~BatchEncounterSimulator.run_many`.  The
 kernel is organised as:
 
 - **Noise tapes** — each scenario's entire disturbance + sensor noise
@@ -44,7 +47,7 @@ from repro import telemetry
 from repro.acasx.advisories import ADVISORIES, NUM_ADVISORIES
 from repro.acasx.logic_table import LogicTable
 from repro.encounters.encoding import EncounterParameters, decode_encounter
-from repro.sim.encounter import EncounterSimConfig
+from repro.sim.encounter import EncounterSimConfig, check_equipage
 from repro.util.rng import SeedLike, as_generator
 from repro.util.units import NMAC_HORIZONTAL_M, NMAC_VERTICAL_M
 
@@ -176,7 +179,11 @@ class BatchResult:
 
 
 class BatchEncounterSimulator:
-    """Simulates *n* noisy runs of one encounter as array operations.
+    """Simulates many noisy runs of many encounters as array operations.
+
+    The ``"vectorized-batch"`` simulation backend: it owns the setup it
+    simulates (table, config, equipage, coordination) and answers
+    :meth:`run_many`, the one call every backend shares.
 
     Parameters
     ----------
@@ -191,17 +198,17 @@ class BatchEncounterSimulator:
         Whether two equipped aircraft exchange maneuver senses.
     """
 
+    #: Registry key, which campaign identity records.
+    name = "vectorized-batch"
+
     def __init__(
         self,
-        table: Optional[LogicTable],
+        table: Optional[LogicTable] = None,
         config: EncounterSimConfig | None = None,
         equipage: str = "both",
         coordination: bool = True,
     ):
-        if equipage not in ("both", "own-only", "none"):
-            raise ValueError(f"unknown equipage {equipage!r}")
-        if equipage != "none" and table is None:
-            raise ValueError("equipped simulations need a logic table")
+        check_equipage(equipage, table)
         self.table = table
         self.config = config or EncounterSimConfig()
         self.equipage = equipage

@@ -54,6 +54,24 @@ class EncounterSimConfig:
     sensor: AdsBSensor = field(default_factory=AdsBSensor)
 
 
+#: Which aircraft carry the collision avoidance logic: both, the
+#: own-ship only, or neither.  Shared by every backend and the CLI.
+EQUIPAGES: Tuple[str, ...] = ("both", "own-only", "none")
+
+
+def check_equipage(equipage: str, table: Optional[LogicTable]) -> None:
+    """Raise ``ValueError`` unless *equipage* is known and has its table.
+
+    Every equipage but ``"none"`` simulates the logic, so it needs one.
+    """
+    if equipage not in EQUIPAGES:
+        raise ValueError(
+            f"unknown equipage {equipage!r} (use one of {', '.join(EQUIPAGES)})"
+        )
+    if equipage != "none" and table is None:
+        raise ValueError("equipped simulations need a logic table")
+
+
 @dataclass
 class EncounterResult:
     """Outcome of one simulated encounter."""

@@ -42,6 +42,7 @@ from repro.encounters.encoding import EncounterParameters
 from repro.experiments.campaign import ResultSet, RunRecord
 from repro.sim.batch import BatchResult
 from repro.store.spec import CampaignSpec
+from repro.util.sqlite import open_schema
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -453,9 +454,9 @@ class ResultStore:
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA busy_timeout = 30000")
         if self.path != ":memory:":
-            self._conn.execute("PRAGMA journal_mode = WAL")
             self._conn.execute("PRAGMA synchronous = NORMAL")
-        self._conn.executescript(_SCHEMA)
+        # Fleets open one fresh store file from many processes at once.
+        open_schema(self._conn, _SCHEMA)
         # Stores created before per-record checksums existed lack the
         # column (executescript only creates missing *tables*): migrate
         # in place.  Legacy rows keep checksum NULL — verify() falls

@@ -9,9 +9,8 @@ results*):
   dict, no clock reads, no locks — cheap enough to leave the hooks in
   the worker/queue/store seams permanently.  Arm with :func:`arm` (or
   the :func:`collect` context manager); child processes arm themselves
-  from the queue job's ``trace`` metadata, the process pool's
-  initializer or the ``REPRO_TRACE`` env var, mirroring
-  ``REPRO_FAULT_PLAN``'s lazy one-shot pickup.
+  from the queue job's ``trace`` metadata or from the trace context a
+  process-pool task carries.
 
   Kernel phases are spans too: every megabatch kernel call hands its
   phase timers to :func:`record_phases`, which writes them as
@@ -41,7 +40,6 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import contextmanager
 from typing import Optional, Tuple
@@ -74,7 +72,6 @@ __all__ = [
     "MetricsRegistry",
     "REGISTRY",
     "Span",
-    "TRACE_ENV",
     "arm",
     "armed",
     "assemble",
@@ -99,12 +96,7 @@ __all__ = [
     "trace_payload",
 ]
 
-#: Env var carrying a JSON ``{"db", "trace_id", "parent_id"}`` trace
-#: context into child processes (same pattern as ``REPRO_FAULT_PLAN``).
-TRACE_ENV = "REPRO_TRACE"
-
 _collector: Optional[Collector] = None
-_env_checked = False
 
 
 class _NoopSpan:
@@ -130,36 +122,17 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
-def _check_env() -> None:
-    """One-shot ``REPRO_TRACE`` pickup (never re-read, like faults)."""
-    global _collector, _env_checked
-    _env_checked = True
-    raw = os.environ.get(TRACE_ENV)
-    if not raw:
-        return
-    try:
-        ctx = json.loads(raw)
-        _collector = Collector(
-            ctx["db"],
-            trace_id=ctx.get("trace_id"),
-            remote_parent=ctx.get("parent_id"),
-        )
-    except (ValueError, KeyError, TypeError) as exc:  # pragma: no cover
-        raise RuntimeError(f"invalid {TRACE_ENV}: {exc}") from exc
-
-
 def collector() -> Optional[Collector]:
-    """The armed collector, if any (checks the env exactly once).
+    """The armed collector, if any.
 
     A collector inherited across ``fork`` is discarded (not closed —
     its sqlite handle and span buffer belong to the parent): the child
-    re-arms from job metadata or ``REPRO_TRACE`` with its own identity.
+    re-arms from job metadata or its task's trace context with its own
+    identity.
     """
     global _collector
     if _collector is not None and _collector.pid != os.getpid():
         _collector = None
-    if _collector is None and not _env_checked:
-        _check_env()
     return _collector
 
 
@@ -174,8 +147,7 @@ def arm(
     process: Optional[str] = None,
 ) -> Collector:
     """Install a process-global collector writing spans to ``db_path``."""
-    global _collector, _env_checked
-    _env_checked = True
+    global _collector
     if _collector is not None:
         _collector.close()
     _collector = Collector(
@@ -211,37 +183,31 @@ def ensure(
 
 def disarm() -> None:
     """Flush and remove the collector; hooks return to no-op cost."""
-    global _collector, _env_checked
+    global _collector
     if _collector is not None:
         _collector.close()
     _collector = None
-    _env_checked = True
 
 
 @contextmanager
 def collect(db_path: str, trace_id: Optional[str] = None):
     """Arm for the duration of a block, restoring the previous state."""
-    global _collector, _env_checked
-    previous, previous_checked = _collector, _env_checked
+    global _collector
+    previous = _collector
     _collector = Collector(db_path, trace_id=trace_id)
-    _env_checked = True
     try:
         yield _collector
     finally:
         _collector.close()
-        _collector, _env_checked = previous, previous_checked
+        _collector = previous
 
 
 def span(name: str, **attributes):
     """Open a span (context manager); free when no collector is armed."""
     c = _collector
     if c is None:
-        if _env_checked:
-            return _NOOP
-        c = collector()
-        if c is None:
-            return _NOOP
-    elif c.pid != os.getpid():
+        return _NOOP
+    if c.pid != os.getpid():
         c = collector()
         if c is None:
             return _NOOP
@@ -288,7 +254,7 @@ def event(name: str, **attributes) -> None:
 
 
 def trace_context() -> Optional[dict]:
-    """Propagation payload for queue metadata / ``REPRO_TRACE``."""
+    """Propagation payload for queue metadata and pool tasks."""
     c = collector()
     if c is None:
         return None

@@ -4,10 +4,9 @@ A :class:`Collector` is armed per process and writes finished spans
 into a ``spans`` table living in the same sqlite file as the result
 store, so a campaign's trace travels with its results.  Spans carry a
 ``trace_id`` shared across processes: the coordinator stamps it into
-the queue job's metadata, workers pick it up (or read ``REPRO_TRACE``)
-and parent their chunk spans to the coordinator's root span — no
-collector daemon, no sockets, same crash-safe WAL transport as the
-queue and store.
+the queue job's metadata, workers pick it up and parent their chunk
+spans to the coordinator's root span — no collector daemon, no
+sockets, same crash-safe WAL transport as the queue and store.
 
 Timing discipline: ``duration`` is a ``perf_counter`` delta (immune to
 wall-clock skew, the PR-5 rule); ``started_at`` is a wall-clock anchor
@@ -25,6 +24,8 @@ import sqlite3
 import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.util.sqlite import open_schema
 
 __all__ = [
     "Collector",
@@ -222,9 +223,8 @@ class Collector:
             conn = sqlite3.connect(
                 self.db_path, timeout=30.0, check_same_thread=False,
             )
-            conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA busy_timeout=30000")
-            conn.executescript(_SCHEMA)
+            open_schema(conn, _SCHEMA)
             conn.commit()
             self._conn = conn
         return self._conn

@@ -169,7 +169,7 @@ class TestBackendRegistry:
     def test_backends_simulate_same_shape(self, test_table, tmp_path):
         for name in available_backends():
             # The fleet backend needs its queue/store paths; direct
-            # simulate() calls on it execute in-process regardless.
+            # run_many() calls on it execute in-process regardless.
             options = (
                 {"queue": str(tmp_path / "q.sqlite"),
                  "store": str(tmp_path / "s.sqlite")}
@@ -177,9 +177,117 @@ class TestBackendRegistry:
                 else {}
             )
             backend = make_backend(name, table=test_table, **options)
-            result = backend.simulate(head_on_encounter(), 3, seed=0)
+            (result,) = backend.run_many([head_on_encounter()], 3, [0])
             assert result.num_runs == 3
             assert result.min_separation.shape == (3,)
+
+
+class TestBackendOwnsSetup:
+    """A campaign records what its backend simulates, never a copy."""
+
+    def test_campaign_reads_equipage_from_a_ready_backend(self):
+        from repro.store import ResultStore
+
+        ready = Campaign(
+            ["head_on"],
+            backend=make_backend("vectorized-batch", equipage="none"),
+            runs_per_scenario=3,
+        )
+        twin = Campaign(["head_on"], equipage="none", runs_per_scenario=3)
+        with ResultStore(":memory:") as store:
+            results = ready.run(seed=0, store=store)
+            again = twin.run(seed=0, store=store)
+        assert (results.equipage, results.coordination) == ("none", True)
+        # The registry-key twin is the same campaign: it loads, not
+        # simulates, the ready backend's stored record.
+        assert again.metadata["campaign_id"] == results.metadata["campaign_id"]
+        assert again.metadata["loaded"] == 1
+
+    @pytest.mark.parametrize(
+        "argument, named",
+        [
+            ("table", "table"),
+            ("sim_config", "config"),
+            ("equipage", "equipage"),
+            ("coordination", "coordination"),
+            ("backend_options", "queue"),
+        ],
+    )
+    def test_ready_backend_refuses_a_second_setup(
+        self, test_table, argument, named
+    ):
+        from repro.search.fitness import EncounterFitness
+
+        ready = make_backend("vectorized-batch", table=test_table)
+        value = {
+            "table": test_table,
+            "sim_config": EncounterSimConfig(),
+            "equipage": "both",
+            "coordination": True,
+            "backend_options": {"queue": "q.sqlite"},
+        }[argument]
+        with pytest.raises(TypeError, match=named):
+            Campaign(["head_on"], backend=ready, **{argument: value})
+        fitness_argument = "config" if argument == "sim_config" else argument
+        with pytest.raises(TypeError, match=named):
+            EncounterFitness(backend=ready, **{fitness_argument: value})
+        options = value if argument == "backend_options" else {named: value}
+        with pytest.raises(TypeError, match=named):
+            make_backend(ready, **options)
+
+    def test_montecarlo_needs_a_registry_key(self, test_table):
+        from repro.montecarlo import MonteCarloEstimator
+
+        ready = make_backend("vectorized-batch", table=test_table)
+        with pytest.raises(TypeError, match="registry key"):
+            MonteCarloEstimator(
+                test_table, StatisticalEncounterModel(), backend=ready
+            )
+
+    def test_encounter_fitness_needs_only_its_backend(self, test_table):
+        from repro.search.fitness import EncounterFitness
+
+        ready = make_backend(
+            "vectorized-batch", table=test_table, equipage="own-only"
+        )
+        fitness = EncounterFitness(backend=ready, num_runs=2, seed=0)
+        assert fitness.backend is ready
+        fitness(head_on_encounter().as_array())
+        assert fitness.evaluations == 1
+
+    @pytest.mark.parametrize(
+        "backend, pinned",
+        [
+            ("vectorized-batch", [
+                ((1.0, 16.8936905616915), 15.115699056275531),
+                ((0.25, 36.808134381269916), 16.22436924199139),
+                ((0.75, 38.624405148746234), 12.600190181171826),
+            ]),
+            ("agent", [
+                ((0.75, 45.78182960531325), 30.058666936071745),
+            ]),
+        ],
+    )
+    def test_false_alarm_fitness_values_are_pinned(
+        self, test_table, backend, pinned
+    ):
+        """Each arm draws one seed sequence from the fitness's
+        generator per evaluation; these values fix that stream."""
+        from repro.search.fitness import FalseAlarmFitness
+
+        genomes = [
+            head_on_encounter().as_array(),
+            tail_approach_encounter(overtake_speed=2.0).as_array(),
+            head_on_encounter(time_to_cpa=25.0).as_array(),
+        ]
+        fitness = FalseAlarmFitness(
+            test_table, num_runs=4, seed=7, backend=backend
+        )
+        got = [
+            (fitness.components(genome), fitness(genome))
+            for genome in genomes[:len(pinned)]
+        ]
+        assert got == pinned
 
 
 class TestCampaignExecution:

@@ -10,9 +10,11 @@ performs zero new simulations.
 """
 
 import multiprocessing
+import os
 import pickle
 import sqlite3
-import threading
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from repro.experiments import Campaign, SampledSource
 from repro.experiments.campaign import RunRecord, _execute_chunk
 from repro.montecarlo import MonteCarloEstimator
 from repro.store import ResultStore, table_digest
+from repro.telemetry import Collector
 
 SCENARIOS = 5
 RUNS = 3
@@ -939,11 +942,8 @@ class TestDistributedBackend:
         from dataclasses import fields
 
         from repro.distributed import DistributedBackend
-        from repro.experiments import (
-            BackendSpec,
-            VectorizedBatchBackend,
-            make_backend,
-        )
+        from repro.experiments import BackendSpec, make_backend
+        from repro.sim.batch import BatchEncounterSimulator
 
         queue_path, store_path = paths
         backend = make_backend(
@@ -956,16 +956,14 @@ class TestDistributedBackend:
         )
         spec = BackendSpec.capture(backend)
         assert [f.name for f in fields(spec)] == [
-            "backend", "equipage", "coordination", "config",
-            "table_digest", "table_path",
+            "backend", "equipage", "coordination", "config", "table_digest",
         ]
         assert spec.backend == "vectorized-batch"
         assert (spec.equipage, spec.coordination) == ("own-only", False)
         assert spec.config == backend.config
         assert spec.table_digest == table_digest(tiny_table)
-        assert spec.table_path is None
         rebuilt = pickle.loads(pickle.dumps(spec)).build(tiny_table)
-        assert type(rebuilt) is VectorizedBatchBackend
+        assert type(rebuilt) is BatchEncounterSimulator
         assert not isinstance(rebuilt, DistributedBackend)
         assert (rebuilt.table.q == tiny_table.q).all()
         assert rebuilt.config == backend.config
@@ -1492,32 +1490,115 @@ class TestLogicTableRows:
         assert table_rows(queue_path) == []
 
 
+def _open_queue(path: str) -> None:
+    WorkQueue(path).close()
+
+
+def _open_store(path: str) -> None:
+    ResultStore(path).close()
+
+
+def _open_span_table(path: str) -> None:
+    collector = Collector(path)
+    collector._connect()  # what its first flush does
+    collector.close()
+
+
+OPENERS = {
+    "queue": _open_queue,
+    "store": _open_store,
+    "collector": _open_span_table,
+}
+
+
+def _open_fresh_files_together(opener, root, files, barrier, errors):
+    """One process's share: open each new file as soon as every process
+    has reached it, and report what failed."""
+    failed = []
+    for index in range(files):
+        barrier.wait()
+        try:
+            OPENERS[opener](str(Path(root) / f"fresh-{index}.sqlite"))
+        except Exception as error:
+            failed.append(repr(error))
+    errors.put(failed)
+
+
 class TestQueueOpen:
+    @pytest.mark.parametrize("opener", sorted(OPENERS))
     def test_handles_opening_a_fresh_file_together_all_succeed(
-        self, tmp_path
+        self, tmp_path, opener
     ):
-        """Eight handles opening one new file at once: the WAL switch
-        and the schema script retry instead of raising "database is
-        locked" (which killed workers at start-up)."""
-        errors = []
-        for attempt in range(25):
-            path = tmp_path / f"fresh-{attempt}.sqlite"
-            barrier = threading.Barrier(8)
+        """Eight processes opening each of 150 new files at once: the WAL
+        switch and the schema script retry instead of raising "database
+        is locked" (which killed workers at start-up).  Threads of one
+        process do not reproduce the race; processes do."""
+        processes, files = 8, 150
+        context = multiprocessing.get_context("fork")
+        barrier = context.Barrier(processes)
+        errors = context.Queue()
+        children = [
+            context.Process(
+                target=_open_fresh_files_together,
+                args=(opener, str(tmp_path), files, barrier, errors),
+            )
+            for _ in range(processes)
+        ]
+        for child in children:
+            child.start()
+        failed = [error for _ in children for error in errors.get(timeout=120)]
+        for child in children:
+            child.join(timeout=30)
+            assert child.exitcode == 0
+        assert failed == []
 
-            def open_queue():
-                barrier.wait()
-                try:
-                    WorkQueue(path).close()
-                except Exception as error:
-                    errors.append(error)
 
-            threads = [threading.Thread(target=open_queue)
-                       for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert errors == []
+#: Run in a child process: pin it to one CPU, then print the cpu_count a
+#: stored in-process campaign and a fleet-drained one each record, in
+#: their ResultSet and in their store row.
+PINNED_CPU_COUNTS = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.distributed import Worker, submit
+from repro.encounters import StatisticalEncounterModel
+from repro.experiments import Campaign, SampledSource
+from repro.store import ResultStore
+
+root = sys.argv[1]
+campaign = Campaign(
+    SampledSource(StatisticalEncounterModel(), 2),
+    equipage="none",
+    runs_per_scenario=2,
+)
+with ResultStore(root + "/local.sqlite") as store:
+    local = campaign.run(seed=1, store=store)
+    row = store.get_campaign(local.metadata["campaign_id"])
+    print(local.metadata["cpu_count"], row.cpu_count)
+run = submit(campaign, 2, queue=root + "/q.sqlite", store=root + "/fleet.sqlite")
+Worker(root + "/q.sqlite", poll_interval=0.02).run()
+fleet = run.collect()
+with ResultStore(root + "/fleet.sqlite") as store:
+    print(fleet.metadata["cpu_count"], store.get_campaign(run.campaign_id).cpu_count)
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs CPU affinity and at least two usable CPUs",
+)
+def test_stored_timings_count_the_cpus_the_process_may_use(tmp_path):
+    """A process pinned to one CPU records cpu_count 1, not the machine's
+    count, whether it runs the campaign itself or drains it as a fleet
+    worker."""
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", PINNED_CPU_COUNTS, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["1", "1", "1", "1"]
 
 
 # ----------------------------------------------------------------------
@@ -1744,7 +1825,7 @@ class TestReviewHardening:
     def test_simulate_many_falls_back_for_non_bulk_inner(
         self, paths, tiny_table
     ):
-        """Direct simulate_many on the fleet backend (the path
+        """Direct run_many on the fleet backend (the path
         FalseAlarmFitness(backend="distributed") takes) runs the
         inherited megabatch kernel in-process, bit for bit."""
         import numpy as np
@@ -1762,8 +1843,8 @@ class TestReviewHardening:
             seed=np.random.default_rng(0)
         )
         params = [s.params for s in scenarios[:3]]
-        got = backend.simulate_many(params, 3, [1, 2, 3])
-        expected = reference.simulate_many(params, 3, [1, 2, 3])
+        got = backend.run_many(params, 3, [1, 2, 3])
+        expected = reference.run_many(params, 3, [1, 2, 3])
         assert len(got) == len(expected) == 3
         for result, expect in zip(got, expected):
             for field in RUN_FIELDS:

@@ -227,10 +227,6 @@ class TestTapeBudget:
 
 
 class TestEmptyTail:
-    def test_backend_short_circuits_empty_chunk(self, test_table):
-        backend = make_backend("vectorized-batch", table=test_table)
-        assert backend.simulate_many([], 5, []) == []
-
     def test_execute_chunk_short_circuits(self, test_table):
         backend = make_backend("vectorized-batch", table=test_table)
         assert _execute_chunk(backend, 5, []) == []

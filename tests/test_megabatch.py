@@ -103,13 +103,14 @@ class TestRunMany:
             sim.run_many([head_on_encounter()], 3, seeds=[1, 2])
 
     def test_backend_simulate_matches_vectorized(self, test_table):
-        # Single-scenario simulate() goes through the megabatch path
-        # too, and must agree exactly with the "vectorized" backend.
+        # The "vectorized-batch" backend is the kernel itself, and its
+        # legacy "vectorized" alias must agree with it exactly.
         batch = make_backend("vectorized-batch", table=test_table)
         vec = make_backend("vectorized", table=test_table)
-        params = tail_approach_encounter(overtake_speed=2.0)
+        assert type(batch) is BatchEncounterSimulator
+        params = [tail_approach_encounter(overtake_speed=2.0)]
         assert_results_equal(
-            batch.simulate(params, 20, seed=7), vec.simulate(params, 20, seed=7)
+            batch.run_many(params, 20, [7])[0], vec.run_many(params, 20, [7])[0]
         )
 
 
@@ -216,10 +217,10 @@ class TestBackendSpec:
         assert rebuilt.equipage == "own-only"
         assert rebuilt.coordination is False
         np.testing.assert_array_equal(rebuilt.table.q, test_table.q)
-        params = head_on_encounter()
+        params = [head_on_encounter()]
         assert_results_equal(
-            backend.simulate(params, 4, seed=1),
-            rebuilt.simulate(params, 4, seed=1),
+            backend.run_many(params, 4, [1])[0],
+            rebuilt.run_many(params, 4, [1])[0],
         )
 
     def test_capture_without_table(self):
@@ -235,11 +236,11 @@ class TestBackendSpec:
             BackendSpec.capture(Custom())
 
     def test_capture_rejects_protocol_only_backend(self, monkeypatch):
-        # A registered backend satisfying only the SimulationBackend
-        # protocol (name + simulate) carries no construction surface to
-        # capture; it must raise TypeError, which submitting it to a
-        # fleet reports as needing a registry-built backend.  The
-        # registry dict is patched so the entry leaves with this test.
+        # A registered backend with only a name and run_many carries
+        # no setup (equipage, coordination, config) to capture; it must
+        # raise TypeError, which submitting it to a fleet reports as
+        # needing a registry-built backend.  The registry dict is
+        # patched so the entry leaves with this test.
         from repro.experiments import backends, register_backend
 
         monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
@@ -251,19 +252,11 @@ class TestBackendSpec:
             def __init__(self, **kwargs):
                 pass
 
-            def simulate(self, params, num_runs, seed=None):
+            def run_many(self, params_list, num_runs, seeds):
                 raise NotImplementedError
 
         with pytest.raises(TypeError, match="missing construction"):
             BackendSpec.capture(Minimal())
-
-    def test_spec_from_table_path(self, test_table, tmp_path):
-        path = tmp_path / "table.npz"
-        test_table.save(path)
-        spec = BackendSpec(backend="agent", table_path=str(path))
-        rebuilt = spec.build()
-        assert rebuilt.name == "agent"
-        np.testing.assert_array_equal(rebuilt.table.q, test_table.q)
 
     @pytest.mark.slow
     def test_parallel_campaign_rebuilds_backend_per_worker(self, test_table):

@@ -19,10 +19,13 @@ from repro.encounters.encoding import (
     head_on_encounter,
     tail_approach_encounter,
 )
+from repro.experiments import Campaign, make_backend
 from repro.search.fitness import COLLISION_GAIN, paper_fitness
 from repro.sim import BatchEncounterSimulator, EncounterSimConfig
 from repro.sim.disturbance import DisturbanceModel
+from repro.sim.encounter import EQUIPAGES
 from repro.sim.sensors import AdsBSensor
+from repro.store import ResultStore, results_digest
 
 from batch_reference import reference_run_many
 
@@ -261,3 +264,58 @@ class TestMegabatchContractProperties:
                 reference_run_many(simulator, [params], 4, [reference])[0],
             )
         assert threaded.bit_generator.state == reference.bit_generator.state
+
+
+class TestStoreRoundTripProperties:
+    """``ResultStore.ingest`` then ``resultset`` gives back the campaign
+    it was handed, bit for bit: records, provenance and aggregates."""
+
+    # The agent engine is slow: a few scenarios, at most 4 runs, and no
+    # shrink phase (a failing example already shows a lost field).
+    @settings(
+        max_examples=15,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        backend=st.sampled_from(["agent", "vectorized-batch", "vectorized"]),
+        equipage=st.sampled_from(EQUIPAGES),
+        coordination=st.booleans(),
+        ready=st.booleans(),
+        scenarios=st.lists(encounter_params, min_size=1, max_size=3),
+        runs=st.integers(1, 4),
+        seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**128)),
+    )
+    def test_ingest_then_resultset_is_the_same_campaign(
+        self, tiny_table, backend, equipage, coordination, ready,
+        scenarios, runs, seed,
+    ):
+        setup = dict(
+            table=None if equipage == "none" else tiny_table,
+            equipage=equipage,
+            coordination=coordination,
+        )
+        if ready:
+            campaign = Campaign(
+                scenarios, backend=make_backend(backend, **setup),
+                runs_per_scenario=runs,
+            )
+        else:
+            campaign = Campaign(
+                scenarios, backend=backend, runs_per_scenario=runs, **setup
+            )
+        original = campaign.run(seed=seed)
+        with ResultStore(":memory:") as store:
+            restored = store.resultset(store.ingest(original))
+
+        assert results_digest(restored) == results_digest(original)
+        assert [(r.name, r.params) for r in restored] == [
+            (r.name, r.params) for r in original
+        ]
+        for field in (
+            "backend", "equipage", "coordination", "runs_per_scenario",
+            "seed_entropy", "workers",
+        ):
+            assert getattr(restored, field) == getattr(original, field)
+        assert restored.aggregates() == original.aggregates()
