@@ -256,7 +256,9 @@ class FalseAlarmFitness:
     seed:
         Base seed.
     backend:
-        Simulation backend registry key shared by both arms.
+        Simulation backend registry key shared by both arms.  A ready
+        backend owns one equipage and its own config, so it cannot
+        serve both arms: it raises ``TypeError``.
     """
 
     def __init__(
@@ -266,24 +268,26 @@ class FalseAlarmFitness:
         num_runs: int = 50,
         scale: float = 1.0,
         seed: SeedLike = None,
-        backend: Union[str, SimulationBackend] = "vectorized-batch",
+        backend: str = "vectorized-batch",
     ):
         if num_runs < 1:
             raise ValueError("num_runs must be >= 1")
         if scale <= 0:
             raise ValueError("scale must be positive")
+        if not isinstance(backend, str):
+            raise TypeError(
+                "FalseAlarmFitness needs a backend registry key: its "
+                "equipped and unequipped arms cannot share the one "
+                f"equipage of a ready {type(backend).__name__}"
+            )
         config = config or EncounterSimConfig()
-        # The two arms need different equipage, so a ready backend
-        # instance cannot serve both: resolve its registry key and
-        # construct each arm from that.  A fleet backend instance is
-        # named "vectorized-batch" — per-genome two-arm evaluations are
-        # direct run_many() calls, which execute in-process anyway.
-        key = backend if isinstance(backend, str) else backend.name
+        # Per-genome two-arm evaluations are direct run_many() calls,
+        # which run in-process even for the "distributed" key.
         self._equipped = make_backend(
-            key, table=table, config=config, equipage="both"
+            backend, table=table, config=config, equipage="both"
         )
         self._unequipped = make_backend(
-            key, table=None, config=config, equipage="none"
+            backend, table=None, config=config, equipage="none"
         )
         self.num_runs = num_runs
         self.scale = scale

@@ -6,7 +6,7 @@ provenance — backend, equipage, runs, seed entropy, digests — plus
 accumulated wall time and the machine's CPU count).  ``records`` holds
 one row per completed scenario, keyed ``(campaign_id,
 scenario_index)``: the aggregate columns queries filter on, the genome,
-and the full per-run outcome arrays as a lossless npz blob — enough to
+and the full per-run outcome arrays as one raw blob — enough to
 reconstruct a :class:`~repro.experiments.ResultSet` bit for bit.
 
 That primary key is the dedup/resume contract: inserting an
@@ -14,6 +14,18 @@ already-stored ``(campaign, scenario)`` is a no-op, and
 :meth:`ResultStore.completed_indices` tells a re-run of the same spec
 which scenarios it can skip.  Every write of one record commits, so a
 campaign killed mid-stream keeps everything it finished.
+
+A runs blob is the 4-byte prefix ``RUN\\x01``, then each per-run field
+as one contiguous column: ``min_separation`` and ``min_horizontal`` as
+little-endian float64, ``nmac``, ``own_alerted`` and
+``intruder_alerted`` as one byte each — 19 bytes per run, so its length
+alone says how many runs it holds.  Rows written before this layout
+hold ``np.savez`` archives; they are read as they are, never rewritten.
+The prefix picks the decoder (the zip local-header magic ``PK\\x03\\x04``
+means npz, anything else but ``RUN\\x01`` is refused), so data bytes
+never do.  Each row's ``checksum`` is the sha256 of its stored blob,
+and every read compares it before decoding: a raw blob has no CRC of
+its own, and a flipped bit must not resume as a result.
 
 One open :class:`ResultStore` may be shared across threads: the
 campaign service's request threads and its watchlist thread all read
@@ -28,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import sqlite3
 import threading
 from dataclasses import dataclass
@@ -89,27 +102,113 @@ CREATE TABLE IF NOT EXISTS quarantine (
 );
 """
 
-#: Field order of the packed per-run arrays (matches ``BatchResult``).
-_RUN_FIELDS = (
+#: Prefix of every raw runs blob.  It is not the zip local-header magic
+#: ``PK\x03\x04`` that starts the ``np.savez`` blobs of older rows, so the
+#: first four bytes alone choose the decoder.
+_RAW_MAGIC = b"RUN\x01"
+_NPZ_MAGIC = b"PK\x03\x04"
+
+#: The raw layout after the prefix: each ``BatchResult`` field as one
+#: column of ``num_runs`` items, in this order and on-disk dtype.
+_RAW_FIELDS = (
+    ("min_separation", np.dtype("<f8")),
+    ("min_horizontal", np.dtype("<f8")),
+    ("nmac", np.dtype("?")),
+    ("own_alerted", np.dtype("?")),
+    ("intruder_alerted", np.dtype("?")),
+)
+#: Bytes per run of a raw blob (19).
+_RUN_BYTES = sum(dtype.itemsize for _, dtype in _RAW_FIELDS)
+
+#: Aggregate columns of a ``records`` row, named as ``RunRecord``
+#: properties.  All are ``NOT NULL``, and sqlite binds NaN as NULL.
+_AGGREGATE_FIELDS = (
+    "nmac_rate",
+    "mean_min_separation",
     "min_separation",
     "min_horizontal",
-    "nmac",
-    "own_alerted",
-    "intruder_alerted",
+    "own_alert_rate",
+    "intruder_alert_rate",
 )
 
 
+class _CorruptBlob(ValueError):
+    """A runs blob that fails a check against its ``records`` row."""
+
+
 def _pack_runs(runs: BatchResult) -> bytes:
-    """Lossless npz encoding of the per-run outcome arrays."""
-    buffer = io.BytesIO()
-    np.savez(buffer, **{f: getattr(runs, f) for f in _RUN_FIELDS})
-    return buffer.getvalue()
+    """Raw encoding of the per-run outcome arrays (module docstring)."""
+    columns = [
+        np.ascontiguousarray(getattr(runs, name), dtype=dtype)
+        for name, dtype in _RAW_FIELDS
+    ]
+    if any(column.shape != (runs.num_runs,) for column in columns):
+        raise ValueError(
+            "per-run arrays must be 1-D and of one length, got shapes "
+            + ", ".join(
+                f"{name} {column.shape}"
+                for (name, _), column in zip(_RAW_FIELDS, columns)
+            )
+        )
+    return b"".join([_RAW_MAGIC] + [column.tobytes() for column in columns])
 
 
-def _unpack_runs(blob: bytes) -> BatchResult:
-    """Inverse of :func:`_pack_runs` (exact: raw array buffers)."""
+def _unpack_runs(blob: bytes, num_runs: int) -> BatchResult:
+    """Inverse of :func:`_pack_runs`, exact; also reads npz blobs.
+
+    *num_runs* is the row's run count, which the blob must hold.
+    Decoded arrays are writable copies in native byte order.
+    """
+    prefix = bytes(blob[: len(_RAW_MAGIC)])
+    if prefix == _RAW_MAGIC:
+        expected = len(_RAW_MAGIC) + _RUN_BYTES * num_runs
+        if len(blob) != expected:
+            raise _CorruptBlob(
+                f"run count mismatch (blob is {len(blob)} bytes, "
+                f"{num_runs} runs need {expected})"
+            )
+        fields = {}
+        offset = len(_RAW_MAGIC)
+        for name, dtype in _RAW_FIELDS:
+            column = np.frombuffer(
+                blob, dtype=dtype, count=num_runs, offset=offset
+            )
+            fields[name] = column.astype(dtype.newbyteorder("="))
+            offset += dtype.itemsize * num_runs
+        return BatchResult(**fields)
+    if prefix != _NPZ_MAGIC:
+        raise _CorruptBlob(
+            f"undecodable runs blob: unknown prefix {prefix!r}"
+        )
     with np.load(io.BytesIO(blob)) as data:
-        return BatchResult(**{f: data[f] for f in _RUN_FIELDS})
+        runs = BatchResult(**{name: data[name] for name, _ in _RAW_FIELDS})
+    if runs.num_runs != num_runs:
+        raise _CorruptBlob(
+            f"run count mismatch (blob has {runs.num_runs}, "
+            f"row says {num_runs})"
+        )
+    return runs
+
+
+def _checked_runs(row) -> BatchResult:
+    """Decode a ``records`` row's runs blob, checking it first.
+
+    The blob must hash to the row's stored checksum — compared before
+    decoding, because a raw blob has no CRC of its own — and hold the
+    row's ``num_runs`` runs; otherwise :class:`_CorruptBlob` says why.
+    A legacy npz row with no checksum keeps its zip CRC-32 check, and
+    fails as ``np.load`` does.
+    """
+    blob = row["runs_blob"]
+    stored = row["checksum"]
+    if stored is not None:
+        actual = hashlib.sha256(blob).hexdigest()
+        if actual != stored:
+            raise _CorruptBlob(
+                f"checksum mismatch (stored {stored[:12]}..., "
+                f"blob hashes to {actual[:12]}...)"
+            )
+    return _unpack_runs(blob, row["num_runs"])
 
 
 def _entropy_to_text(entropy: Optional[int]) -> Optional[str]:
@@ -438,8 +537,9 @@ class ResultStore:
         # flow back to the driving process), but *distributed* workers
         # (repro.distributed) write into one shared store file
         # concurrently: WAL mode plus a generous busy timeout make
-        # those single-statement INSERT OR IGNORE commits serialize
-        # cleanly, and the PK dedup makes their ordering irrelevant.
+        # those single-statement INSERT ... ON CONFLICT DO NOTHING
+        # commits serialize cleanly, and the PK dedup makes their
+        # ordering irrelevant.
         #
         # Within one process the handle itself is shared across threads
         # (service request threads + watchlist thread + submission
@@ -541,13 +641,26 @@ class ResultStore:
         The ``(campaign_id, scenario_index)`` primary key makes this the
         dedup point: the same scenario of the same spec (and therefore
         the same seed) is stored exactly once, whoever runs it and
-        however often.  Each record commits individually, so a
-        campaign killed mid-stream keeps everything it finished.
+        however often.  Only a conflict on that key is a duplicate; any
+        other constraint failure raises.  Each record commits
+        individually, so a campaign killed mid-stream keeps everything
+        it finished.
 
         Every row carries the sha256 of its packed per-run blob, so a
-        torn write or later bit-rot is detectable (:meth:`verify`)
-        instead of resuming as truth.
+        torn write or later bit-rot is detectable (:meth:`verify`, and
+        every read) instead of resuming as truth.
+
+        Raises ``ValueError`` for a NaN aggregate: sqlite would bind it
+        as NULL, and the record would be lost while its scenario is
+        re-simulated on every resume.  ±inf is stored as it is.
         """
+        aggregates = [getattr(record, field) for field in _AGGREGATE_FIELDS]
+        for field, value in zip(_AGGREGATE_FIELDS, aggregates):
+            if math.isnan(value):
+                raise ValueError(
+                    f"record {campaign_id[:12]}/{record.index} "
+                    f"({record.name}): {field} is NaN"
+                )
         blob = _pack_runs(record.runs)
         checksum = hashlib.sha256(blob).hexdigest()
         # Fault seam: a torn write persists a truncated blob while the
@@ -556,11 +669,12 @@ class ResultStore:
         if faults.fire("store.write.torn") is not None:
             blob = blob[: max(1, len(blob) // 3)]
         query = (
-            "INSERT OR IGNORE INTO records (campaign_id, scenario_index,"
+            "INSERT INTO records (campaign_id, scenario_index,"
             " name, genome, num_runs, nmac_rate, mean_min_separation,"
             " min_separation, min_horizontal, own_alert_rate,"
             " intruder_alert_rate, runs_blob, checksum)"
             " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+            " ON CONFLICT (campaign_id, scenario_index) DO NOTHING"
         )
         values = (
             campaign_id,
@@ -570,12 +684,7 @@ class ResultStore:
                 record.params.as_array(), dtype=np.float64
             ).tobytes(),
             record.num_runs,
-            record.nmac_rate,
-            record.mean_min_separation,
-            record.min_separation,
-            record.min_horizontal,
-            record.own_alert_rate,
-            record.intruder_alert_rate,
+            *aggregates,
             blob,
             checksum,
         )
@@ -788,9 +897,10 @@ class ResultStore:
         """Like :meth:`records`, but scalar aggregate columns only.
 
         Returns plain dicts of the indexed per-scenario columns without
-        decoding any per-run blob — the shape the service's records
-        endpoint and the watchlist's ranking scans use, where decoding
-        millions of npz blobs would dominate the query.
+        reading any per-run blob — the shape the service's records
+        endpoint and the watchlist's ranking scans use, where fetching,
+        hashing and decoding every run of millions of scenarios would
+        dominate the query.
         """
         columns = (
             "campaign_id, scenario_index, name, num_runs, nmac_rate,"
@@ -941,11 +1051,9 @@ class ResultStore:
                 break
             for row in rows:
                 checked += 1
-                blob = row["runs_blob"]
-                actual = hashlib.sha256(blob).hexdigest()
                 if row["checksum"] is None:
                     missing_checksum += 1
-                reason = self._check_blob(row, blob, actual)
+                reason = self._check_blob(row)
                 if reason is not None:
                     corrupt.append(
                         CorruptRecord(
@@ -956,9 +1064,11 @@ class ResultStore:
                         )
                     )
                 elif row["checksum"] is None and repair:
-                    backfill.append(
-                        (actual, row["campaign_id"], row["scenario_index"])
-                    )
+                    backfill.append((
+                        hashlib.sha256(row["runs_blob"]).hexdigest(),
+                        row["campaign_id"],
+                        row["scenario_index"],
+                    ))
             last = (rows[-1]["campaign_id"], rows[-1]["scenario_index"])
         if repair and (corrupt or backfill):
             self._quarantine(corrupt, backfill)
@@ -974,23 +1084,14 @@ class ResultStore:
         )
 
     @staticmethod
-    def _check_blob(row, blob: bytes, actual: str) -> Optional[str]:
+    def _check_blob(row) -> Optional[str]:
         """Why one record row is corrupt, or ``None`` if it is sound."""
-        stored = row["checksum"]
-        if stored is not None and stored != actual:
-            return (
-                f"checksum mismatch (stored {stored[:12]}..., "
-                f"blob hashes to {actual[:12]}...)"
-            )
         try:
-            runs = _unpack_runs(blob)
-        except Exception as error:
+            _checked_runs(row)
+        except _CorruptBlob as error:
+            return str(error)
+        except Exception as error:  # whatever np.load raises for npz
             return f"undecodable runs blob: {type(error).__name__}: {error}"
-        if runs.num_runs != row["num_runs"]:
-            return (
-                f"run count mismatch (blob has {runs.num_runs}, "
-                f"row says {row['num_runs']})"
-            )
         return None
 
     def _quarantine(
@@ -1147,10 +1248,25 @@ class ResultStore:
 
     @staticmethod
     def _record(row: sqlite3.Row) -> RunRecord:
+        """Decode one ``records`` row; a corrupt one raises ``ValueError``.
+
+        Every read checks the blob (:func:`_checked_runs`), so a record
+        damaged after it was written is refused by name instead of
+        resuming as a result.
+        """
+        try:
+            runs = _checked_runs(row)
+        except _CorruptBlob as error:
+            raise ValueError(
+                f"stored record {row['campaign_id'][:12]}/"
+                f"{row['scenario_index']} ({row['name']}) is corrupt: "
+                f"{error}; run `repro store verify --repair` to "
+                "quarantine it, and a re-run re-simulates it"
+            ) from None
         genome = np.frombuffer(row["genome"], dtype=np.float64)
         return RunRecord(
             index=row["scenario_index"],
             name=row["name"],
             params=EncounterParameters.from_array(genome),
-            runs=_unpack_runs(row["runs_blob"]),
+            runs=runs,
         )

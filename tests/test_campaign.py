@@ -145,15 +145,24 @@ class TestBackendRegistry:
         backend = make_backend("vectorized", table=test_table)
         assert make_backend(backend) is backend
 
-    def test_false_alarm_fitness_arms_differ_for_instance_backend(
+    def test_false_alarm_fitness_refuses_instance_backend(
         self, test_table
     ):
-        # A ready backend instance is pinned to one equipage; the
-        # two-arm fitness must rebuild per arm from its registry key.
+        # A ready backend owns one equipage and its own config, so it
+        # cannot serve both arms; rebuilding the arms from its registry
+        # key would drop that config without a word.
         from repro.search.fitness import FalseAlarmFitness
 
-        backend = make_backend("vectorized", table=test_table)
-        fitness = FalseAlarmFitness(test_table, num_runs=2, backend=backend)
+        backend = make_backend(
+            "vectorized-batch",
+            table=test_table,
+            config=EncounterSimConfig(physics_substeps=2),
+        )
+        with pytest.raises(TypeError, match="registry key"):
+            FalseAlarmFitness(test_table, num_runs=2, backend=backend)
+        fitness = FalseAlarmFitness(
+            test_table, num_runs=2, backend="vectorized"
+        )
         assert fitness._equipped is not fitness._unequipped
         assert fitness._unequipped.equipage == "none"
 

@@ -5,11 +5,16 @@ roundtrips, the resume/dedup contract of ``Campaign.run(store=...)`` /
 ``iter_records(store=...)`` — an interrupted campaign resumed from the
 store must be bitwise identical to an uninterrupted run, and a
 completed spec must re-run with zero new simulations — plus the
-lossless seed-entropy export, cross-campaign queries/diffs, and the
-pipelines (Monte-Carlo, search) that log through the store.
+lossless seed-entropy export, cross-campaign queries/diffs, the
+pipelines (Monte-Carlo, search) that log through the store, and the
+per-run blob format with the checks every read makes on it.
 """
 
+import dataclasses
+import hashlib
+import io
 import json
+import sqlite3
 from itertools import islice
 
 import numpy as np
@@ -19,8 +24,18 @@ from repro.encounters import StatisticalEncounterModel, head_on_encounter
 from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
 from repro.search.ga import GAConfig
+from repro.experiments.campaign import RunRecord
 from repro.search.runner import SearchRunner
+from repro.sim.batch import BatchResult
 from repro.store import CampaignSpec, ResultStore, table_digest
+
+RUN_FIELDS = (
+    "min_separation",
+    "min_horizontal",
+    "nmac",
+    "own_alerted",
+    "intruder_alerted",
+)
 
 
 @pytest.fixture
@@ -44,13 +59,7 @@ def assert_records_identical(a: ResultSet, b: ResultSet) -> None:
         assert ra.index == rb.index
         assert ra.name == rb.name
         assert ra.params == rb.params
-        for field in (
-            "min_separation",
-            "min_horizontal",
-            "nmac",
-            "own_alerted",
-            "intruder_alerted",
-        ):
+        for field in RUN_FIELDS:
             np.testing.assert_array_equal(
                 getattr(ra.runs, field), getattr(rb.runs, field)
             )
@@ -218,6 +227,184 @@ class TestStoreRoundtrip:
         assert len({r.campaign_id for r in everywhere}) == 2
         risky = store.records(where="nmac_rate > ?", params=(0.0,))
         assert all(r.record.nmac_rate > 0.0 for r in risky)
+
+
+def stored_blob(store, campaign_id, index):
+    """The raw ``runs_blob`` bytes of one stored row."""
+    return store._conn.execute(
+        "SELECT runs_blob FROM records WHERE campaign_id = ?"
+        " AND scenario_index = ?",
+        (campaign_id, index),
+    ).fetchone()[0]
+
+
+def overwrite_blob(store, campaign_id, index, blob, checksum):
+    """Replace one row's blob and checksum behind the store's back."""
+    store._conn.execute(
+        "UPDATE records SET runs_blob = ?, checksum = ?"
+        " WHERE campaign_id = ? AND scenario_index = ?",
+        (blob, checksum, campaign_id, index),
+    )
+    store._conn.commit()
+
+
+class TestRunsBlobFormat:
+    """The stored per-run layout, old npz rows, and checks on read."""
+
+    SEED = 2016
+
+    def _stored_campaign(self, test_table, store):
+        campaign = make_campaign(test_table, scenarios=3, runs=4)
+        first = campaign.run(seed=self.SEED, store=store)
+        return campaign, first, first.metadata["campaign_id"]
+
+    def test_fixed_record_blob_is_pinned(self, store):
+        runs = BatchResult(
+            min_separation=np.array([1000.0000000021919, 152.4, 30.5]),
+            min_horizontal=np.array([999.5, 140.25, np.inf]),
+            nmac=np.array([False, False, True]),
+            own_alerted=np.array([False, True, True]),
+            intruder_alerted=np.array([False, True, False]),
+        )
+        record = RunRecord(
+            index=0, name="fixed", params=head_on_encounter(), runs=runs
+        )
+        assert store.add_record("fixed", record)
+        blob = stored_blob(store, "fixed", 0)
+        # Prefix, then five columns: 8 + 8 + 1 + 1 + 1 bytes per run.
+        assert blob[:4] == b"RUN\x01" and len(blob) == 4 + 19 * 3
+        assert hashlib.sha256(blob).hexdigest() == (
+            "b60c47908aa313b9f47a989613c4f3278c5844729a385cfecfb1cbd0875e11f1"
+        )
+
+    def test_prefix_collision_value_roundtrips(self, store):
+        # The first run's float64 begins with the bytes "PK", which a
+        # decoder chosen from data bytes would mistake for a zip file.
+        value = 1000.0000000021919
+        assert np.array([value]).tobytes()[:2] == b"PK"
+        runs = BatchResult(
+            min_separation=np.array([value, 2.0]),
+            min_horizontal=np.array([value, 1.0]),
+            nmac=np.array([False, True]),
+            own_alerted=np.array([True, False]),
+            intruder_alerted=np.array([True, True]),
+        )
+        record = RunRecord(
+            index=0, name="pk", params=head_on_encounter(), runs=runs
+        )
+        store.add_record("pk", record)
+        loaded = store.get_record("pk", 0).runs
+        for field in RUN_FIELDS:
+            expected, got = getattr(runs, field), getattr(loaded, field)
+            assert got.dtype == expected.dtype and got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+
+    def test_legacy_npz_row_decodes_verifies_and_resumes(
+        self, test_table, store
+    ):
+        campaign, first, campaign_id = self._stored_campaign(
+            test_table, store
+        )
+        # A row as stores written before the raw layout hold it.
+        buffer = io.BytesIO()
+        np.savez(
+            buffer, **{f: getattr(first[1].runs, f) for f in RUN_FIELDS}
+        )
+        legacy = buffer.getvalue()
+        assert legacy[:4] == b"PK\x03\x04"
+        overwrite_blob(
+            store, campaign_id, 1, legacy,
+            hashlib.sha256(legacy).hexdigest(),
+        )
+        loaded = store.get_record(campaign_id, 1).runs
+        for field in RUN_FIELDS:
+            expected = getattr(first[1].runs, field)
+            assert getattr(loaded, field).dtype == expected.dtype
+            assert getattr(loaded, field).tobytes() == expected.tobytes()
+        report = store.verify()
+        assert report.ok and report.checked == 3
+        assert not report.corrupt and report.missing_checksum == 0
+        again = campaign.run(seed=self.SEED, store=store)
+        assert again.metadata["simulated"] == 0
+        assert again.metadata["loaded"] == 3
+        assert_records_identical(first, again)
+
+    def test_truncated_blob_is_a_run_count_mismatch(
+        self, test_table, store
+    ):
+        campaign, _, campaign_id = self._stored_campaign(test_table, store)
+        truncated = stored_blob(store, campaign_id, 2)[:-19]
+        overwrite_blob(
+            store, campaign_id, 2, truncated,
+            hashlib.sha256(truncated).hexdigest(),
+        )
+        report = store.verify()
+        assert not report.ok
+        assert [c.scenario_index for c in report.corrupt] == [2]
+        assert report.corrupt[0].reason.startswith("run count mismatch")
+        with pytest.raises(ValueError, match="run count mismatch"):
+            campaign.run(seed=self.SEED, store=store)
+
+    def test_flipped_bit_is_refused_by_name_and_quarantined(
+        self, test_table, store
+    ):
+        campaign, first, campaign_id = self._stored_campaign(
+            test_table, store
+        )
+        damaged = bytearray(stored_blob(store, campaign_id, 1))
+        damaged[4] ^= 0x01  # one ulp of run 0's min_separation
+        checksum = store._conn.execute(
+            "SELECT checksum FROM records WHERE campaign_id = ?"
+            " AND scenario_index = 1",
+            (campaign_id,),
+        ).fetchone()[0]
+        overwrite_blob(store, campaign_id, 1, bytes(damaged), checksum)
+        with pytest.raises(
+            ValueError,
+            match=rf"{campaign_id[:12]}/1 .*checksum mismatch"
+            r".*repro store verify --repair",
+        ):
+            campaign.run(seed=self.SEED, store=store)
+        repaired = store.verify(repair=True)
+        assert repaired.ok and repaired.repaired
+        assert [row["scenario_index"] for row in store.quarantined()] == [1]
+        healed = campaign.run(seed=self.SEED, store=store)
+        assert healed.metadata["simulated"] == 1
+        assert_records_identical(first, healed)
+
+
+class TestRefusedRecords:
+    """Only a primary-key conflict is a duplicate; garbage raises."""
+
+    def test_nan_aggregate_is_refused_not_deduped(self, test_table, store):
+        results = make_campaign(test_table, scenarios=2, runs=3).run(seed=3)
+        results[0].runs.min_separation[:] = np.nan
+        with pytest.raises(ValueError) as refused:
+            store.ingest(results)
+        (info,) = store.campaigns()
+        message = str(refused.value)
+        assert f"{info.campaign_id[:12]}/0 " in message
+        assert "mean_min_separation" in message
+        assert store.completed_indices(info.campaign_id) == set()
+        assert store.add_record(info.campaign_id, results[1]) is True
+        assert store.add_record(info.campaign_id, results[1]) is False
+        with pytest.raises(ValueError, match="NaN"):
+            store.add_record(info.campaign_id, results[0])
+        assert store.completed_indices(info.campaign_id) == {1}
+
+    def test_infinite_aggregate_is_stored(self, test_table, store):
+        results = make_campaign(test_table, scenarios=2, runs=3).run(seed=3)
+        results[0].runs.min_horizontal[:] = np.inf
+        campaign_id = store.ingest(results)
+        assert store.get_record(campaign_id, 0).min_horizontal == np.inf
+        assert store.record_rows(campaign_id)[0]["min_horizontal"] == np.inf
+
+    def test_not_null_violation_raises(self, test_table, store):
+        results = make_campaign(test_table, scenarios=2, runs=3).run(seed=3)
+        campaign_id = store.ingest(results)
+        nameless = dataclasses.replace(results[0], index=2, name=None)
+        with pytest.raises(sqlite3.IntegrityError):
+            store.add_record(campaign_id, nameless)
 
 
 class TestSeedEntropyProvenance:
