@@ -14,17 +14,18 @@ import numpy as np
 from conftest import record_result
 
 from repro.search.clustering import cluster_genomes
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 
 
 def test_bench_clustering_regions(benchmark, fast_table):
+    rng = np.random.default_rng(3)
     runner = SearchRunner(
-        fast_table,
+        EncounterFitness(fast_table, num_runs=20, seed=rng),
         ga_config=GAConfig(population_size=40, generations=4),
-        num_runs=20,
     )
-    outcome = runner.run(seed=3)
+    outcome = runner.run(seed=rng)
     genomes, fitnesses = outcome.ga_result.all_evaluated()
     threshold = np.percentile(fitnesses, 75)
     challenging = genomes[fitnesses >= threshold]

@@ -16,6 +16,7 @@ from conftest import record_campaign, record_figure, record_result
 
 from repro.analysis.figures import fitness_scatter, generation_means_figure
 from repro.experiments import Campaign
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 
@@ -32,10 +33,14 @@ def test_bench_fig6_fitness_over_generations(benchmark, fast_table, smoke):
     else:
         ga_config = GAConfig(population_size=40, generations=5)
         num_runs = 25
-    runner = SearchRunner(fast_table, ga_config=ga_config, num_runs=num_runs)
+    rng = np.random.default_rng(2016)
+    runner = SearchRunner(
+        EncounterFitness(fast_table, num_runs=num_runs, seed=rng),
+        ga_config=ga_config,
+    )
 
     outcome = benchmark.pedantic(
-        lambda: runner.run(seed=2016, top_k=10), rounds=1, iterations=1
+        lambda: runner.run(seed=rng, top_k=10), rounds=1, iterations=1
     )
 
     lines = [

@@ -13,18 +13,19 @@ from repro.analysis.geometry import (
     is_vertical_crossing,
     relative_horizontal_speed_of,
 )
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 
 
 def test_bench_fig78_challenging_geometry(benchmark, fast_table):
+    rng = np.random.default_rng(7)
     runner = SearchRunner(
-        fast_table,
+        EncounterFitness(fast_table, num_runs=25, seed=rng),
         ga_config=GAConfig(population_size=40, generations=5),
-        num_runs=25,
     )
     outcome = benchmark.pedantic(
-        lambda: runner.run(seed=7, top_k=10), rounds=1, iterations=1
+        lambda: runner.run(seed=rng, top_k=10), rounds=1, iterations=1
     )
 
     lines = ["top 10 encounters by fitness:"]

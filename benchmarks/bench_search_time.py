@@ -8,8 +8,10 @@ search through the vectorized batch simulator.
 
 import time
 
+import numpy as np
 from conftest import record_result
 
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 
@@ -22,17 +24,17 @@ PAPER_RUNS = 100
 
 
 def test_bench_search_time(benchmark, fast_table):
+    rng = np.random.default_rng(0)
     runner = SearchRunner(
-        fast_table,
+        EncounterFitness(fast_table, num_runs=NUM_RUNS, seed=rng),
         ga_config=GAConfig(
             population_size=POPULATION, generations=GENERATIONS
         ),
-        num_runs=NUM_RUNS,
     )
 
     start = time.perf_counter()
     outcome = benchmark.pedantic(
-        lambda: runner.run(seed=0), rounds=1, iterations=1
+        lambda: runner.run(seed=rng), rounds=1, iterations=1
     )
     elapsed = time.perf_counter() - start
 

@@ -25,7 +25,13 @@ import time
 
 import numpy as np
 
-from repro import GAConfig, SearchRunner, build_logic_table, test_config
+from repro import (
+    EncounterFitness,
+    GAConfig,
+    SearchRunner,
+    build_logic_table,
+    test_config,
+)
 from repro.analysis.geometry import (
     is_vertical_crossing,
     relative_horizontal_speed_of,
@@ -48,9 +54,12 @@ def main(paper_scale: bool = False) -> None:
         f"=== GA search: population {ga_config.population_size}, "
         f"{ga_config.generations} generations, {num_runs} runs/evaluation ==="
     )
-    runner = SearchRunner(table, ga_config=ga_config, num_runs=num_runs)
+    # One generator drives the GA and the fitness noise.
+    rng = np.random.default_rng(2016)
+    fitness = EncounterFitness(table, num_runs=num_runs, seed=rng)
+    runner = SearchRunner(fitness, ga_config=ga_config)
     start = time.perf_counter()
-    outcome = runner.run(seed=2016, top_k=10, verbose=True)
+    outcome = runner.run(seed=rng, top_k=10, verbose=True)
     elapsed = time.perf_counter() - start
     print(f"search took {elapsed:.1f}s "
           f"({outcome.ga_result.evaluations} evaluations)")

@@ -56,6 +56,8 @@ call, ``run_many(params_list, num_runs, seeds)``:
   every scenario's disturbance/sensor noise pre-drawn into tapes, so a
   scenario's bits never depend on which scenarios share its chunk.
 
+``"agent-svo"`` flies Selective Velocity Obstacle avoidance (the
+paper's ref [7]) on the agent engine and takes no logic table.
 ``"vectorized"`` is a legacy alias of ``"vectorized-batch"`` (bitwise
 identical), kept so stored campaigns naming it keep resolving; the
 agent engine agrees with the kernel statistically (under test).  For
@@ -65,7 +67,11 @@ can stream records without materializing the list via
 ``Campaign.iter_records(seed=...)``.  Searches use every CPU: a GA
 search (``GeneticAlgorithm.run``, ``SearchRunner``, ``repro search``)
 runs all its generations on one warm process pool, bit for bit the
-serial search, and closes it when the search ends.
+serial search, and closes it when the search ends.  ``SearchRunner``
+takes a ready fitness, which owns the setup; one generator fed to both
+makes a one-seed search: ``rng = np.random.default_rng(0)``, then
+``SearchRunner(EncounterFitness(table, seed=rng)).run(seed=rng)``
+(``EncounterFitness(backend="agent-svo", seed=rng)`` searches SVO).
 
 Where did the time go?  Run the campaign traced and read the trace
 back: every chunk span carries the megabatch kernel's per-phase
@@ -106,7 +112,7 @@ backend_options={"queue": ..., "store": ...})`` (or the
 ``$REPRO_QUEUE``/``$REPRO_STORE`` environment variables) targets an
 already-running external fleet from a single ``run()`` call, draining
 the campaign in-process when no fleet member is live — and so do
-``MonteCarloEstimator`` / ``SearchRunner``, which forward
+``MonteCarloEstimator`` / ``EncounterFitness``, which forward
 ``backend``/``backend_options`` unchanged.  From the shell::
 
     repro submit --sample 200 --runs 100 \\

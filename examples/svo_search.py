@@ -4,9 +4,11 @@ Before targeting ACAS XU, the authors applied the same GA-based
 validation to the Selective Velocity Obstacle algorithm (paper ref
 [7], SAFECOMP 2014).  This example re-runs that study on our SVO
 implementation: the GA searches the same 9-parameter encounter space,
-but fitness is evaluated through the algorithm-agnostic agent-engine
-path, since SVO is a horizontal (turning) method outside the
-vectorized ACAS fast path.
+and fitness is evaluated through the ``"agent-svo"`` backend — the
+agent engine with SVO on both aircraft, since SVO is a horizontal
+(turning) method outside the vectorized ACAS fast path.  The search
+runs exactly as an ACAS one does: one campaign per generation, on one
+warm process pool, storable and content-addressed.
 
 SVO's characteristic weakness differs from ACAS XU's: as a pure
 velocity-obstacle method it struggles when turning cannot generate
@@ -20,47 +22,42 @@ Usage::
 
 import time
 
-from repro import GAConfig, GeneticAlgorithm
-from repro.analysis.geometry import classify_encounter
-from repro.avoidance import SelectiveVelocityObstacle
-from repro.encounters.encoding import EncounterParameters
-from repro.encounters.generator import ParameterRanges
-from repro.search.generic_fitness import GenericEncounterFitness
+import numpy as np
+
+from repro import EncounterFitness, GAConfig, SearchRunner
 
 
 def main() -> None:
-    ranges = ParameterRanges()
-    fitness = GenericEncounterFitness(
-        pair_factory=lambda: (
-            SelectiveVelocityObstacle(),
-            SelectiveVelocityObstacle(),
-        ),
-        num_runs=8,
-        seed=14,
-    )
-    ga = GeneticAlgorithm(
-        ranges, GAConfig(population_size=16, generations=3)
+    # One generator drives the GA and the fitness noise: one seed
+    # fixes the whole search.
+    rng = np.random.default_rng(7)
+    fitness = EncounterFitness(num_runs=8, seed=rng, backend="agent-svo")
+    runner = SearchRunner(
+        fitness, ga_config=GAConfig(population_size=16, generations=3)
     )
 
     print("=== GA search against SVO (cf. paper ref [7]) ===")
     start = time.perf_counter()
-    result = ga.run(fitness, seed=7)
+    outcome = runner.run(seed=rng, top_k=5)
+    result = outcome.ga_result
     print(f"search took {time.perf_counter() - start:.1f}s "
           f"({result.evaluations} evaluations x {fitness.num_runs} runs)")
     print()
 
     print("fitness by generation:")
-    for i, fits in enumerate(result.fitness_history):
-        print(f"  gen {i}: min={fits.min():7.1f} mean={fits.mean():7.1f} "
-              f"max={fits.max():7.1f}")
+    for row in outcome.generation_summary():
+        print(f"  gen {row['generation']}: min={row['min']:7.1f} "
+              f"mean={row['mean']:7.1f} max={row['max']:7.1f}")
     print()
 
-    best = EncounterParameters.from_array(result.best_genome)
-    print(f"best fitness: {result.best_fitness:.1f}")
-    print(f"best geometry: {classify_encounter(best)}")
-    print(f"best encounter: time_to_cpa={best.time_to_cpa:.1f}s, "
-          f"own vs={best.own_vertical_speed:+.1f} m/s, "
-          f"intruder vs={best.intruder_vertical_speed:+.1f} m/s")
+    print("top encounters:")
+    for encounter in outcome.top_encounters:
+        best = encounter.parameters
+        print(f"  fitness={encounter.fitness:7.1f} "
+              f"geometry={encounter.geometry:<13} "
+              f"time_to_cpa={best.time_to_cpa:5.1f}s "
+              f"own vs={best.own_vertical_speed:+.1f} m/s "
+              f"intruder vs={best.intruder_vertical_speed:+.1f} m/s")
     print()
     print("Note: SVO ignores the vertical axis entirely, so the GA tends\n"
           "to exploit vertical-offset geometries a turning-only method\n"

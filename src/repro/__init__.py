@@ -50,6 +50,10 @@ call, ``run_many(params_list, num_runs, seeds)``:
   chunks of scenarios advance as one flattened lane array, and each
   scenario's bits depend only on its own seed, never on the chunking.
 
+``agent-svo`` flies the paper's other system under test, Selective
+Velocity Obstacle avoidance (its ref [7]), on the agent engine; it
+reads no logic table and refuses one.
+
 A campaign reads its equipage and coordination from its backend, so
 ``Campaign(..., backend=make_backend("vectorized-batch",
 equipage="none"))`` is stored as the unequipped campaign it simulates;
@@ -68,7 +72,14 @@ streams the same records chunk by chunk.
 keeps one warm process pool (:class:`~repro.experiments.WorkerPool`)
 over every CPU the process may use for the whole search, and closes
 it when the search ends.  The bits are a serial search's; ``taskset
--c 0`` runs one serially.
+-c 0`` runs one serially.  ``SearchRunner`` takes a ready fitness,
+which owns the whole simulation setup; one generator shared by the
+fitness and the GA makes a one-seed search::
+
+    rng = np.random.default_rng(0)
+    fitness = EncounterFitness(table, num_runs=100, seed=rng)
+    outcome = SearchRunner(fitness).run(seed=rng)
+    # backend="agent-svo" (and no table) searches against SVO
 
 **Persisting campaigns.**  Pass a :class:`ResultStore` and the campaign
 writes through a sqlite store under a content-addressed provenance hash
@@ -113,9 +124,9 @@ Submit now, run workers anywhere, collect later::
 Fleets are also a first-class **backend**: with ``repro worker``
 processes already running anywhere the queue file is reachable, a
 single campaign call targets them through the ``"distributed"``
-registry key — and so do ``MonteCarloEstimator``, ``SearchRunner`` and
-``EncounterFitness``, which forward ``backend``/``backend_options``
-unchanged::
+registry key — and so do ``MonteCarloEstimator`` and
+``EncounterFitness`` (so a ``SearchRunner`` search), which forward
+``backend``/``backend_options`` unchanged::
 
     results = Campaign(
         ..., table=table,

@@ -28,7 +28,8 @@ fleet is live — results are bitwise identical either way.
 
 Simulation-heavy commands take ``--backend``/``--equipage``/
 ``--coordination`` with the same spellings the library's experiment
-registry accepts.  Every command takes ``--seed`` and is fully
+registry accepts (``--backend agent-svo`` flies SVO avoidance and
+solves no logic table).  Every command takes ``--seed`` and is fully
 deterministic given it (including ``campaign --workers N``).
 
 ``campaign``, ``montecarlo`` and ``search`` also take ``--store PATH``:
@@ -47,6 +48,8 @@ import json
 import sys
 from pathlib import Path
 from typing import List, Optional
+
+import numpy as np
 
 from repro import telemetry
 from repro.acasx import build_logic_table, paper_config, test_config
@@ -67,8 +70,10 @@ from repro.experiments import (
     SampledSource,
     available_backends,
 )
+from repro.experiments.backends import SvoAgentBackend
 from repro.lint.cli import add_lint_arguments, cmd_lint
 from repro.montecarlo import MonteCarloEstimator
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.search.runner import SearchRunner
 from repro.sim import EncounterSimConfig, run_encounter
@@ -106,6 +111,18 @@ def _load_table(args) -> "LogicTable":
     if getattr(args, "no_cache", False):
         return build_logic_table(config, verbose=args.verbose)
     return build_or_load(config, verbose=args.verbose)
+
+
+def _table_for(args) -> Optional["LogicTable"]:
+    """The logic table a simulating command flies, loaded only if one
+    is flown: not for ``--equipage none``, nor for ``--backend
+    agent-svo``, whose SVO aircraft read no table."""
+    if (
+        getattr(args, "equipage", "both") == "none"
+        or getattr(args, "backend", None) == SvoAgentBackend.name
+    ):
+        return None
+    return _load_table(args)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +227,7 @@ def _campaign_from_args(args) -> Campaign:
             scenarios = PresetSource(*names)
         except ValueError as error:
             raise SystemExit(str(error))
-    table = None if args.equipage == "none" else _load_table(args)
+    table = _table_for(args)
     try:
         return Campaign(
             scenarios,
@@ -274,24 +291,23 @@ def cmd_campaign(args) -> int:
 # search
 # ----------------------------------------------------------------------
 def cmd_search(args) -> int:
-    table = _load_table(args)
+    if args.top < 0:
+        raise SystemExit("--top must be >= 0")
+    table = _table_for(args)
     store = _open_store(args)
-    runner = SearchRunner(
-        table,
-        ga_config=GAConfig(
-            population_size=args.population, generations=args.generations
-        ),
-        num_runs=args.runs,
-        backend=args.backend,
-        equipage=args.equipage,
-        coordination=args.coordination == "on",
-        store=store,
-        backend_options=_backend_options(args),
-    )
+    # One generator drives the GA and the fitness noise: the search is
+    # a function of --seed alone.
+    rng = np.random.default_rng(args.seed)
     try:
-        outcome = runner.run(
-            seed=args.seed, top_k=args.top, verbose=args.verbose
+        fitness = EncounterFitness(
+            table, num_runs=args.runs, equipage=args.equipage,
+            coordination=args.coordination == "on", seed=rng,
+            backend=args.backend, store=store,
+            backend_options=_backend_options(args),
         )
+        outcome = SearchRunner(fitness, ga_config=GAConfig(
+            population_size=args.population, generations=args.generations,
+        )).run(seed=rng, top_k=args.top, verbose=args.verbose)
     except ValueError as error:  # e.g. distributed without queue/store
         raise SystemExit(str(error))
     if store is not None:
@@ -319,6 +335,10 @@ def cmd_search(args) -> int:
             "population": args.population,
             "generations": args.generations,
             "runs_per_evaluation": args.runs,
+            "backend": fitness.backend.name,
+            "equipage": fitness.backend.equipage,
+            "coordination": fitness.backend.coordination,
+            "table_preset": None if table is None else args.preset,
             "generation_summary": outcome.generation_summary(),
             "top_encounters": [
                 {
@@ -341,7 +361,7 @@ def cmd_search(args) -> int:
 def cmd_montecarlo(args) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    table = _load_table(args)
+    table = _table_for(args)
     store = _open_store(args)
     estimator = MonteCarloEstimator(
         table,
@@ -391,7 +411,7 @@ def cmd_inspect(args) -> int:
 # airspace
 # ----------------------------------------------------------------------
 def cmd_airspace(args) -> int:
-    table = None if args.equipage == "none" else _load_table(args)
+    table = _table_for(args)
     simulation = AirspaceSimulation(table)
     result = simulation.run(
         args.aircraft, duration=args.duration, seed=args.seed

@@ -7,8 +7,9 @@ campaign's content-addressed id, its ``ResultSet`` and the spec its
 workers rebuild all describe the plain megabatch backend, because
 where chunks execute cannot change a bit.  Direct ``run_many`` calls
 run in-process.  ``Campaign(backend="distributed", ...).run(seed)`` —
-and so ``MonteCarloEstimator``, ``SearchRunner``, ``EncounterFitness``
-and ``repro campaign --backend distributed`` — delegates to
+and so ``MonteCarloEstimator``, ``EncounterFitness`` (a
+``SearchRunner`` search's generations) and ``repro campaign --backend
+distributed`` — delegates to
 :meth:`DistributedBackend.run_campaign`: ``submit`` →
 :meth:`~repro.distributed.coordinator.DistributedRun.wait` →
 ``collect``, bitwise identical to the serial run.  The wait drains the

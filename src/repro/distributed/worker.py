@@ -620,7 +620,7 @@ class Worker:
         backend = self._backends.get(job.backend_spec)
         if backend is None:
             spec: BackendSpec = pickle.loads(job.backend_spec)
-            if spec.table_digest is None and spec.equipage != "none":
+            if vars(spec).get("table_bytes") is not None:
                 # Queued by a version that pickled the table into the
                 # spec.  Forget the row: a re-submit rewrites it.
                 self._jobs.pop(job.campaign_id, None)

@@ -14,10 +14,13 @@ equipage, coordination) and answers one call,
 Every consumer — campaigns, GA fitness, Monte-Carlo estimation, the
 CLI — selects the trade-off with a single string (``"agent"``,
 ``"vectorized-batch"`` or ``"distributed"``) and reads what was
-simulated from the backend it built.  ``"vectorized"`` is a legacy
-alias of ``"vectorized-batch"`` that keeps stored campaign ids naming
-it resolvable.  New backends register under their own key and become
-available everywhere at once.  The ``"distributed"`` key builds a
+simulated from the backend it built.  ``"agent-svo"`` flies the
+paper's other system under test, Selective Velocity Obstacle
+avoidance, on the agent engine and takes no logic table.
+``"vectorized"`` is a legacy alias of ``"vectorized-batch"`` that
+keeps stored campaign ids naming it resolvable.  New backends register
+under their own key and become available everywhere at once.  The
+``"distributed"`` key builds a
 :class:`~repro.distributed.backend.DistributedBackend` (imported
 lazily, so importing this module stays cheap): the megabatch backend,
 under its own name, plus the queue and store paths that make
@@ -52,9 +55,11 @@ import numpy as np
 
 from repro.acasx.logic_table import LogicTable
 from repro.avoidance.acas import AcasXuAvoidance
+from repro.avoidance.svo import SelectiveVelocityObstacle
 from repro.encounters.encoding import EncounterParameters
 from repro.sim.batch import BatchEncounterSimulator, BatchResult
 from repro.sim.encounter import (
+    EQUIPAGES,
     EncounterSimConfig,
     check_equipage,
     make_acas_pair,
@@ -244,6 +249,51 @@ class AgentBackend:
             own_alerted=own_alerted,
             intruder_alerted=intr_alerted,
         )
+
+
+@register_backend("agent-svo")
+class SvoAgentBackend(AgentBackend):
+    """The agent engine flying Selective Velocity Obstacle avoidance.
+
+    The paper's precursor study (its ref [7]) ran the same GA search
+    against SVO.  Each equipped aircraft gets a fresh
+    :class:`~repro.avoidance.svo.SelectiveVelocityObstacle` per run.
+    SVO is geometric and reads no logic table, so passing one raises
+    ``ValueError``.  *coordination* enters the campaign id but changes
+    no bit: SVO aircraft pick compatible turns by convention, without
+    exchanging senses.
+    """
+
+    name = "agent-svo"
+
+    def __init__(
+        self,
+        table: Optional[LogicTable] = None,
+        config: EncounterSimConfig | None = None,
+        equipage: str = "both",
+        coordination: bool = True,
+    ):
+        if table is not None:
+            raise ValueError(
+                f"backend {self.name!r} flies Selective Velocity Obstacle "
+                "avoidance, which reads no logic table; pass none"
+            )
+        if equipage not in EQUIPAGES:
+            raise ValueError(
+                f"unknown equipage {equipage!r} "
+                f"(use one of {', '.join(EQUIPAGES)})"
+            )
+        self.table = None
+        self.config = config or EncounterSimConfig()
+        self.equipage = equipage
+        self.coordination = coordination
+
+    def _make_pair(self):
+        own = None if self.equipage == "none" else SelectiveVelocityObstacle()
+        intruder = (
+            SelectiveVelocityObstacle() if self.equipage == "both" else None
+        )
+        return own, intruder
 
 
 # The megabatch kernel is the "vectorized-batch" backend itself.

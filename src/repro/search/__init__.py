@@ -10,11 +10,13 @@ situations where the avoidance logic behaves poorly.
   substitute): tournament selection, blend crossover, Gaussian
   mutation, elitism;
 - :mod:`repro.search.fitness` — the paper's fitness function
-  ``mean(10000 / (1 + d_min))`` over stochastic runs;
+  ``mean(10000 / (1 + d_min))`` over stochastic runs, simulated by any
+  registry backend (``"agent-svo"`` searches against SVO);
 - :mod:`repro.search.random_search` — the uniform-sampling baseline the
   authors compared against in their earlier work;
-- :mod:`repro.search.runner` — end-to-end search harness producing the
-  per-generation data of the paper's Fig. 6;
+- :mod:`repro.search.runner` — end-to-end search harness: runs the GA
+  on a ready fitness, which owns the simulation setup, and ranks the
+  top encounters (the data of the paper's Figs. 6–8);
 - :mod:`repro.search.clustering` — k-means grouping of high-fitness
   genomes into challenging *regions* (the paper's future-work idea).
 """

@@ -14,7 +14,9 @@ registry-selected backend (``"vectorized-batch"`` by default — the
 megabatch fast path, which also lets a GA generation's whole population
 be simulated as one flattened lane array via
 :meth:`EncounterFitness.evaluate_population`; ``"agent"`` for the
-faithful engine).  Inside a ``with fitness:`` scope — which
+faithful engine; ``"agent-svo"`` to search against the Selective
+Velocity Obstacle baseline of the paper's ref [7]).  Inside a ``with
+fitness:`` scope — which
 :meth:`~repro.search.ga.GeneticAlgorithm.run` opens for a whole search —
 every generation runs on one warm process pool that uses every CPU,
 with bits identical to a serial search; an ablation variant
@@ -67,8 +69,10 @@ class EncounterFitness:
     Parameters
     ----------
     table:
-        The logic table of the system under test (``None`` only for
-        an unequipped search or a ready *backend*).
+        The logic table of the ACAS keys' system under test (``None``
+        for an unequipped search, a ready *backend*, or
+        ``"agent-svo"``, whose SVO aircraft read no table and refuse
+        one).
     config:
         Simulation configuration.
     num_runs:
@@ -86,7 +90,9 @@ class EncounterFitness:
         passing any of those too raises ``TypeError``); see
         :func:`repro.experiments.available_backends`.
         ``"distributed"`` evaluates every generation's campaign on a
-        worker fleet — pass queue/store paths via *backend_options*.
+        worker fleet — pass queue/store paths via *backend_options*;
+        ``"agent-svo"`` searches against SVO with the same campaigns,
+        pool and store.
     backend_options:
         Extra factory options forwarded to the backend (see
         :class:`~repro.experiments.Campaign`).

@@ -11,21 +11,20 @@ reports: per-generation fitness (Fig. 6), the top encounters
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.store import ResultStore
-
-from repro.acasx.logic_table import LogicTable
 from repro.analysis.geometry import classify_encounter
 from repro.encounters.encoding import EncounterParameters
 from repro.encounters.generator import ParameterRanges
-from repro.search.fitness import EncounterFitness
-from repro.search.ga import GAConfig, GAResult, GeneticAlgorithm
-from repro.sim.encounter import EncounterSimConfig
-from repro.util.rng import SeedLike, as_generator
+from repro.search.ga import (
+    FitnessFunction,
+    GAConfig,
+    GAResult,
+    GeneticAlgorithm,
+)
+from repro.util.rng import SeedLike
 
 
 @dataclass
@@ -49,7 +48,6 @@ class SearchOutcome:
 
     ga_result: GAResult
     top_encounters: List[RankedEncounter]
-    simulation_runs_per_evaluation: int
 
     def generation_summary(self) -> List[dict]:
         """Per-generation fitness statistics (the paper's Fig. 6)."""
@@ -64,81 +62,49 @@ class SearchOutcome:
 
 
 class SearchRunner:
-    """Configures and runs one GA validation search.
+    """Runs one GA validation search on a ready fitness and ranks it.
 
-    :meth:`run` evaluates every generation on one warm process pool
-    over every CPU the process may use, opened and closed by the
-    search itself (see :class:`EncounterFitness`); the outcome is
-    bitwise identical to a serial search.
+    The runner keeps only the scenario space, the GA config and the
+    top-*k* ranking.  The fitness owns everything simulated: normally
+    an :class:`~repro.search.fitness.EncounterFitness`, which builds
+    its backend from a registry key (``"agent-svo"`` searches against
+    SVO) or takes a ready one, and evaluates every generation on one
+    warm process pool, bitwise identical to a serial search.  A
+    one-seed search shares one generator between the GA and the
+    fitness noise::
+
+        rng = np.random.default_rng(seed)
+        fitness = EncounterFitness(table, num_runs=100, seed=rng)
+        outcome = SearchRunner(fitness).run(seed=rng)
 
     Parameters
     ----------
-    table:
-        Logic table of the system under test.
+    fitness:
+        Genome → scalar to maximize, with ``evaluate_population`` and
+        a ``with`` scope where it has them.
     ranges:
         The scenario space.
     ga_config:
         GA settings (paper scale: population 200, 5 generations).
-    sim_config:
-        Simulation settings shared by every evaluation.
-    num_runs:
-        Stochastic simulation runs per fitness evaluation (paper: 100).
-    backend:
-        Simulation backend registry key for the fitness campaigns
-        (``"vectorized-batch"`` default — each GA generation simulates
-        as megabatch chunks — ``"agent"`` for the faithful engine,
-        ``"distributed"`` to evaluate generations on a worker fleet).
-    backend_options:
-        Extra factory options forwarded to the fitness backend (the
-        ``"distributed"`` backend's queue/store paths).
-    equipage / coordination:
-        Equipage of the simulated encounters.
-    store:
-        Optional :class:`~repro.store.ResultStore`; every generation's
-        fitness campaign is persisted with provenance, so the search's
-        simulation evidence is queryable after the run.
     """
 
     def __init__(
         self,
-        table: LogicTable,
+        fitness: FitnessFunction,
         ranges: ParameterRanges | None = None,
         ga_config: GAConfig | None = None,
-        sim_config: EncounterSimConfig | None = None,
-        num_runs: int = 100,
-        backend: str = "vectorized-batch",
-        equipage: str = "both",
-        coordination: bool = True,
-        store: Optional["ResultStore"] = None,
-        backend_options: Optional[dict] = None,
     ):
-        self.table = table
+        self.fitness = fitness
         self.ranges = ranges or ParameterRanges()
         self.ga_config = ga_config or GAConfig()
-        self.sim_config = sim_config or EncounterSimConfig()
-        self.num_runs = num_runs
-        self.backend = backend
-        self.backend_options = backend_options
-        self.equipage = equipage
-        self.coordination = coordination
-        self.store = store
 
     def run(
         self, seed: SeedLike = None, top_k: int = 10, verbose: bool = False
     ) -> SearchOutcome:
-        """Run the search and rank the most challenging encounters."""
-        rng = as_generator(seed)
-        fitness = EncounterFitness(
-            self.table,
-            config=self.sim_config,
-            num_runs=self.num_runs,
-            equipage=self.equipage,
-            coordination=self.coordination,
-            seed=rng,
-            backend=self.backend,
-            store=self.store,
-            backend_options=self.backend_options,
-        )
+        """Run the search (*seed* drives the GA only) and rank the
+        *top_k* most challenging distinct encounters."""
+        if top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {top_k}")
         ga = GeneticAlgorithm(self.ranges, self.ga_config)
 
         def report(generation: int, genomes: np.ndarray, fits: np.ndarray) -> None:
@@ -148,13 +114,10 @@ class SearchRunner:
                     f"max={fits.max():.1f} mean={fits.mean():.1f}"
                 )
 
-        ga_result = ga.run(fitness, seed=rng, callback=report)
-
-        top = self._rank_top(ga_result, top_k)
+        ga_result = ga.run(self.fitness, seed=seed, callback=report)
         return SearchOutcome(
             ga_result=ga_result,
-            top_encounters=top,
-            simulation_runs_per_evaluation=self.num_runs,
+            top_encounters=self._rank_top(ga_result, top_k),
         )
 
     def _rank_top(self, ga_result: GAResult, top_k: int) -> List[RankedEncounter]:
@@ -170,6 +133,8 @@ class SearchRunner:
         ranked: List[RankedEncounter] = []
         seen: List[np.ndarray] = []
         for fit, gen_index, genome in entries:
+            if len(ranked) >= top_k:
+                break
             if any(np.allclose(genome, s) for s in seen):
                 continue
             params = EncounterParameters.from_array(genome)
@@ -182,6 +147,4 @@ class SearchRunner:
                 )
             )
             seen.append(genome)
-            if len(ranked) >= top_k:
-                break
         return ranked

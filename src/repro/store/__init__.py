@@ -18,8 +18,9 @@ the experiment stack writes through instead:
   parity, and cross-campaign queries/diffs.
 
 Every pipeline accepts a store: ``Campaign.run(store=...)``,
-``MonteCarloEstimator(store=...)``, ``SearchRunner(store=...)``, the
-CLI's ``--store PATH`` plus the ``repro store`` subcommands, and the
+``MonteCarloEstimator(store=...)``, ``EncounterFitness(store=...)``
+(so every generation of a ``SearchRunner`` search), the CLI's
+``--store PATH`` plus the ``repro store`` subcommands, and the
 benchmark harness's ``record_campaign``.
 """
 

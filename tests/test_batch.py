@@ -76,21 +76,32 @@ class TestStatisticalEquivalence:
     implementations, but the distributions must agree."""
 
     @pytest.mark.parametrize(
-        "params",
-        [head_on_encounter(), tail_approach_encounter(overtake_speed=2.0)],
-        ids=["head-on", "tail"],
+        "params, coordination",
+        [
+            pytest.param(head_on_encounter(), True, id="head-on"),
+            pytest.param(
+                tail_approach_encounter(overtake_speed=2.0), True, id="tail"
+            ),
+            pytest.param(
+                head_on_encounter(), False, id="head-on-uncoordinated"
+            ),
+        ],
     )
-    def test_min_separation_distributions_agree(self, test_table, params):
+    def test_min_separation_distributions_agree(
+        self, test_table, params, coordination
+    ):
         config = EncounterSimConfig()
         runs = 60
         reference = []
         for seed in range(runs):
-            own, intruder = make_acas_pair(test_table)
+            own, intruder = make_acas_pair(test_table, coordination)
             result = run_encounter(params, own, intruder, config, seed=seed)
             reference.append(result.min_separation)
         reference = np.array(reference)
 
-        batch = BatchEncounterSimulator(test_table, config)
+        batch = BatchEncounterSimulator(
+            test_table, config, coordination=coordination
+        )
         result = batch.run(params, runs, seed=123)
 
         ref_mean = reference.mean()

@@ -123,23 +123,35 @@ class TestScenarioSources:
             as_scenario_source(StatisticalEncounterModel())
 
 
+def table_keys():
+    """Registry keys that fly the ACAS logic table (all but SVO's)."""
+    return [name for name in available_backends() if name != "agent-svo"]
+
+
 class TestBackendRegistry:
     def test_registry_contents(self):
         assert "agent" in available_backends()
+        assert "agent-svo" in available_backends()
         assert "vectorized" in available_backends()
 
     def test_unknown_backend_rejected(self, test_table):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("quantum", table=test_table)
 
-    def test_equipped_backend_needs_table(self):
-        for name in available_backends():
+    def test_equipped_backend_needs_table(self, test_table):
+        for name in table_keys():
             with pytest.raises(ValueError):
                 make_backend(name, table=None, equipage="both")
+        # SVO reads no table: it refuses one and flies without.
+        with pytest.raises(ValueError, match="reads no logic table"):
+            make_backend("agent-svo", table=test_table)
+        assert make_backend("agent-svo", equipage="both").table is None
 
     def test_equipage_validated(self, test_table):
         with pytest.raises(ValueError, match="equipage"):
             make_backend("agent", table=test_table, equipage="intruder-only")
+        with pytest.raises(ValueError, match="equipage"):
+            make_backend("agent-svo", equipage="intruder-only")
 
     def test_instance_passthrough(self, test_table):
         backend = make_backend("vectorized", table=test_table)
@@ -185,7 +197,8 @@ class TestBackendRegistry:
                 if name == "distributed"
                 else {}
             )
-            backend = make_backend(name, table=test_table, **options)
+            table = test_table if name in table_keys() else None
+            backend = make_backend(name, table=table, **options)
             (result,) = backend.run_many([head_on_encounter()], 3, [0])
             assert result.num_runs == 3
             assert result.min_separation.shape == (3,)

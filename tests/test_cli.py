@@ -258,8 +258,55 @@ class TestSearch:
         assert len(payload["top_encounters"]) == 3
         assert len(payload["generation_summary"]) == 2
         assert len(payload["top_encounters"][0]["genome"]) == 9
+        # The report names what it searched.
+        assert (
+            payload["backend"], payload["equipage"],
+            payload["coordination"], payload["table_preset"],
+        ) == ("vectorized-batch", "both", True, "test")
         out = capsys.readouterr().out
         assert "geometry counts" in out
+
+    def test_negative_top_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit, match="--top"):
+            main(["search", "--top", "-1"])
+        assert main([
+            "search", "--population", "4", "--generations", "1",
+            "--runs", "2", "--top", "0",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "top encounters:\n  #" not in out
+
+    def test_svo_backend_solves_no_table(self, tmp_path, capsys, monkeypatch):
+        import repro.cli as cli
+
+        def refuse(args):
+            raise AssertionError("a logic table was loaded")
+
+        monkeypatch.setattr(cli, "_load_table", refuse)
+        report_path = tmp_path / "svo.json"
+        assert main([
+            "search", "--backend", "agent-svo", "--population", "4",
+            "--generations", "2", "--runs", "2", "--top", "2",
+            "--out", str(report_path),
+        ]) == 0
+        payload = json.loads(report_path.read_text())
+        assert (payload["backend"], payload["table_preset"]) == (
+            "agent-svo", None
+        )
+        assert main([
+            "campaign", "--backend", "agent-svo", "--scenarios", "head_on",
+            "--runs", "2",
+        ]) == 0
+        assert main([
+            "montecarlo", "--backend", "agent-svo", "--encounters", "2",
+            "--runs", "2",
+        ]) == 0
+        assert main([
+            "submit", "--backend", "agent-svo", "--scenarios", "head_on",
+            "--runs", "2", "--queue", str(tmp_path / "q.sqlite"),
+            "--store", str(tmp_path / "s.sqlite"),
+        ]) == 0
+        assert "enqueued 1 chunk(s)" in capsys.readouterr().out
 
     def test_backend_flag_accepted(self, capsys):
         code = main(

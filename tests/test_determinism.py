@@ -6,6 +6,10 @@ independent executions, not object reuse) so accidental global-RNG
 usage or hidden state is caught immediately.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 
 from repro.encounters import StatisticalEncounterModel, head_on_encounter
@@ -16,6 +20,11 @@ from repro.search.runner import SearchRunner
 from repro.sim import BatchEncounterSimulator, EncounterSimConfig, run_encounter
 from repro.sim.airspace import AirspaceSimulation
 from repro.sim.encounter import make_acas_pair
+from repro.store import table_digest
+
+#: Committed digests of one search
+#: (:func:`test_search_matches_committed_digests`).
+SEARCH_GOLDEN = Path(__file__).with_name("search_golden.json")
 
 
 def test_encounter_run_bitwise_reproducible(test_table):
@@ -47,15 +56,24 @@ def test_batch_run_bitwise_reproducible(test_table):
     np.testing.assert_array_equal(runs[0].nmac, runs[1].nmac)
 
 
+def one_seed_search(table, seed, population, generations, runs):
+    """A search whose GA and fitness share one generator from *seed*."""
+    rng = np.random.default_rng(seed)
+    runner = SearchRunner(
+        EncounterFitness(table, num_runs=runs, seed=rng),
+        ga_config=GAConfig(
+            population_size=population, generations=generations
+        ),
+    )
+    return runner.run(seed=rng)
+
+
 def test_search_reproducible(test_table):
     outcomes = []
     for __ in range(2):
-        runner = SearchRunner(
-            test_table,
-            ga_config=GAConfig(population_size=8, generations=2),
-            num_runs=4,
-        )
-        outcomes.append(runner.run(seed=5))
+        outcomes.append(one_seed_search(
+            test_table, seed=5, population=8, generations=2, runs=4
+        ))
     a, b = outcomes
     np.testing.assert_array_equal(
         a.ga_result.best_genome, b.ga_result.best_genome
@@ -63,6 +81,35 @@ def test_search_reproducible(test_table):
     assert a.ga_result.best_fitness == b.ga_result.best_fitness
     for fa, fb in zip(a.ga_result.fitness_history, b.ga_result.fitness_history):
         np.testing.assert_array_equal(fa, fb)
+
+
+def test_search_matches_committed_digests(test_table):
+    """A one-seed search hashes to the committed golden digests.
+
+    They were recorded when the runner seeded the GA and the fitness
+    from its own ``run(seed)``; a search whose GA and fitness draw from
+    two generators, or any changed bit of the search, moves them.
+    """
+    golden = json.loads(SEARCH_GOLDEN.read_text())
+    assert table_digest(test_table) == golden["table_digest"]
+    outcome = one_seed_search(
+        test_table, seed=golden["seed"], population=golden["population"],
+        generations=golden["generations"], runs=golden["runs"],
+    )
+    assert len(outcome.top_encounters) == golden["top_k"]
+    fitness = np.concatenate(outcome.ga_result.fitness_history)
+    genomes = np.stack([e.genome for e in outcome.top_encounters])
+    assert {
+        "fitness_history": hashlib.sha256(
+            fitness.astype(np.float64).tobytes()
+        ).hexdigest(),
+        "top_genomes": hashlib.sha256(
+            genomes.astype(np.float64).tobytes()
+        ).hexdigest(),
+    } == golden["digests"], (
+        f"search outputs moved (digests recorded under numpy "
+        f"{golden['numpy']}, running {np.__version__})"
+    )
 
 
 def test_montecarlo_reproducible(test_table):

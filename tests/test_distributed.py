@@ -1394,6 +1394,20 @@ class TestLogicTableRows:
         with WorkQueue(queue_path) as queue:
             assert queue.job(run.campaign_id).table_digest is None
 
+    def test_svo_job_ships_no_table_and_runs(self, paths):
+        # An equipped job whose backend reads no table is not a job
+        # queued before tables were stored apart.
+        queue_path, store_path = paths
+        campaign = Campaign(
+            ["head_on", "tail_approach"], backend="agent-svo",
+            runs_per_scenario=2,
+        )
+        run = submit(campaign, SEED, queue=queue_path, store=store_path)
+        assert table_rows(queue_path) == []
+        stats = Worker(queue_path, poll_interval=0.02).run()
+        assert (stats.chunks_done, stats.backends_built) == (2, 1)
+        assert_bitwise_equal(campaign.run(seed=SEED), run.collect())
+
     @pytest.mark.parametrize("damage", ["corrupt", "missing"])
     def test_bad_table_row_fails_chunks_naming_digest_and_queue(
         self, paths, tiny_table, damage

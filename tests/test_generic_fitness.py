@@ -1,19 +1,21 @@
-"""Tests for the algorithm-agnostic fitness path."""
+"""Tests for the algorithm-agnostic fitness path.
+
+Any avoidance pair the agent engine flies is searched through
+:class:`EncounterFitness` with an agent-engine backend key; these cases
+use ``"agent-svo"``, the Selective Velocity Obstacle pair.
+"""
 
 import numpy as np
 import pytest
 
-from repro.avoidance import NoAvoidance, SelectiveVelocityObstacle
-from repro.avoidance.acas import AcasXuAvoidance
 from repro.encounters import head_on_encounter
 from repro.search.fitness import COLLISION_GAIN, EncounterFitness
-from repro.search.generic_fitness import GenericEncounterFitness
 
 
 class TestGenericEncounterFitness:
     def test_unequipped_headon_scores_high(self):
-        fitness = GenericEncounterFitness(
-            pair_factory=lambda: (None, None), num_runs=5, seed=0
+        fitness = EncounterFitness(
+            backend="agent-svo", equipage="none", num_runs=5, seed=0
         )
         value = fitness(head_on_encounter().as_array())
         # Dead-on collision courses with no avoidance come very close.
@@ -21,53 +23,22 @@ class TestGenericEncounterFitness:
         assert value <= COLLISION_GAIN
 
     def test_svo_reduces_fitness_on_headon(self):
-        base = GenericEncounterFitness(
-            pair_factory=lambda: (None, None), num_runs=5, seed=1
+        base = EncounterFitness(
+            backend="agent-svo", equipage="none", num_runs=5, seed=1
         )
-        svo = GenericEncounterFitness(
-            pair_factory=lambda: (
-                SelectiveVelocityObstacle(),
-                SelectiveVelocityObstacle(),
-            ),
-            num_runs=5,
-            seed=1,
-        )
+        svo = EncounterFitness(backend="agent-svo", num_runs=5, seed=1)
         genome = head_on_encounter().as_array()
         assert svo(genome) < base(genome)
 
     def test_evaluation_counter(self):
-        fitness = GenericEncounterFitness(
-            pair_factory=lambda: (NoAvoidance(), NoAvoidance()),
-            num_runs=2,
-            seed=0,
-        )
+        fitness = EncounterFitness(backend="agent-svo", num_runs=2, seed=0)
         genome = head_on_encounter().as_array()
         fitness(genome)
         fitness(genome)
         assert fitness.evaluations == 2
-
-    def test_matches_batch_fitness_for_acas(self, test_table):
-        # The generic (agent-engine) path and the vectorized batch path
-        # must agree statistically on the same encounter.
-        genome = head_on_encounter().as_array()
-        runs = 40
-        generic = GenericEncounterFitness(
-            pair_factory=lambda: (
-                AcasXuAvoidance(test_table, "own"),
-                AcasXuAvoidance(test_table, "intr"),
-            ),
-            num_runs=runs,
-            seed=3,
-        )
-        batch = EncounterFitness(test_table, num_runs=runs,
-                                 coordination=False, seed=3)
-        generic_seps = generic.min_separations(genome)
-        batch_seps = batch.simulate(genome).min_separation
-        pooled_se = np.sqrt(
-            generic_seps.var() / runs + batch_seps.var() / runs
-        )
-        assert abs(generic_seps.mean() - batch_seps.mean()) < 4 * pooled_se + 1e-9
+        fitness.evaluate_population(np.stack([genome] * 3))
+        assert fitness.evaluations == 5
 
     def test_num_runs_validated(self):
-        with pytest.raises(ValueError):
-            GenericEncounterFitness(lambda: (None, None), num_runs=0)
+        with pytest.raises(ValueError, match="num_runs"):
+            EncounterFitness(backend="agent-svo", num_runs=0)

@@ -219,14 +219,20 @@ class TestRandomSearch:
         assert ga_result.best_fitness > rs_result.best_fitness
 
 
+def make_runner(table, seed, population=10, generations=2, runs=5):
+    """A one-generator search: *seed* drives the GA and the fitness."""
+    rng = np.random.default_rng(seed)
+    fitness = EncounterFitness(table, num_runs=runs, seed=rng)
+    runner = SearchRunner(fitness, ga_config=GAConfig(
+        population_size=population, generations=generations,
+    ))
+    return runner, rng
+
+
 class TestSearchRunner:
     def test_end_to_end_search(self, test_table):
-        runner = SearchRunner(
-            test_table,
-            ga_config=GAConfig(population_size=10, generations=2),
-            num_runs=5,
-        )
-        outcome = runner.run(seed=0, top_k=5)
+        runner, rng = make_runner(test_table, seed=0)
+        outcome = runner.run(seed=rng, top_k=5)
         assert len(outcome.top_encounters) == 5
         assert outcome.ga_result.evaluations == 20
         summary = outcome.generation_summary()
@@ -235,25 +241,47 @@ class TestSearchRunner:
         assert sum(counts.values()) == 5
 
     def test_top_encounters_sorted(self, test_table):
-        runner = SearchRunner(
-            test_table,
-            ga_config=GAConfig(population_size=10, generations=2),
-            num_runs=5,
-        )
-        outcome = runner.run(seed=1, top_k=4)
+        runner, rng = make_runner(test_table, seed=1)
+        outcome = runner.run(seed=rng, top_k=4)
         fits = [e.fitness for e in outcome.top_encounters]
         assert fits == sorted(fits, reverse=True)
+        # Zero ranks none; a negative count is refused before the
+        # search runs.
+        assert runner.run(seed=rng, top_k=0).top_encounters == []
+        evaluations = runner.fitness.evaluations
+        with pytest.raises(ValueError, match="top_k"):
+            runner.run(seed=rng, top_k=-3)
+        assert runner.fitness.evaluations == evaluations
 
     def test_ranked_encounter_decodes(self, test_table):
-        runner = SearchRunner(
-            test_table,
-            ga_config=GAConfig(population_size=8, generations=2),
-            num_runs=5,
-        )
-        outcome = runner.run(seed=2, top_k=3)
+        runner, rng = make_runner(test_table, seed=2, population=8)
+        outcome = runner.run(seed=rng, top_k=3)
         top = outcome.top_encounters[0]
         assert top.parameters.time_to_cpa > 0
         assert top.geometry in ("head-on", "tail-approach", "crossing")
+
+    def test_ready_backend_owns_the_search_setup(self, test_table):
+        # The runner holds no setup of its own, so a ready backend is
+        # searched as it is, and every generation's campaign records
+        # the equipage that backend simulates.
+        from repro.experiments import make_backend
+        from repro.store import ResultStore
+
+        backend = make_backend(
+            "vectorized-batch", table=test_table, equipage="own-only"
+        )
+        with ResultStore(":memory:") as store:
+            outcome = SearchRunner(
+                EncounterFitness(
+                    backend=backend, num_runs=2, seed=0, store=store
+                ),
+                ga_config=GAConfig(population_size=4, generations=2),
+            ).run(seed=0)
+            campaigns = store.campaigns()
+        assert outcome.ga_result.evaluations == 8
+        assert len(campaigns) == 2
+        assert {c.equipage for c in campaigns} == {"own-only"}
+        assert all(c.complete for c in campaigns)
 
 
 class TestClustering:

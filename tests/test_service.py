@@ -217,11 +217,16 @@ class TestErrorPaths:
             {**UNEQUIPPED, "seed": -3},              # bad seed
             {**UNEQUIPPED, "backend": "distributed"},  # service owns dispatch
             {**SPEC, "preset": "nope"},              # unknown table preset
+            {**SPEC, "backend": "agent-svo"},        # SVO takes no table
             [1, 2, 3],                               # not an object
         ):
             response = client.post("/campaigns", json_body=bad)
             assert response.status == 400, bad
             assert "error" in response.json()
+        response = client.post(
+            "/campaigns", json_body={**SPEC, "backend": "agent-svo"}
+        )
+        assert "reads no logic table" in response.json()["error"]
 
     def test_bad_wait_and_timeout_are_400(self, client):
         # json.dumps emits NaN/Infinity tokens, which Python's json

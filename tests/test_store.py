@@ -23,6 +23,7 @@ import pytest
 from repro.encounters import StatisticalEncounterModel, head_on_encounter
 from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
+from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
 from repro.experiments.campaign import RunRecord
 from repro.search.runner import SearchRunner
@@ -584,13 +585,12 @@ class TestPipelinesLogThroughStore:
         assert rerun.risk_ratio == pytest.approx(report.risk_ratio)
 
     def test_search_logs_generation_campaigns(self, test_table, store):
+        rng = np.random.default_rng(0)
         runner = SearchRunner(
-            test_table,
+            EncounterFitness(test_table, num_runs=2, seed=rng, store=store),
             ga_config=GAConfig(population_size=6, generations=2),
-            num_runs=2,
-            store=store,
         )
-        runner.run(seed=0, top_k=2)
+        runner.run(seed=rng, top_k=2)
         campaigns = store.campaigns()
         assert len(campaigns) >= 2  # one fitness campaign per generation
         assert all(c.complete for c in campaigns)

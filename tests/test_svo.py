@@ -8,6 +8,14 @@ import pytest
 from repro.avoidance.base import NoAvoidance
 from repro.avoidance.svo import SelectiveVelocityObstacle, _wrap_angle
 from repro.dynamics.aircraft import AircraftState
+from repro.encounters import head_on_encounter
+from repro.experiments import Campaign, make_backend
+from repro.experiments.backends import BackendSpec, SvoAgentBackend
+from repro.search.fitness import EncounterFitness
+from repro.search.ga import GAConfig
+from repro.search.runner import SearchRunner
+from repro.sim.encounter import EncounterSimConfig
+from repro.store import ResultStore, results_digest
 
 
 def state(x=0.0, y=0.0, z=1000.0, vx=0.0, vy=0.0, vz=0.0):
@@ -104,3 +112,74 @@ class TestDecide:
     def test_name(self):
         assert SelectiveVelocityObstacle().name == "SVO"
         assert NoAvoidance().name == "NoAvoidance"
+
+
+class TestSvoBackend:
+    """``"agent-svo"``: the agent engine flying SVO, a registry key like
+    any other (campaigns, search, store, fleet spec)."""
+
+    def test_equipage_places_svo(self):
+        pairs = {
+            equipage: make_backend("agent-svo", equipage=equipage)._make_pair()
+            for equipage in ("both", "own-only", "none")
+        }
+        assert all(
+            isinstance(a, SelectiveVelocityObstacle) for a in pairs["both"]
+        )
+        own, intruder = pairs["own-only"]
+        assert isinstance(own, SelectiveVelocityObstacle) and intruder is None
+        assert pairs["none"] == (None, None)
+
+    def test_campaign_id_differs_from_the_agent_twin(self):
+        # Unequipped, the two keys simulate the same thing bit for bit,
+        # yet the key enters the id, so the campaigns never collide.
+        def stored(backend, equipage):
+            with ResultStore(":memory:") as store:
+                results = Campaign(
+                    ["head_on"], backend=backend, equipage=equipage,
+                    runs_per_scenario=2,
+                ).run(seed=0, store=store)
+                (info,) = store.campaigns()
+            return results, info
+
+        agent, agent_info = stored("agent", "none")
+        svo_none, none_info = stored("agent-svo", "none")
+        _, both_info = stored("agent-svo", "both")
+        assert results_digest(svo_none) == results_digest(agent)
+        ids = {agent_info.campaign_id, none_info.campaign_id,
+               both_info.campaign_id}
+        assert len(ids) == 3
+        assert (none_info.backend, both_info.backend) == ("agent-svo",) * 2
+
+    def test_spec_round_trip(self):
+        backend = make_backend(
+            "agent-svo", equipage="own-only", coordination=False,
+            config=EncounterSimConfig(physics_substeps=2),
+        )
+        spec = BackendSpec.capture(backend)
+        assert (spec.backend, spec.table_digest) == ("agent-svo", None)
+        rebuilt = spec.build()
+        assert type(rebuilt) is SvoAgentBackend
+        assert BackendSpec.capture(rebuilt) == spec
+        (a,), (b,) = (
+            sim.run_many([head_on_encounter()], 2, [4])
+            for sim in (backend, rebuilt)
+        )
+        assert a.min_separation.tobytes() == b.min_separation.tobytes()
+        assert a.own_alerted.tobytes() == b.own_alerted.tobytes()
+
+    def test_search_stores_each_generation(self):
+        rng = np.random.default_rng(3)
+        with ResultStore(":memory:") as store:
+            outcome = SearchRunner(
+                EncounterFitness(
+                    backend="agent-svo", num_runs=2, seed=rng, store=store
+                ),
+                ga_config=GAConfig(population_size=4, generations=2),
+            ).run(seed=rng, top_k=2)
+            campaigns = store.campaigns()
+        assert len(outcome.top_encounters) == 2
+        assert len(campaigns) == 2  # one campaign per generation
+        for info in campaigns:
+            assert (info.backend, info.equipage) == ("agent-svo", "both")
+            assert info.num_scenarios == 4 and info.complete

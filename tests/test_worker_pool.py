@@ -125,6 +125,24 @@ class TestSearchPool:
         serial = search(EncounterFitness(test_table, num_runs=10, seed=3))
         assert_same_search(pooled, serial)
 
+    def test_svo_search_pools_bitwise_serial(self, monkeypatch, two_cpus):
+        # The agent-engine SVO key searches on the same warm pool as the
+        # ACAS keys, with a serial search's bits.
+        seen = []
+        pooled = search(
+            EncounterFitness(backend="agent-svo", num_runs=2, seed=3),
+            generations=2, population=4,
+            callback=lambda *_: seen.append(children()),
+        )
+        assert len(seen[0]) == 2
+        assert children() == []
+        use_cpus(monkeypatch, 1)
+        serial = search(
+            EncounterFitness(backend="agent-svo", num_runs=2, seed=3),
+            generations=2, population=4,
+        )
+        assert_same_search(pooled, serial)
+
     def test_one_cpu_stays_serial(self, test_table, monkeypatch, no_pool):
         use_cpus(monkeypatch, 1)
         result = search(EncounterFitness(test_table, num_runs=4, seed=3))
