@@ -18,6 +18,7 @@ primary records.  The sqlite file itself is a local accumulating cache
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -104,16 +105,29 @@ def record_campaign(name: str, result_set) -> None:
     ``<name>.campaign.json`` timing record is regenerated from the
     store's export — it carries wall-clock timing, backend name and
     ``cpu_count`` metadata, so every persisted timing is
-    self-describing.  Smoke runs print the summary but do not persist.
+    self-describing.  A record that already holds the same campaign id
+    is left as it is: the id digests the outcome arrays, scenarios,
+    seed and backend, so only its timing and host could change.  Smoke
+    runs print the summary but do not persist.
     """
     print(f"\n----- {name} ({result_set.wall_time:.2f}s wall) -----")
     print(result_set.summary())
     if _SMOKE_RUN:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"{name}.campaign.json"
     with ResultStore(STORE_PATH) as store:
         campaign_id = store.ingest(result_set, label=name)
-        store.export_json(campaign_id, RESULTS_DIR / f"{name}.campaign.json")
+        if _recorded_campaign_id(path) != campaign_id:
+            store.export_json(campaign_id, path)
+
+
+def _recorded_campaign_id(path: Path):
+    """The campaign id a committed ``.campaign.json`` holds, if any."""
+    try:
+        return json.loads(path.read_text())["metadata"]["campaign_id"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,10 @@ expected reward-to-go ``Q[k, sRA, a, cube]``.  Online, the controller
 asks for the Q-values at a *continuous* state: the table multilinearly
 interpolates over the cube and linearly over τ — the "interpolation"
 machinery Section IV of the paper flags as validation-relevant.
+
+The table stores Q corner-major, ``[k, sRA, cube, a]``: the values of
+every action at one cube corner are one contiguous row, so a lookup
+gathers a row per corner instead of a value per corner and action.
 """
 
 from __future__ import annotations
@@ -23,15 +27,19 @@ from repro.acasx.config import AcasConfig
 from repro.mdp.grid import Grid, UniformAxis
 
 
-#: Rows per block of the vectorized Q lookup: 256 rows × 2 stages ×
-#: NUM_ADVISORIES × 8 corners of float64 ≈ 160 KB of temporaries, small
-#: enough to stay in cache at any batch width.
-_Q_BATCH_BLOCK = 256
+#: Rows per block of the vectorized Q lookup: 1,024 rows × 8 corners ×
+#: NUM_ADVISORIES of float64 is 320 KB per stage, so a block's
+#: temporaries stay cache-sized at any batch width.
+_LOOKUP_BLOCK = 1024
 
 #: The raw byte layout's header-length prefix, and the boundary its
 #: padded header ends on, so Q is an aligned view of the buffer.
 _LENGTH = struct.Struct("<Q")
 _Q_ALIGN = 64
+
+#: The header's name for a corner-major body.  A header without a
+#: ``layout`` key carries a canonical ``[k, sRA, a, cube]`` body.
+_CORNER_MAJOR = "k,current,cube,action"
 
 #: The :class:`AcasConfig` fields both byte layouts record.
 _CONFIG_KEYS = (
@@ -66,8 +74,29 @@ def make_cube_grid(config: AcasConfig) -> Grid:
     )
 
 
+def _corner_sum(gathered: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sum over the corners of *gathered* Q rows.
+
+    *gathered* is ``(8, rows)`` void items of ``NUM_ADVISORIES`` float32
+    action values and *weights* ``(8, rows, 1)`` float64.  The corners
+    are summed in the order numpy's pairwise ``np.sum`` adds 8 values,
+    which a left-to-right sum is not.  Returns ``(rows, actions)``.
+    """
+    c = gathered.view(np.float32).reshape(*gathered.shape, NUM_ADVISORIES)
+    c = c * weights
+    return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+
+
 class LogicTable:
     """Solved ACAS XU-like logic.
+
+    Q is held once, corner-major: a read-only C-contiguous float32
+    array ``[k, sRA, cube, a]``, so the ``NUM_ADVISORIES`` action values
+    of one cube point are 20 contiguous bytes.  :attr:`q` is a
+    zero-copy view of it in the canonical ``[k, sRA, a, cube]`` order,
+    which is the order ``table_digest``, the npz cache and every
+    reader of ``table.q`` see.  The table stores no other view, so a
+    pickled table carries one copy of Q.
 
     Parameters
     ----------
@@ -78,7 +107,11 @@ class LogicTable:
         cube_size)``: stage ``k`` (0 = terminal), current advisory
         state, candidate action, flattened cube.  Stage 0 holds the
         terminal values broadcast across actions so τ→0 lookups blend
-        into the terminal cost.
+        into the terminal cost.  A float32 canonical view of a
+        corner-major C-contiguous array (what the solver and
+        :meth:`from_bytes` pass) is taken as it is; any other array is
+        copied into corner-major order.  Either way the table's Q is
+        read-only.
     metadata:
         Provenance (solver settings, build time).
     """
@@ -95,15 +128,28 @@ class LogicTable:
             NUM_ADVISORIES,
             config.cube_size,
         )
-        q_values = np.asarray(q_values, dtype=np.float32)
+        q_values = np.asarray(q_values)
         if q_values.shape != expected:
             raise ValueError(
                 f"q_values has shape {q_values.shape}, expected {expected}"
             )
         self.config = config
-        self.q = q_values
+        self._q_rows = np.ascontiguousarray(
+            q_values.transpose(0, 1, 3, 2), dtype=np.float32
+        )
+        self._q_rows.flags.writeable = False
         self.grid = make_cube_grid(config)
         self.metadata: Dict[str, object] = dict(metadata or {})
+
+    def __setstate__(self, state) -> None:
+        # Unpickled arrays come back writeable; the table's Q never is.
+        self.__dict__.update(state)
+        self._q_rows.flags.writeable = False
+
+    @property
+    def q(self) -> np.ndarray:
+        """Q in canonical ``[k, sRA, a, cube]`` order: a read-only view."""
+        return self._q_rows.transpose(0, 1, 3, 2)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -155,6 +201,14 @@ class LogicTable:
     ) -> np.ndarray:
         """Vectorized :meth:`q_values_at` for *n* independent states.
 
+        Each row gathers 16 action rows of the corner-major Q (8 cube
+        corners at each of the two bracketing stages), in blocks of
+        ``_LOOKUP_BLOCK`` rows.  Both stages are always blended, the
+        row-wise arithmetic of the canonical-layout lookup it replaced
+        (a float32 value times a float64 weight, corners summed as
+        numpy's 8-wide pairwise ``np.sum`` does), so every output bit
+        is the same.
+
         Parameters
         ----------
         tau:
@@ -176,48 +230,27 @@ class LogicTable:
         w_hi = k_float - k_lo
 
         indices, weights = self.grid.interp_table(coords)  # (n, 8)
+        # Row (k, current, cube point) of Q as one void item holding
+        # its NUM_ADVISORIES float32 action values.
+        rows_q = self._q_rows.view((np.void, 4 * NUM_ADVISORIES)).reshape(-1)
         cube = self.config.cube_size
-        flat_q = self.q.reshape(-1)
-        # One gather over an (n, 2, NUM_ADVISORIES, corners) index block
-        # instead of a per-advisory Python loop: the flat offset of
-        # corner c of action a at stage k is
-        # ((k * A + current) * A + a) * cube + indices[c]; the second
-        # axis packs the bracketing stages (k_lo, k_hi) so both ends of
-        # the tau interpolation come out of a single fancy index.
-        action_offsets = np.arange(NUM_ADVISORIES, dtype=np.int64) * cube
-        stages = np.stack([k_lo, k_hi], axis=1)  # (n, 2)
-        blocks = (
-            ((stages * NUM_ADVISORIES + current_indices[:, None])
-             * NUM_ADVISORIES * cube)[:, :, None] + action_offsets
-        )  # (n, 2, A)
+        base_lo = (k_lo * NUM_ADVISORIES + current_indices) * cube
+        base_hi = (k_hi * NUM_ADVISORIES + current_indices) * cube
+
         n = tau.shape[0]
         out = np.empty((n, NUM_ADVISORIES))
-        # Evaluate in row blocks so the gathered float64 temporaries
-        # stay cache-sized at megabatch widths; every op is row-wise,
-        # so blocking cannot change any output bit.
-        for start in range(0, n, _Q_BATCH_BLOCK):
-            rows = slice(start, min(start + _Q_BATCH_BLOCK, n))
-            wb = w_hi[rows]
-            if not wb.any():
-                # Degenerate tau interpolation for the whole block —
-                # every lane clipped at the horizon (tau beyond the
-                # table, the pre-CPA bulk of long encounters) or sitting
-                # exactly on a stage.  The k_hi gather would be multi-
-                # plied by 0 and the k_lo one by 1, so skip both: half
-                # the gather traffic, same values out.
-                gathered = flat_q[
-                    blocks[rows, 0, :, None] + indices[rows, None, :]
-                ]
-                out[rows] = np.sum(gathered * weights[rows, None, :], axis=2)
-                continue
-            gathered = flat_q[
-                blocks[rows, :, :, None] + indices[rows, None, None, :]
-            ]
-            q_pair = np.sum(gathered * weights[rows, None, None, :], axis=3)
-            out[rows] = (
-                (1.0 - wb)[:, None] * q_pair[:, 0]
-                + wb[:, None] * q_pair[:, 1]
+        for start in range(0, n, _LOOKUP_BLOCK):
+            rows = slice(start, min(start + _LOOKUP_BLOCK, n))
+            # Corners on the leading axis, so each corner's products
+            # are one contiguous (rows, actions) slab.
+            corners = np.ascontiguousarray(indices[rows].T)
+            corner_weights = weights[rows].T[:, :, None]
+            q_lo, q_hi = (
+                _corner_sum(rows_q[base[rows] + corners], corner_weights)
+                for base in (base_lo, base_hi)
             )
+            wb = w_hi[rows, None]
+            out[rows] = (1.0 - wb) * q_lo + wb * q_hi
         return out
 
     def best_advisory(
@@ -265,7 +298,12 @@ class LogicTable:
     # Serialization
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Store the table (compressed npz + JSON config/metadata)."""
+        """Store the table (compressed npz + JSON config/metadata).
+
+        The npz holds Q in canonical ``[k, sRA, a, cube]`` order, the
+        form it always had on disk; numpy writes the view in buffered
+        chunks, never a full copy.
+        """
         self._write_npz(Path(path))
 
     def to_bytes(self) -> bytes:
@@ -281,19 +319,23 @@ class LogicTable:
         """The raw byte layout as two buffers, without copying Q.
 
         The first buffer is a little-endian ``uint64`` header length,
-        then a JSON header (config, metadata, dtype, shape) padded with
-        spaces so Q starts on a 64-byte boundary; the second is a byte
-        view of Q in C order.  There is no compression: at paper
-        resolution zlib spent over a second to shrink 28.4 MB of Q to
-        16.2 MB, while copying or hashing the raw bytes takes
-        hundredths of one.
+        then a JSON header (config, metadata, dtype, the body's shape
+        and ``layout``) padded with spaces so Q starts on a 64-byte
+        boundary; the second is a byte view of the table's corner-major
+        Q, ``[k, sRA, cube, a]`` in C order, the layout the header
+        names.  A reader from before that layout finds a shape it does
+        not expect and refuses the body instead of misreading it.
+        There is no compression: at paper resolution zlib spent over a
+        second to shrink 28.4 MB of Q to 16.2 MB, while copying or
+        hashing the raw bytes takes hundredths of one.
         """
-        q = np.ascontiguousarray(self.q)
+        q = self._q_rows
         header = json.dumps({
             "config": self._config_dict(),
             "metadata": self.metadata,
             "dtype": q.dtype.str,
             "shape": list(q.shape),
+            "layout": _CORNER_MAJOR,
         }).encode()
         pad = -(_LENGTH.size + len(header)) % _Q_ALIGN
         header += b" " * pad
@@ -303,8 +345,11 @@ class LogicTable:
     def from_bytes(cls, data: bytes) -> "LogicTable":
         """Rebuild a table from :meth:`to_bytes` output.
 
-        Q is a read-only view of *data* (``np.frombuffer``), not a
-        copy, so the table keeps *data* alive.
+        A corner-major body becomes the table's Q as a read-only view
+        of *data* (``np.frombuffer``), not a copy, so the table keeps
+        *data* alive.  A body written before that layout (no
+        ``layout`` key; canonical ``[k, sRA, a, cube]``) still loads,
+        copied into corner-major order.
         """
         (size,) = _LENGTH.unpack_from(data)
         start = _LENGTH.size + size
@@ -319,6 +364,11 @@ class LogicTable:
                 f"logic table bytes hold {len(data) - start} bytes of Q "
                 f"after the header, expected {q.nbytes}"
             )
+        layout = header.get("layout")
+        if layout == _CORNER_MAJOR:
+            q = q.transpose(0, 1, 3, 2)
+        elif layout is not None:
+            raise ValueError(f"unknown logic table Q layout {layout!r}")
         return cls(
             config=cls._config_from_dict(header["config"]),
             q_values=q,

@@ -154,7 +154,9 @@ def build_logic_table(
     Returns
     -------
     A :class:`LogicTable` with Q-values for every stage, advisory state,
-    action and cube point.
+    action and cube point.  Q is written stage by stage straight into
+    the table's corner-major ``[k, sRA, cube, a]`` layout, so the table
+    takes it without a second copy.
     """
     config = config or AcasConfig()
     start = time.perf_counter()
@@ -174,12 +176,13 @@ def build_logic_table(
     v_terminal = terminal_values(config)
     cube_size = config.cube_size
 
-    # Q[k, sRA, a, cube]; stage 0 broadcasts the terminal values.
+    # Q corner-major, [k, sRA, cube, a]; stage 0 broadcasts the
+    # terminal values.
     q = np.zeros(
-        (config.horizon + 1, NUM_ADVISORIES, NUM_ADVISORIES, cube_size),
+        (config.horizon + 1, NUM_ADVISORIES, cube_size, NUM_ADVISORIES),
         dtype=np.float32,
     )
-    q[0] = v_terminal.astype(np.float32)
+    q[0] = v_terminal[:, None]
 
     # V[sRA, cube] for the previous stage.
     v_prev = np.broadcast_to(v_terminal, (NUM_ADVISORIES, cube_size)).copy()
@@ -191,7 +194,7 @@ def build_logic_table(
             ]
         )  # (a, cube): continuation given the new advisory state is a.
         q_k = rewards[:, :, None] + expected[None, :, :]
-        q[k] = q_k.astype(np.float32)
+        q[k] = q_k.transpose(0, 2, 1)
         v_prev = q_k.max(axis=1)
         if verbose and (k % 10 == 0 or k == config.horizon):
             print(f"[acasx] stage {k}/{config.horizon} solved")
@@ -206,4 +209,6 @@ def build_logic_table(
     }
     if verbose:
         print(f"[acasx] logic table solved in {elapsed:.2f}s")
-    return LogicTable(config=config, q_values=q, metadata=metadata)
+    return LogicTable(
+        config=config, q_values=q.transpose(0, 1, 3, 2), metadata=metadata
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -91,24 +92,40 @@ def config_digest(config) -> Optional[str]:
     return _sha256(_canonical_json(payload))
 
 
+#: The digest of every live table already hashed.  A table's Q is
+#: read-only and its config frozen, so its digest cannot go stale.
+_TABLE_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def table_digest(table) -> Optional[str]:
     """Digest of a logic table: its Q-array bytes plus its config.
 
-    Hashes the array buffer directly (not a serialized container) so
-    the same solved table always digests identically, and hashes it in
-    place: a byte view of Q, not a ``tobytes()`` copy of it.
+    Hashes Q's canonical ``[k, sRA, a, cube]`` bytes (not a serialized
+    container, nor the corner-major layout the table stores them in),
+    so the same solved table always digests identically.  They stream
+    into the hash one stage at a time: no more than one stage of Q is
+    ever copied.  Each table is hashed once; later calls reuse it.
     """
     if table is None:
         return None
-    q = np.ascontiguousarray(table.q)
-    return _sha256(
-        str(q.dtype).encode(),
-        _canonical_json(list(q.shape)),
-        memoryview(q).cast("B"),
+    digest = _TABLE_DIGESTS.get(table)
+    if digest is None:
+        digest = _TABLE_DIGESTS[table] = _hash_table(table)
+    return digest
+
+
+def _hash_table(table) -> str:
+    q = table.q
+    digest = hashlib.sha256(str(q.dtype).encode())
+    digest.update(_canonical_json(list(q.shape)))
+    for stage in q:
+        digest.update(memoryview(np.ascontiguousarray(stage)).cast("B"))
+    digest.update(
         _canonical_json(dataclasses.asdict(table.config))
         if dataclasses.is_dataclass(table.config)
-        else repr(table.config).encode(),
+        else repr(table.config).encode()
     )
+    return digest.hexdigest()
 
 
 def scenarios_digest(scenario_list) -> str:

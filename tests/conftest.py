@@ -1,16 +1,17 @@
 """Shared fixtures.
 
 The logic-table solve is the only expensive setup, so tables are built
-once per session at two resolutions: ``tiny_table`` for controller and
-lookup mechanics, ``test_table`` (the library's ``test_config``) for
-behavioural and integration tests.
+once per session: ``tiny_table`` for controller and lookup mechanics,
+``test_table`` (the library's ``test_config``) for behavioural and
+integration tests, and ``paper_table`` (``paper_config``, 28 MB of Q)
+only where a contract must hold at paper resolution.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.acasx import AcasConfig, build_logic_table, test_config
+from repro.acasx import AcasConfig, build_logic_table, paper_config, test_config
 
 
 def pytest_addoption(parser):
@@ -61,3 +62,9 @@ def tiny_table(tiny_config):
 def test_table():
     """A logic table solved at the library's test preset."""
     return build_logic_table(test_config())
+
+
+@pytest.fixture(scope="session")
+def paper_table():
+    """A logic table solved at the paper's resolution."""
+    return build_logic_table(paper_config())

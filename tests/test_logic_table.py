@@ -1,5 +1,9 @@
 """Tests for repro.acasx.logic_table: interpolation, lookup, persistence."""
 
+import json
+import pickle
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,33 @@ class TestConstruction:
 
     def test_repr(self, tiny_table):
         assert "LogicTable" in repr(tiny_table)
+
+    def test_q_is_read_only(self, tiny_table):
+        assert not tiny_table.q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_table.q[0, 0, 0, 0] = 1.0
+
+    def test_canonical_q_is_copied_and_read_only(self, tiny_table):
+        canonical = tiny_table.q.copy()
+        table = LogicTable(tiny_table.config, canonical)
+        assert not np.shares_memory(table.q, canonical)
+        assert canonical.flags.writeable and not table.q.flags.writeable
+        np.testing.assert_array_equal(table.q, tiny_table.q)
+
+    def test_corner_major_view_is_taken_without_copying(self, tiny_table):
+        # What the solver hands over: a canonical view of a C-contiguous
+        # [k, sRA, cube, a] array.
+        rows = np.ascontiguousarray(tiny_table.q.transpose(0, 1, 3, 2))
+        table = LogicTable(tiny_table.config, rows.transpose(0, 1, 3, 2))
+        assert np.shares_memory(table.q, rows)
+        np.testing.assert_array_equal(table.q, tiny_table.q)
+
+    def test_pickle_carries_one_read_only_copy_of_q(self, tiny_table):
+        data = pickle.dumps(tiny_table)
+        assert len(data) < 1.5 * tiny_table.q.nbytes
+        loaded = pickle.loads(data)
+        assert not loaded.q.flags.writeable
+        np.testing.assert_array_equal(loaded.q, tiny_table.q)
 
 
 class TestLookup:
@@ -103,10 +134,11 @@ class TestBestAdvisory:
         assert slice_.max() < NUM_ADVISORIES
 
 
-def _q_values_batch_reference(table, tau, current_indices, coords):
-    """The pre-refactor q_values_batch: a per-advisory loop of
-    fancy-indexed sums.  Kept verbatim as the bitwise regression oracle
-    for the single-gather implementation."""
+def _stage_sums_reference(table, tau, current_indices, coords):
+    """The pre-refactor q_values_batch up to its stage blend: a
+    per-advisory loop of fancy-indexed sums over the canonical
+    ``[k, sRA, a, cube]`` Q.  Returns ``(w_hi, q_lo, q_hi)``; kept as
+    the bitwise regression oracle of the corner-major lookup."""
     tau = np.asarray(tau, dtype=float)
     current_indices = np.asarray(current_indices, dtype=np.int64)
     n = tau.shape[0]
@@ -118,40 +150,155 @@ def _q_values_batch_reference(table, tau, current_indices, coords):
     indices, weights = table.grid.interp_table(coords)
     cube = table.config.cube_size
     flat_q = table.q.reshape(-1)
-    out = np.empty((n, NUM_ADVISORIES))
+    q_lo = np.empty((n, NUM_ADVISORIES))
+    q_hi = np.empty((n, NUM_ADVISORIES))
     for a in range(NUM_ADVISORIES):
         base_lo = ((k_lo * NUM_ADVISORIES + current_indices)
                    * NUM_ADVISORIES + a) * cube
         base_hi = ((k_hi * NUM_ADVISORIES + current_indices)
                    * NUM_ADVISORIES + a) * cube
-        q_lo = np.sum(flat_q[base_lo[:, None] + indices] * weights, axis=1)
-        q_hi = np.sum(flat_q[base_hi[:, None] + indices] * weights, axis=1)
-        out[:, a] = (1.0 - w_hi) * q_lo + w_hi * q_hi
-    return out
+        q_lo[:, a] = np.sum(flat_q[base_lo[:, None] + indices] * weights, axis=1)
+        q_hi[:, a] = np.sum(flat_q[base_hi[:, None] + indices] * weights, axis=1)
+    return w_hi, q_lo, q_hi
+
+
+def _q_values_batch_reference(table, tau, current_indices, coords):
+    w_hi, q_lo, q_hi = _stage_sums_reference(table, tau, current_indices, coords)
+    return (1.0 - w_hi)[:, None] * q_lo + w_hi[:, None] * q_hi
+
+
+def _lookup_rows(config, n, seed, on_stage=False):
+    """*n* random lookup rows; *on_stage* puts every τ on a stage or at
+    or past the horizon, so the τ interpolation weight is 0."""
+    rng = np.random.default_rng(seed)
+    if on_stage:
+        tau = rng.integers(0, config.horizon + 4, n) * config.dt
+    else:
+        tau = rng.uniform(-5.0, config.horizon * config.dt + 5.0, n)
+    current = rng.integers(0, NUM_ADVISORIES, n)
+    coords = np.stack(
+        [
+            rng.uniform(-1.5 * config.h_max, 1.5 * config.h_max, n),
+            rng.uniform(-config.rate_max, config.rate_max, n),
+            rng.uniform(-config.rate_max, config.rate_max, n),
+        ],
+        axis=1,
+    )
+    return tau, current, coords
+
+
+def _assert_same_bytes(got, expected):
+    # Raw bytes: assert_array_equal alone treats -0.0 and +0.0 as equal.
+    assert got.dtype == expected.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestBatchLookupRegression:
-    @pytest.mark.parametrize("n", [1, 7, 300, 1000])
+    @pytest.mark.parametrize("n", [1, 7, 300, 1000, 1023, 1024, 1025, 5000])
     def test_bitwise_identical_to_reference(self, test_table, n):
-        # The refactor (per-advisory loop -> one gather over an
-        # (n, 2, NUM_ADVISORIES, corners) index block) must not change
-        # a single output bit, at any batch width (crossing the
-        # internal row-block boundary included).
-        rng = np.random.default_rng(n)
-        config = test_table.config
-        tau = rng.uniform(-5.0, config.horizon * config.dt + 5.0, n)
-        current = rng.integers(0, NUM_ADVISORIES, n)
-        coords = np.stack(
-            [
-                rng.uniform(-1.5 * config.h_max, 1.5 * config.h_max, n),
-                rng.uniform(-config.rate_max, config.rate_max, n),
-                rng.uniform(-config.rate_max, config.rate_max, n),
-            ],
-            axis=1,
+        # The corner-major gather must not change a single output bit,
+        # at any batch width (crossing the internal row blocks included).
+        rows = _lookup_rows(test_table.config, n, seed=n)
+        got = test_table.q_values_batch(*rows)
+        _assert_same_bytes(got, _q_values_batch_reference(test_table, *rows))
+
+    @pytest.mark.parametrize("n", [7, 1500])
+    def test_rows_on_a_stage_equal_the_lower_stage(self, test_table, n):
+        # τ on a stage or past the horizon: the upper stage enters with
+        # weight 0, so each row reads its lower stage's sum bit for bit.
+        rows = _lookup_rows(test_table.config, n, seed=n, on_stage=True)
+        w_hi, q_lo, _ = _stage_sums_reference(test_table, *rows)
+        assert (w_hi == 0.0).all()
+        got = test_table.q_values_batch(*rows)
+        _assert_same_bytes(got, q_lo)
+        _assert_same_bytes(got, _q_values_batch_reference(test_table, *rows))
+
+    def test_paper_table_mixed_rows(self, paper_table):
+        config = paper_table.config
+        inside = _lookup_rows(config, 2000, seed=1)
+        on_stage = _lookup_rows(config, 500, seed=2, on_stage=True)
+        rows = [np.concatenate(parts) for parts in zip(inside, on_stage)]
+        got = paper_table.q_values_batch(*rows)
+        _assert_same_bytes(got, _q_values_batch_reference(paper_table, *rows))
+
+
+def _pre_corner_major_bytes(table):
+    """to_bytes() as written before Q was stored corner-major: no
+    ``layout`` key, a canonical [k, sRA, a, cube] body."""
+    q = np.ascontiguousarray(table.q)
+    header = json.dumps({
+        "config": table._config_dict(),
+        "metadata": table.metadata,
+        "dtype": q.dtype.str,
+        "shape": list(q.shape),
+    }).encode()
+    header += b" " * (-(8 + len(header)) % 64)
+    return struct.pack("<Q", len(header)) + header + q.tobytes()
+
+
+def _pre_corner_major_from_bytes(data):
+    """from_bytes() as written before Q was stored corner-major."""
+    (size,) = struct.unpack_from("<Q", data)
+    start = 8 + size
+    header = json.loads(bytes(memoryview(data)[8:start]))
+    shape = tuple(header["shape"])
+    q = np.frombuffer(
+        data, dtype=np.dtype(header["dtype"]),
+        count=int(np.prod(shape)), offset=start,
+    ).reshape(shape)
+    return LogicTable(
+        config=LogicTable._config_from_dict(header["config"]),
+        q_values=q,
+        metadata=header["metadata"],
+    )
+
+
+class TestOlderTables:
+    """Tables written before the corner-major layout still load, with
+    the same digest and the same lookups bit for bit."""
+
+    def assert_same_table(self, loaded, table):
+        from repro.store import table_digest
+
+        assert table_digest(loaded) == table_digest(table)
+        assert not loaded.q.flags.writeable
+        rows = _lookup_rows(table.config, 300, seed=3)
+        _assert_same_bytes(loaded.q_values_batch(*rows),
+                          table.q_values_batch(*rows))
+
+    def test_canonical_byte_row_loads(self, test_table):
+        loaded = LogicTable.from_bytes(_pre_corner_major_bytes(test_table))
+        self.assert_same_table(loaded, test_table)
+
+    def test_canonical_npz_cache_file_loads(self, test_table, tmp_path):
+        path = tmp_path / "table.npz"
+        np.savez_compressed(
+            path,
+            q=np.ascontiguousarray(test_table.q),
+            config=np.array(json.dumps(test_table._config_dict())),
+            metadata=np.array(json.dumps(test_table.metadata)),
         )
-        got = test_table.q_values_batch(tau, current, coords)
-        expected = _q_values_batch_reference(test_table, tau, current, coords)
-        np.testing.assert_array_equal(got, expected)
+        self.assert_same_table(LogicTable.load(path), test_table)
+
+    def test_cache_file_keeps_canonical_q(self, tiny_table, tmp_path):
+        path = tmp_path / "table.npz"
+        tiny_table.save(path)
+        with np.load(path) as data:
+            assert data["q"].shape == tiny_table.q.shape
+            np.testing.assert_array_equal(data["q"], tiny_table.q)
+
+    def test_older_reader_refuses_a_corner_major_row(self, tiny_table):
+        # The header records the shape of the body it carries, so a
+        # reader that predates the layout fails its shape check instead
+        # of reading corner-major bytes as canonical ones.
+        with pytest.raises(ValueError, match="q_values has shape"):
+            _pre_corner_major_from_bytes(tiny_table.to_bytes())
+
+    def test_unknown_layout_is_refused(self, tiny_table):
+        header, body = tiny_table.byte_parts()
+        forged = header.replace(b'"layout": "k,', b'"layout": "K,')
+        with pytest.raises(ValueError, match="unknown logic table Q layout"):
+            LogicTable.from_bytes(forged + bytes(body))
 
 
 class TestPersistence:
@@ -167,7 +314,12 @@ class TestPersistence:
         header, body = tiny_table.byte_parts()
         assert header + bytes(body) == tiny_table.to_bytes()
         assert len(header) % 64 == 0  # Q starts aligned
-        assert bytes(body) == np.ascontiguousarray(tiny_table.q).tobytes()
+        # The body is Q corner-major, [k, sRA, cube, a], as stored.
+        rows = tiny_table.q.transpose(0, 1, 3, 2)
+        fields = json.loads(header[8:])
+        assert fields["shape"] == list(rows.shape)
+        assert fields["layout"] == "k,current,cube,action"
+        assert bytes(body) == np.ascontiguousarray(rows).tobytes()
         assert np.shares_memory(np.frombuffer(body, np.uint8), tiny_table.q)
 
     def test_from_bytes_views_q_without_copying(self, tiny_table):

@@ -16,10 +16,12 @@ import io
 import json
 import sqlite3
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.acasx import LogicTable, build_logic_table
 from repro.encounters import StatisticalEncounterModel, head_on_encounter
 from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
@@ -29,6 +31,8 @@ from repro.experiments.campaign import RunRecord
 from repro.search.runner import SearchRunner
 from repro.sim.batch import BatchResult
 from repro.store import CampaignSpec, ResultStore, table_digest
+
+TABLE_GOLDEN = Path(__file__).with_name("table_golden.json")
 
 RUN_FIELDS = (
     "min_separation",
@@ -140,6 +144,24 @@ class TestCampaignSpec:
         assert table_digest(test_table) == (
             "fb17472dcd32bc4ce7a26661fbaea01c941184ea38695ff5afbd9bd06b423651"
         )
+
+    def test_preset_table_digests_are_pinned(self, test_table, paper_table):
+        # The paper table too: the solver writing Q in another order,
+        # or the table storing it in another layout, must not move a
+        # campaign id.
+        golden = json.loads(TABLE_GOLDEN.read_text())["digests"]
+        assert table_digest(test_table) == golden["test"]
+        assert table_digest(paper_table) == golden["paper"]
+
+    def test_each_table_is_hashed_once(self, tiny_config, monkeypatch):
+        table = build_logic_table(tiny_config)
+        first = table_digest(table)
+        reads = []
+        monkeypatch.setattr(
+            LogicTable, "q", property(lambda self: reads.append(self))
+        )
+        assert table_digest(table) == first
+        assert reads == []
 
 
 class TestStoreRoundtrip:
