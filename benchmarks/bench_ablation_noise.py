@@ -61,7 +61,7 @@ def test_bench_ablation_noise(benchmark, paper_table):
     lines.append(
         "(noisier sensed closure paradoxically triggers more spurious-\n"
         " but-useful alerts in slow tail chases — the stable wrong\n"
-        " low-risk assessment needs accurate sensing, cf. DESIGN.md)"
+        " low-risk assessment needs accurate sensing)"
     )
     record_result("ablation_noise", "\n".join(lines) + "\n")
     assert len(rows) == 6

@@ -1,10 +1,9 @@
 """Shared benchmark fixtures and result recording.
 
-Every benchmark regenerates one of the paper's tables/figures (see
-DESIGN.md's experiment index).  Timing goes through pytest-benchmark;
-the regenerated rows/series are printed and also written to
-``benchmarks/results/<name>.txt`` so they survive pytest's output
-capture.  EXPERIMENTS.md records paper-vs-measured for each.
+Every benchmark regenerates one of the paper's tables/figures.  Timing
+goes through pytest-benchmark; the regenerated rows/series are printed
+and also written to ``benchmarks/results/<name>.txt`` so they survive
+pytest's output capture.
 
 Campaign-shaped benches persist through :func:`record_campaign`, which
 writes into the shared result store

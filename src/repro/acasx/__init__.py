@@ -29,7 +29,12 @@ from repro.acasx.advisories import (
     STRONG_CLIMB,
     STRONG_DESCEND,
 )
-from repro.acasx.config import AcasConfig, paper_config, test_config
+from repro.acasx.config import (
+    AcasConfig,
+    paper_config,
+    preset_config,
+    test_config,
+)
 from repro.acasx.controller import AcasXuController, CoordinationChannel
 from repro.acasx.logic_table import LogicTable
 from repro.acasx.solver import build_logic_table
@@ -49,5 +54,6 @@ __all__ = [
     "STRONG_DESCEND",
     "build_logic_table",
     "paper_config",
+    "preset_config",
     "test_config",
 ]

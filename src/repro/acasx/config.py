@@ -179,3 +179,17 @@ def paper_config(**overrides) -> AcasConfig:
     )
     defaults.update(overrides)
     return AcasConfig(**defaults)
+
+
+def preset_config(preset: str) -> AcasConfig:
+    """The :class:`AcasConfig` of a table preset, ``"test"`` or ``"paper"``.
+
+    Raises ``ValueError`` for any other name.
+    """
+    if preset == "test":
+        return test_config()
+    if preset == "paper":
+        return paper_config()
+    raise ValueError(
+        f"unknown table preset {preset!r} (use 'test' or 'paper')"
+    )

@@ -87,6 +87,37 @@ def _corner_sum(gathered: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
 
 
+def _read_corner_major(member) -> np.ndarray:
+    """Read a canonical ``[k, sRA, a, cube]`` ``.npy`` stream into a new
+    corner-major ``[k, sRA, cube, a]`` float32 array.
+
+    The stream is read one ``(k, sRA)`` block of ``a × cube`` values at
+    a time, so besides the array only a block's bytes (and the
+    decompressor's buffers, a few times their size) are ever held.
+    """
+    # np.save writes format 1.0 unless the header outgrows 64 KiB.
+    version = np.lib.format.read_magic(member)
+    if version != (1, 0):
+        raise ValueError(f"unsupported .npy format version {version}")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+        member
+    )
+    if fortran_order or len(shape) != 4:
+        raise ValueError(
+            f"Q must be a C-order 4-D array, got shape {shape} "
+            f"(fortran_order={fortran_order})"
+        )
+    stages, current, actions, cube = shape
+    q_rows = np.empty((stages, current, cube, actions), dtype=np.float32)
+    block_bytes = dtype.itemsize * actions * cube
+    for block in q_rows.reshape(-1, cube, actions):
+        raw = member.read(block_bytes)
+        if len(raw) != block_bytes:
+            raise ValueError("logic table Q ends before its last stage")
+        block[...] = np.frombuffer(raw, dtype=dtype).reshape(actions, cube).T
+    return q_rows
+
+
 class LogicTable:
     """Solved ACAS XU-like logic.
 
@@ -396,16 +427,22 @@ class LogicTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "LogicTable":
-        """Load a table previously stored with :meth:`save`."""
-        with np.load(Path(path), allow_pickle=False) as data:
-            return cls._from_npz(data)
+        """Load a table previously stored with :meth:`save`.
 
-    @classmethod
-    def _from_npz(cls, data) -> "LogicTable":
+        Q is read from the npz block by block straight into the
+        table's corner-major array, so loading holds one copy of Q
+        (plus a block), never the canonical array beside its
+        corner-major copy.
+        """
+        with np.load(Path(path), allow_pickle=False) as data:
+            config = cls._config_from_dict(json.loads(str(data["config"])))
+            metadata = json.loads(str(data["metadata"]))
+            with data.zip.open("q.npy") as member:
+                q_rows = _read_corner_major(member)
         return cls(
-            config=cls._config_from_dict(json.loads(str(data["config"]))),
-            q_values=data["q"],
-            metadata=json.loads(str(data["metadata"])),
+            config=config,
+            q_values=q_rows.transpose(0, 1, 3, 2),
+            metadata=metadata,
         )
 
     def __repr__(self) -> str:

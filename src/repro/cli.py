@@ -52,9 +52,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro import telemetry
-from repro.acasx import build_logic_table, paper_config, test_config
+from repro.acasx import build_logic_table, preset_config
 from repro.acasx.cache import build_or_load
-from repro.acasx.config import AcasConfig
 from repro.acasx.verification import verify_table
 from repro.analysis.geometry import relative_horizontal_speed_of
 from repro.encounters import (
@@ -98,16 +97,8 @@ def _print_store_outcome(results, label: str = "store") -> None:
     )
 
 
-def _config_for(preset: str) -> AcasConfig:
-    if preset == "test":
-        return test_config()
-    if preset == "paper":
-        return paper_config()
-    raise SystemExit(f"unknown preset {preset!r} (use 'test' or 'paper')")
-
-
 def _load_table(args) -> "LogicTable":
-    config = _config_for(args.preset)
+    config = preset_config(args.preset)
     if getattr(args, "no_cache", False):
         return build_logic_table(config, verbose=args.verbose)
     return build_or_load(config, verbose=args.verbose)

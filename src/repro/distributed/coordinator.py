@@ -322,13 +322,15 @@ def submit(
 ) -> DistributedRun:
     """Plan *campaign* into chunk tasks and enqueue the missing ones.
 
-    Planning is exactly the serial planner: the root seed spawns one
+    Planning is the campaign's own planner: the root seed spawns one
     child per scenario before anything is enqueued, so placement across
-    workers cannot affect results.  The campaign registers in the store
-    under its content-addressed id; scenarios the store already holds
-    are filtered out (a re-submitted completed campaign enqueues
-    nothing), and submission is idempotent per campaign id — a second
-    submit while chunks are in flight re-enqueues nothing.
+    workers cannot affect results, and a chunk over the noise-tape
+    budget raises ``ValueError`` before the campaign reaches the store
+    or the queue.  The campaign registers in the store under its
+    content-addressed id; scenarios the store already holds are
+    filtered out (a re-submitted completed campaign enqueues nothing),
+    and submission is idempotent per campaign id — a second submit
+    while chunks are in flight re-enqueues nothing.
 
     The campaign's backend must be registry-built (capturable as a
     :class:`~repro.experiments.backends.BackendSpec`): the queue ships
@@ -352,18 +354,18 @@ def submit(
         with telemetry.span("campaign.plan"), ResultStore(
             store_path
         ) as result_store:
-            # The identity rule Campaign.run follows, chunked as the
-            # serial planner would chunk it.
-            scenario_list, plan, _ = campaign._store_plan(
-                result_store, seed, chunk_size=chunk_size
+            # The campaign's own planner: the identity rule and the
+            # chunking of Campaign.run, and its noise-tape budget
+            # before anything is stored or queued.
+            plan = campaign._plan(
+                seed, chunk_size=chunk_size, store=result_store
             )
         campaign_id = plan.campaign_id
-        backend_spec = BackendSpec.capture(
-            campaign.backend, table_digest=plan.table_digest
-        )
+        num_scenarios = len(plan.scenarios)
+        backend_spec = BackendSpec.capture(campaign.backend)
         table = getattr(campaign.backend, "table", None)
         submit_span.set(
-            campaign_id=campaign_id, num_scenarios=len(scenario_list),
+            campaign_id=campaign_id, num_scenarios=num_scenarios,
             already_stored=len(plan.done),
         )
 
@@ -371,10 +373,10 @@ def submit(
         # workers never see the scenario list.
         payloads = [
             pickle.dumps([
-                (index, scenario_list[index].name, params, child)
+                (index, plan.scenarios[index].name, params, child)
                 for index, params, child in chunk
             ])
-            for chunk in plan.missing_chunks
+            for chunk in plan.chunks
         ]
 
         # Trace propagation rides the *job* metadata, never the spec:
@@ -412,7 +414,7 @@ def submit(
                     store_path,
                     pickle.dumps(backend_spec),
                     campaign.runs_per_scenario,
-                    len(scenario_list),
+                    num_scenarios,
                     payloads,
                     metadata=metadata,
                     table=(
@@ -429,7 +431,7 @@ def submit(
         campaign_id=campaign_id,
         queue_path=queue_path,
         store_path=store_path,
-        num_scenarios=len(scenario_list),
+        num_scenarios=num_scenarios,
         already_stored=len(plan.done),
         chunks_enqueued=enqueued,
         trace_parent=submit_span.span_id,

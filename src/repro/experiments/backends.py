@@ -379,30 +379,23 @@ class BackendSpec:
             )
 
     @classmethod
-    def capture(
-        cls,
-        backend: SimulationBackend,
-        table_digest: Optional[str] = None,
-    ) -> "BackendSpec":
+    def capture(cls, backend: SimulationBackend) -> "BackendSpec":
         """Describe a registry-built backend so workers can rebuild it.
 
-        *table_digest* is the digest of the backend's table when the
-        caller already has it (a campaign's plan computes it), so Q is
-        hashed once; without it the table is hashed here.  Raises
-        ``TypeError`` as :meth:`validate` does.
+        The table's digest is :func:`~repro.store.spec.table_digest`,
+        which hashes each table once (a campaign's plan has usually
+        hashed it already, for the campaign id).  Raises ``TypeError``
+        as :meth:`validate` does.
         """
-        cls.validate(backend)
-        table = getattr(backend, "table", None)
-        if table is not None and table_digest is None:
-            from repro.store.spec import table_digest as digest_of
+        from repro.store.spec import table_digest
 
-            table_digest = digest_of(table)
+        cls.validate(backend)
         return cls(
             backend=backend.name,
             equipage=backend.equipage,
             coordination=backend.coordination,
             config=backend.config,
-            table_digest=table_digest if table is not None else None,
+            table_digest=table_digest(getattr(backend, "table", None)),
         )
 
     def build(self, table: Optional[LogicTable] = None) -> SimulationBackend:

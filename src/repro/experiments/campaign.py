@@ -25,10 +25,17 @@ on one backend keeps a pool warm across them with ``run(pool=...)``,
 which is how a GA search runs every generation on every CPU
 (:class:`~repro.search.fitness.EncounterFitness`).
 
-The result store attaches at the same seam: ``run(store=...)`` /
-``iter_records(store=...)`` persist every record under a
-content-addressed provenance hash (:mod:`repro.store`), resuming
-interrupted campaigns and skipping already-stored scenarios entirely.
+Every campaign is planned once and streamed one way.  The planner
+(:meth:`Campaign._plan`) fixes the scenario list, the per-scenario
+seeds and the chunks, holds every chunk to the noise-tape budget, and,
+given a result store, registers the campaign under its
+content-addressed provenance hash (:mod:`repro.store`) and leaves out
+the scenarios already stored.  The one record stream simulates the
+missing chunks, merges the stored records in by index, and writes the
+fresh records and the campaign's timing provenance to the store.
+``run`` collects that stream and ``iter_records`` returns it; the fleet
+coordinator and the campaign service plan through the same planner, so
+every entry point agrees on a campaign's id and bits.
 """
 
 from __future__ import annotations
@@ -55,7 +62,11 @@ from repro.experiments.scenario import (
     as_scenario_source,
     source_from_spec,
 )
-from repro.sim.batch import BatchEncounterSimulator, BatchResult
+from repro.sim.batch import (
+    BatchEncounterSimulator,
+    BatchResult,
+    check_tape_budget,
+)
 from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_seed_sequence
 
@@ -538,6 +549,12 @@ class Campaign:
     :attr:`equipage` and :attr:`coordination` are read from the
     backend, so a campaign's id and its :class:`ResultSet` always name
     what was simulated.
+
+    A campaign has one planner and one record stream: :meth:`run`
+    collects the stream :meth:`iter_records` returns, with or without
+    a store, serially or on a pool, and :meth:`submit` (the fleet
+    coordinator) and the campaign service enqueue or run the same
+    plan.
     """
 
     def __init__(
@@ -658,14 +675,16 @@ class Campaign:
     ) -> Iterator[RunRecord]:
         """Stream :class:`RunRecord`\\ s chunk by chunk, in index order.
 
-        The streaming twin of :meth:`run`: scenario chunks are
-        simulated one after another (or fanned out across a worker
-        pool with a bounded number of chunks in flight) and their
-        records yielded as they complete, without materializing the
-        full list — the shape very large campaigns need.  Seeds are
-        spawned per scenario before any simulation starts, so the
-        records are bitwise identical to :meth:`run`'s for the same
-        root seed, whatever the chunking or worker count.
+        The campaign's one record stream, which :meth:`run` collects:
+        the plan is fixed at the call (so invalid arguments and an
+        over-budget chunk fail here, not at first iteration), then
+        scenario chunks are simulated one after another (or fanned out
+        across a worker pool with a bounded number of chunks in
+        flight) and their records yielded as they complete, without
+        materializing the full list — the shape very large campaigns
+        need.  Seeds are spawned per scenario before any simulation
+        starts, so the records are bitwise identical to :meth:`run`'s
+        for the same root seed, whatever the chunking or worker count.
 
         Parameters
         ----------
@@ -683,12 +702,14 @@ class Campaign:
             engine.
         store:
             Optional :class:`~repro.store.ResultStore` to write
-            through.  The campaign is registered under its
-            content-addressed provenance hash; scenarios the store
-            already holds for that hash are *loaded instead of
-            simulated* (resume), every fresh record is persisted
-            before it is yielded (so an interrupted stream keeps its
-            progress), and the yielded sequence — stored and fresh
+            through, exactly as :meth:`run` does: the campaign is
+            registered under its content-addressed provenance hash;
+            scenarios the store already holds for that hash are
+            *loaded instead of simulated* (resume), every fresh record
+            is persisted before it is yielded (so an interrupted stream
+            keeps its progress), and a stream that simulated anything
+            records its wall time, ``cpu_count`` and ``workers`` once
+            it is exhausted.  The yielded sequence — stored and fresh
             records merged in index order — is bitwise identical to a
             storeless run of the same seed.
 
@@ -700,110 +721,44 @@ class Campaign:
         """
         if hasattr(self.backend, "run_campaign"):  # "distributed" backend
             return iter(self.run(seed, chunk_size=chunk_size, store=store))
-        if store is None:
-            return self._iter_planned(*self._plan(seed, workers, chunk_size))
-        scenario_list, plan, workers = self._store_plan(
-            store, seed, workers, chunk_size
-        )
-        return self._iter_stored(store, plan, scenario_list, workers)
-
-    def _store_plan(
-        self,
-        store: "ResultStore",
-        seed: SeedLike,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-    ) -> Tuple[List, "_StorePlan", int]:
-        """Plan against *store*: register the campaign, split its work.
-
-        The one home of the campaign-identity rule, shared by
-        :meth:`run`, :meth:`iter_records`, the fleet coordinator and
-        the service: the root seed sequence is fingerprinted *before*
-        :meth:`_plan` spawns from it, so every entry point derives the
-        same content-addressed campaign id for the same spec and seed.
-        Returns ``(scenario_list, plan, workers)`` — the scenarios,
-        the done-vs-missing split and the clamped worker count.
-        """
-        from repro.store import CampaignSpec, seed_fingerprint
-
-        root = as_seed_sequence(seed)
-        # The full sequence, not just its entropy: spawned children
-        # share entropy and differ only in spawn_key, and each must be
-        # its own campaign.
-        seed_fp = seed_fingerprint(root)
-        scenario_list, chunks, workers = self._plan(root, workers, chunk_size)
-        spec = CampaignSpec.capture(self, scenario_list, root, seed_fp=seed_fp)
-        campaign_id = store.open_campaign(spec)
-        done = store.completed_indices(campaign_id)
-        missing = [
-            remaining
-            for chunk in chunks
-            if (remaining := [item for item in chunk if item[0] not in done])
-        ]
-        plan = _StorePlan(
-            campaign_id=campaign_id,
-            done=sorted(done),
-            missing_chunks=missing,
-            table_digest=spec.table_digest,
-        )
-        return scenario_list, plan, workers
-
-    def _iter_stored(
-        self,
-        store: "ResultStore",
-        plan: "_StorePlan",
-        scenario_list: List,
-        workers: int,
-        pool: Optional[WorkerPool] = None,
-    ) -> Iterator[RunRecord]:
-        """Merge stored records with the fresh simulation stream.
-
-        Both sides ascend in scenario index, so a two-way merge yields
-        the complete campaign in index order; fresh records are
-        persisted before being yielded.  Stored records are fetched by
-        point lookup (never a cursor held across our own inserts).
-        """
-        done = deque(plan.done)
-
-        def stored_upto(bound: Optional[int]) -> Iterator[RunRecord]:
-            while done and (bound is None or done[0] < bound):
-                record = store.get_record(plan.campaign_id, done.popleft())
-                assert record is not None, "stored record vanished mid-run"
-                yield record
-
-        if plan.missing_chunks:
-            fresh = self._iter_planned(
-                scenario_list,
-                plan.missing_chunks,
-                min(workers, len(plan.missing_chunks)),
-                pool,
-            )
-            for record in fresh:
-                yield from stored_upto(record.index)
-                store.add_record(plan.campaign_id, record)
-                yield record
-        yield from stored_upto(None)
+        return self._stream(self._plan(seed, workers, chunk_size, store))
 
     def _plan(
         self,
         seed: SeedLike,
-        workers: int,
-        chunk_size: Optional[int],
-    ) -> Tuple[List, List[WorkChunk], int]:
-        """Validate arguments and fix the execution plan, eagerly.
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        store: Optional["ResultStore"] = None,
+    ) -> "CampaignPlan":
+        """Validate arguments and fix the campaign's work, eagerly.
 
-        Returns ``(scenario_list, chunks, workers)`` with the worker
-        count clamped to the chunk count (the parallelism actually
-        usable).  Shared by :meth:`run` and :meth:`iter_records` so the
-        chunking decision is made exactly once, and so invalid
-        arguments fail at the call site rather than at first iteration
-        of a generator.
+        The one planner: :meth:`run`, :meth:`iter_records`, the fleet
+        coordinator and the service all plan here, so every entry
+        point spawns the same per-scenario seeds, chunks alike and
+        derives the same content-addressed campaign id.  Every chunk
+        is held to the kernel's noise-tape budget
+        (:data:`~repro.sim.batch.MAX_TAPE_BYTES`, whatever the backend)
+        before anything reaches a store or a queue, so an absurd
+        request is a ``ValueError`` here rather than a chunk that fails
+        wherever it runs.
+
+        With *store*, the campaign is registered under its id — the
+        root seed sequence is fingerprinted *before* anything spawns
+        from it — and the scenarios the store already holds leave the
+        chunks.  The plan's worker count is *workers* clamped to the
+        chunk count (the parallelism actually usable).
         """
+        from repro.store import CampaignSpec, seed_fingerprint
+
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         root = as_seed_sequence(seed)
+        # The full sequence, not just its entropy: spawned children
+        # share entropy and differ only in spawn_key, and each must be
+        # its own campaign.
+        seed_fp = None if store is None else seed_fingerprint(root)
         sample_seq, run_seq = root.spawn(2)
         scenario_list = self.source.scenarios(
             seed=np.random.default_rng(sample_seq)
@@ -824,42 +779,93 @@ class Campaign:
             work[start:start + chunk_size]
             for start in range(0, len(work), chunk_size)
         ]
-        return scenario_list, chunks, min(workers, len(chunks))
+        for chunk in chunks:
+            check_tape_budget(
+                self.backend.config,
+                self.equipage,
+                [params for _, params, _ in chunk],
+                self.runs_per_scenario,
+            )
+        campaign_id, done = None, set()
+        if store is not None:
+            spec = CampaignSpec.capture(
+                self, scenario_list, root, seed_fp=seed_fp
+            )
+            campaign_id = store.open_campaign(spec)
+            done = store.completed_indices(campaign_id)
+        missing = [
+            remaining
+            for chunk in chunks
+            if (remaining := [item for item in chunk if item[0] not in done])
+        ]
+        return CampaignPlan(
+            seed=root,
+            scenarios=scenario_list,
+            chunks=missing,
+            workers=min(workers, len(chunks)),
+            store=store,
+            campaign_id=campaign_id,
+            done=tuple(sorted(done)),
+        )
 
-    def _iter_planned(
-        self,
-        scenario_list: List,
-        chunks: List[WorkChunk],
-        workers: int,
-        pool: Optional[WorkerPool] = None,
+    def _stream(
+        self, plan: "CampaignPlan", pool: Optional[WorkerPool] = None
     ) -> Iterator[RunRecord]:
-        """Execute a fixed plan, yielding records in index order.
+        """Simulate *plan*'s chunks; yield every record in index order.
 
-        One usable worker runs in-process.  Otherwise the chunks go to
-        *pool*, or to a one-shot :class:`WorkerPool` of *workers*.
+        One usable worker simulates in-process; more run the chunks on
+        *pool*, or on a one-shot :class:`WorkerPool` when there is
+        none.  Against a store, the stored records merge in by index
+        (both sides ascend, so a two-way merge keeps index order; they
+        are fetched by point lookup, never a cursor held across our own
+        inserts), and every fresh record is persisted before it is
+        yielded.  Once exhausted, a stream that simulated anything adds
+        its wall time and ``cpu_count`` to the campaign's timing
+        provenance and records its ``workers``; a pure-load resume
+        must not inflate the stored timing, so it adds nothing.
         """
-        if workers == 1:
+        workers = min(plan.workers, len(plan.chunks))
+        if workers > 1 and pool is None:
+            with WorkerPool(self.backend, workers) as one_shot:
+                yield from self._stream(plan, one_shot)
+            return
+        start = time.perf_counter()
+        if workers > 1:
+            outcomes = pool.run_chunks(self.runs_per_scenario, plan.chunks)
+        else:
             outcomes = (
                 _run_chunk(self.backend, self.runs_per_scenario, index, chunk)
-                for index, chunk in enumerate(chunks)
+                for index, chunk in enumerate(plan.chunks)
             )
-        elif pool is None:
-            with WorkerPool(self.backend, workers) as one_shot:
-                yield from self._iter_planned(
-                    scenario_list, chunks, workers, one_shot
-                )
-            return
-        else:
-            outcomes = pool.run_chunks(self.runs_per_scenario, chunks)
+        store, done = plan.store, deque(plan.done)
+
+        def stored_upto(bound: Optional[int]) -> Iterator[RunRecord]:
+            while done and (bound is None or done[0] < bound):
+                record = store.get_record(plan.campaign_id, done.popleft())
+                assert record is not None, "stored record vanished mid-run"
+                yield record
+
         for outcome in outcomes:
             for index, result in outcome:
-                scenario = scenario_list[index]
-                yield RunRecord(
+                yield from stored_upto(index)
+                scenario = plan.scenarios[index]
+                record = RunRecord(
                     index=index,
                     name=scenario.name,
                     params=scenario.params,
                     runs=result,
                 )
+                if store is not None:
+                    store.add_record(plan.campaign_id, record)
+                yield record
+        yield from stored_upto(None)
+        if store is not None and plan.chunks:
+            store.add_wall_time(
+                plan.campaign_id,
+                time.perf_counter() - start,
+                cpu_count=usable_cpus(),
+            )
+            store.merge_metadata(plan.campaign_id, {"workers": workers})
 
     def run(
         self,
@@ -871,10 +877,11 @@ class Campaign:
     ) -> ResultSet:
         """Execute the campaign and aggregate a :class:`ResultSet`.
 
-        A thin collector over the same plan :meth:`iter_records`
-        streams — same parameters, same determinism guarantee (the
-        result is bitwise identical for any ``workers``/``chunk_size``
-        given the same root seed).
+        Collects the record stream :meth:`iter_records` returns — same
+        parameters, same plan, same determinism guarantee (the result
+        is bitwise identical for any ``workers``/``chunk_size`` given
+        the same root seed), and with a *store* the same resume and
+        the same timing provenance.
 
         *pool* runs the plan on an open :class:`WorkerPool` instead of
         starting one, with or without a *store*; the plan is sized for
@@ -889,10 +896,10 @@ class Campaign:
         and only the missing tail simulates (a completed campaign
         re-runs with **zero** new simulations).  The returned result
         merges both, bitwise identical to an uninterrupted storeless
-        run; its metadata records ``campaign_id``, how many scenarios
-        were ``loaded`` vs freshly ``simulated``, plus ``cpu_count``,
-        the CPUs the process may use (:func:`usable_cpus`) — so
-        persisted timing records are self-describing.
+        run; its metadata records ``campaign_id`` and how many
+        scenarios were ``loaded`` vs freshly ``simulated``.  Every
+        result's metadata carries ``cpu_count``, the CPUs the process
+        may use (:func:`usable_cpus`).
 
         With ``backend="distributed"`` the campaign runs on a worker
         fleet instead (``workers`` and ``pool`` are ignored — the fleet
@@ -924,63 +931,34 @@ class Campaign:
             return self.backend.run_campaign(
                 self, seed=seed, chunk_size=chunk_size
             )
+        plan = self._plan(seed, workers, chunk_size, store)
+        return self._run_plan(plan, pool)
+
+    def _run_plan(
+        self, plan: "CampaignPlan", pool: Optional[WorkerPool] = None
+    ) -> ResultSet:
+        """Collect *plan*'s stream into a :class:`ResultSet`.
+
+        The stream runs inside one ``campaign.run`` span, opened with
+        the campaign id (when stored) so every chunk span inherits it.
+        """
         start = time.perf_counter()
-        run_span = telemetry.span(
-            "campaign.run", backend=self.backend_name, workers=workers
-        )
-        with run_span:
-            root = as_seed_sequence(seed)
-            metadata: Dict[str, object] = {"cpu_count": usable_cpus()}
-            if store is None:
-                scenario_list, chunks, workers = self._plan(
-                    root, workers, chunk_size
-                )
-                run_span.set(scenarios=len(scenario_list), workers=workers)
-                records = list(
-                    self._iter_planned(scenario_list, chunks, workers, pool)
-                )
-            else:
-                scenario_list, plan, workers = self._store_plan(
-                    store, root, workers, chunk_size
-                )
-                # Set before any chunk span opens: they inherit the id.
-                run_span.set(
-                    scenarios=len(scenario_list), workers=workers,
-                    campaign_id=plan.campaign_id, loaded=len(plan.done),
-                )
-                records = list(
-                    self._iter_stored(
-                        store, plan, scenario_list, workers, pool
-                    )
-                )
-                if plan.missing_chunks:
-                    # Only runs that simulated contribute wall time (and
-                    # their worker count): a pure-load resume must not
-                    # inflate the stored timing record.
-                    store.add_wall_time(
-                        plan.campaign_id,
-                        time.perf_counter() - start,
-                        cpu_count=usable_cpus(),
-                    )
-                    store.merge_metadata(
-                        plan.campaign_id,
-                        {"workers": min(workers, len(plan.missing_chunks))},
-                    )
-                metadata.update(
-                    campaign_id=plan.campaign_id,
-                    loaded=len(plan.done),
-                    simulated=len(scenario_list) - len(plan.done),
-                )
+        with telemetry.span(
+            "campaign.run", backend=self.backend_name,
+            scenarios=len(plan.scenarios), workers=plan.workers,
+            **plan.provenance,
+        ):
+            records = list(self._stream(plan, pool))
         return ResultSet(
             records=records,
             backend=self.backend_name,
             equipage=self.equipage,
             coordination=self.coordination,
             runs_per_scenario=self.runs_per_scenario,
-            seed_entropy=_entropy_of(root),
-            workers=workers,
+            seed_entropy=_entropy_of(plan.seed),
+            workers=plan.workers,
             wall_time=time.perf_counter() - start,
-            metadata=metadata,
+            metadata={"cpu_count": usable_cpus(), **plan.provenance},
         )
 
     def _check_backend_store(self, store) -> None:
@@ -1025,7 +1003,9 @@ class Campaign:
         ``collect()`` reconstructs a :class:`ResultSet` bitwise
         identical to :meth:`run` with the same seed.  Scenarios *store*
         already holds are not enqueued, so re-submitting a completed
-        campaign performs zero new simulations.
+        campaign performs zero new simulations, and a chunk over the
+        noise-tape budget raises ``ValueError`` before the campaign
+        reaches the store or the queue, as :meth:`run` does.
 
         With ``backend="distributed"`` the queue and store default to
         the backend's own paths, so ``campaign.submit(seed)`` alone
@@ -1053,14 +1033,36 @@ class Campaign:
 
 
 @dataclass(frozen=True)
-class _StorePlan:
-    """A campaign's work split against a store: done vs still missing."""
+class CampaignPlan:
+    """A campaign's fixed work, as :meth:`Campaign._plan` decided it.
 
-    campaign_id: str
-    done: List[int]
-    missing_chunks: List[WorkChunk]
-    #: The campaign's logic-table digest, hashed once for its id.
-    table_digest: Optional[str] = None
+    ``seed`` is the root seed sequence, ``scenarios`` the resolved
+    scenario list and ``chunks`` the work still to simulate, each item
+    carrying its scenario's pre-spawned seed; ``workers`` is the worker
+    count clamped to the campaign's chunk count.  Planned against a store,
+    ``campaign_id`` names the campaign there and ``done`` the scenario
+    indices ``store`` already held, which ``chunks`` leave out.
+    """
+
+    seed: np.random.SeedSequence
+    scenarios: List[Scenario]
+    chunks: List[WorkChunk]
+    workers: int
+    store: Optional["ResultStore"] = None
+    campaign_id: Optional[str] = None
+    done: Tuple[int, ...] = ()
+
+    @property
+    def provenance(self) -> Dict[str, object]:
+        """``campaign_id`` and the ``loaded``/``simulated`` scenario
+        counts of a stored plan; empty without a store."""
+        if self.campaign_id is None:
+            return {}
+        return {
+            "campaign_id": self.campaign_id,
+            "loaded": len(self.done),
+            "simulated": len(self.scenarios) - len(self.done),
+        }
 
 
 def _entropy_of(seq: np.random.SeedSequence) -> Optional[int]:

@@ -10,6 +10,10 @@ with the strata's probability weights.  Variance drops roughly by the
 between-strata variance share, and the dangerous tail-approach stratum
 gets a usable per-stratum estimate instead of drowning in easy
 head-on samples.
+
+Each stratum is one :class:`~repro.experiments.Campaign` over its
+sampled encounters, seeded from the estimate's generator, so every run
+is seeded from that campaign's per-scenario ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from repro.acasx.logic_table import LogicTable
 from repro.analysis.geometry import classify_encounter
 from repro.analysis.metrics import RateEstimate, wilson_interval
 from repro.encounters.encoding import EncounterParameters
+from repro.experiments.campaign import Campaign
 from repro.montecarlo.estimator import EncounterSource
-from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_generator
 
@@ -81,6 +85,10 @@ class StratifiedReport:
 class StratifiedEstimator:
     """Geometry-stratified NMAC-rate estimation.
 
+    :meth:`estimate` runs one equipped campaign per stratum on the
+    megabatch backend (``"vectorized-batch"``, both aircraft equipped
+    and coordinating); the estimator holds no simulator of its own.
+
     Parameters
     ----------
     table:
@@ -104,7 +112,6 @@ class StratifiedEstimator:
         self.source = source
         self.sim_config = sim_config or EncounterSimConfig()
         self.runs_per_encounter = runs_per_encounter
-        self._simulator = BatchEncounterSimulator(table, self.sim_config)
 
     def _estimate_weights(
         self, rng: np.random.Generator, pilot: int
@@ -158,7 +165,8 @@ class StratifiedEstimator:
             allocation — the rare dangerous stratum gets as many
             samples as the common safe one).
         seed:
-            RNG seed.
+            RNG seed: the pilot, each stratum's sample and each
+            stratum campaign's root seed derive from it in turn.
         pilot:
             Pilot-sample size used to estimate the strata weights.
         confidence:
@@ -174,18 +182,14 @@ class StratifiedEstimator:
         combined_variance = 0.0
         rates = {}
         for name in STRATA:
-            params_list = self._sample_stratum(
-                name, encounters_per_stratum, rng
-            )
-            nmacs = 0
-            trials = 0
-            for params in params_list:
-                result = self._simulator.run(
-                    params, self.runs_per_encounter, seed=rng
-                )
-                nmacs += int(result.nmac.sum())
-                trials += self.runs_per_encounter
-            estimate = wilson_interval(nmacs, trials, confidence)
+            results = Campaign(
+                self._sample_stratum(name, encounters_per_stratum, rng),
+                table=self.table,
+                runs_per_scenario=self.runs_per_encounter,
+                sim_config=self.sim_config,
+            ).run(seed=rng)
+            trials = results.total_runs
+            estimate = wilson_interval(results.nmac_count, trials, confidence)
             rates[name] = estimate.rate
             strata.append(
                 StratumEstimate(

@@ -23,6 +23,12 @@ with bits identical to a serial search; an ablation variant
 (:class:`CollisionRateFitness`) scores the raw NMAC rate instead, to
 show why the paper's shaped fitness searches better (a pure indicator
 gives the GA no gradient until a collision is found).
+
+:class:`FalseAlarmFitness` searches for the paper's other kind of
+situation, false alarms, from two such fitnesses: an equipped arm
+scoring the alert rate and an unequipped arm scoring the mean miss
+distance.  Every fitness here therefore evaluates through campaigns,
+with the same pool, store and provenance; none simulates on its own.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from repro.experiments.backends import SimulationBackend, make_backend
 from repro.experiments.campaign import Campaign, WorkerPool, default_pool_size
 from repro.sim.batch import BatchResult
 from repro.sim.encounter import EncounterSimConfig
-from repro.util.rng import SeedLike, as_generator, as_seed_sequence
+from repro.util.rng import SeedLike, as_generator
 
 #: The paper's collision gain constant.
 COLLISION_GAIN = 10_000.0
@@ -234,6 +240,21 @@ class CollisionRateFitness(EncounterFitness):
         return result.nmac_rate
 
 
+class _AlertRate(EncounterFitness):
+    """The equipped arm of :class:`FalseAlarmFitness`: the alert rate."""
+
+    def score(self, result: BatchResult) -> float:
+        return float(result.own_alerted.mean())
+
+
+class _MeanMiss(EncounterFitness):
+    """The unequipped arm of :class:`FalseAlarmFitness`: the mean
+    unmitigated miss distance (m)."""
+
+    def score(self, result: BatchResult) -> float:
+        return float(result.min_separation.mean())
+
+
 class FalseAlarmFitness:
     """Search objective for false-alarm-prone situations.
 
@@ -247,6 +268,16 @@ class FalseAlarmFitness:
 
     so encounters that reliably trigger alerts despite comfortably
     missing on their own rank highest.
+
+    Each arm is an :class:`EncounterFitness`, so every evaluation is a
+    campaign: :meth:`evaluate_population` scores a GA generation as one
+    equipped and one unequipped campaign, and inside a ``with
+    fitness:`` scope (which :meth:`~repro.search.ga.GeneticAlgorithm.run`
+    opens) each arm runs its campaigns on its own warm
+    :class:`~repro.experiments.WorkerPool`, with bits identical to a
+    serial search.  Both arms draw their campaigns' root seeds from one
+    generator, the equipped arm first, so successive evaluations are
+    independent.
 
     Parameters
     ----------
@@ -276,8 +307,6 @@ class FalseAlarmFitness:
         seed: SeedLike = None,
         backend: str = "vectorized-batch",
     ):
-        if num_runs < 1:
-            raise ValueError("num_runs must be >= 1")
         if scale <= 0:
             raise ValueError("scale must be positive")
         if not isinstance(backend, str):
@@ -286,35 +315,43 @@ class FalseAlarmFitness:
                 "equipped and unequipped arms cannot share the one "
                 f"equipage of a ready {type(backend).__name__}"
             )
-        config = config or EncounterSimConfig()
-        # Per-genome two-arm evaluations are direct run_many() calls,
-        # which run in-process even for the "distributed" key.
-        self._equipped = make_backend(
-            backend, table=table, config=config, equipage="both"
+        rng = as_generator(seed)
+        self._alerts = _AlertRate(
+            table, config, num_runs, equipage="both", seed=rng,
+            backend=backend,
         )
-        self._unequipped = make_backend(
-            backend, table=None, config=config, equipage="none"
+        self._misses = _MeanMiss(
+            None, config, num_runs, equipage="none", seed=rng,
+            backend=backend,
         )
         self.num_runs = num_runs
         self.scale = scale
-        self._rng = as_generator(seed)
-        self.evaluations = 0
+
+    @property
+    def evaluations(self) -> int:
+        """Genomes evaluated so far (each through both arms)."""
+        return self._alerts.evaluations
+
+    def __enter__(self) -> "FalseAlarmFitness":
+        self._alerts.__enter__()
+        self._misses.__enter__()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self._misses.__exit__(*exc_info)
+        finally:
+            self._alerts.__exit__(*exc_info)
 
     def components(self, genome: np.ndarray) -> tuple[float, float]:
         """(alert rate, mean unmitigated miss distance) for one genome."""
-        params = [EncounterParameters.from_array(genome)]
-        # One seed sequence per arm, each drawn from the fitness's own
-        # generator, so successive evaluations are independent.
-        (equipped,) = self._equipped.run_many(
-            params, self.num_runs, [as_seed_sequence(self._rng)]
-        )
-        (unmitigated,) = self._unequipped.run_many(
-            params, self.num_runs, [as_seed_sequence(self._rng)]
-        )
-        self.evaluations += 1
-        alert_rate = float(equipped.own_alerted.mean())
-        mean_miss = float(unmitigated.min_separation.mean())
-        return alert_rate, mean_miss
+        return self._alerts(genome), self._misses(genome)
+
+    def evaluate_population(self, genomes: np.ndarray) -> np.ndarray:
+        """Fitness of a whole population: one campaign per arm."""
+        alert_rates = self._alerts.evaluate_population(genomes)
+        mean_misses = self._misses.evaluate_population(genomes)
+        return alert_rates * mean_misses / self.scale
 
     def __call__(self, genome: np.ndarray) -> float:
         """Higher for encounters that alert despite being safe."""

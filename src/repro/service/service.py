@@ -36,7 +36,6 @@ from typing import Dict, Optional, Union
 
 from repro import faults, telemetry
 from repro.experiments.campaign import MAX_WIRE_LANES, Campaign
-from repro.sim.batch import check_tape_budget
 from repro.store import ResultStore
 
 #: Bounded retry for queued submissions racing a busy fleet: attempts
@@ -46,19 +45,6 @@ from repro.store import ResultStore
 #: not merely under churn.
 SUBMIT_RETRIES = 4
 SUBMIT_BACKOFF = 0.05
-
-
-def _service_config(preset: str):
-    """Resolve a table preset name to its :class:`AcasConfig`."""
-    from repro.acasx import paper_config, test_config
-
-    if preset == "test":
-        return test_config()
-    if preset == "paper":
-        return paper_config()
-    raise ValueError(
-        f"unknown table preset {preset!r} (use 'test' or 'paper')"
-    )
 
 
 @dataclass
@@ -175,10 +161,11 @@ class CampaignService:
         """The logic table for *preset*, solved/loaded once and cached."""
         with self._lock:
             if preset not in self._tables:
+                from repro.acasx import preset_config
                 from repro.acasx.cache import build_or_load
 
                 self._tables[preset] = build_or_load(
-                    _service_config(preset), verbose=self.verbose
+                    preset_config(preset), verbose=self.verbose
                 )
             return self._tables[preset]
 
@@ -195,12 +182,13 @@ class CampaignService:
         campaign completes (bounded by the ``"timeout"`` key) and the
         receipt gains a terminal ``"progress"`` snapshot.
 
-        The spec is planned under the submission lock, so its size is
-        capped before that: ``"sample"``, ``"runs"`` and
-        ``"chunk_size"`` × ``"runs"`` above the wire-format caps, and
-        any chunk whose noise tapes would exceed
-        :data:`~repro.sim.batch.MAX_TAPE_BYTES`, raise ``ValueError``
-        (a 400 over HTTP).
+        The spec is planned once, under the submission lock, by the
+        campaign's own planner, so its size is capped before that:
+        ``"sample"``, ``"runs"`` and ``"chunk_size"`` × ``"runs"``
+        above the wire-format caps raise ``ValueError`` (a 400 over
+        HTTP).  The planner refuses any chunk whose noise tapes would
+        exceed :data:`~repro.sim.batch.MAX_TAPE_BYTES` the same way,
+        before the campaign reaches the store or the queue.
         """
         if not isinstance(payload, dict):
             raise ValueError(
@@ -259,17 +247,6 @@ class CampaignService:
                 f'"chunk_size" x "runs" must be at most MAX_WIRE_LANES = '
                 f"{MAX_WIRE_LANES} lanes, got {chunk_size} x "
                 f"{campaign.runs_per_scenario}"
-            )
-        # The kernel's noise-tape budget, per chunk this submission
-        # will run: an absurd duration is a 400 here, not a worker
-        # killed allocating its tape.
-        _, chunks, _ = campaign._plan(seed, 1, chunk_size)
-        for chunk in chunks:
-            check_tape_budget(
-                campaign.backend.config,
-                campaign.equipage,
-                [params for _, params, _ in chunk],
-                campaign.runs_per_scenario,
             )
 
         with telemetry.span("service.submit") as submit_span, self._lock:
@@ -356,18 +333,17 @@ class CampaignService:
     def _submit_inline(self, campaign, seed, chunk_size, label) -> dict:
         """Register the campaign and run its missing tail on a thread.
 
-        Registration goes through the campaign's own identity rule, so
-        the campaign id (and every bit of every record) matches
-        ``Campaign.run`` with the same spec and seed.
+        The campaign's own planner registers it, so the campaign id
+        (and every bit of every record) matches ``Campaign.run`` with
+        the same spec and seed, and the runner thread executes that
+        plan rather than planning again.
         """
-        scenario_list, plan, _ = campaign._store_plan(
-            self.store, seed, chunk_size=chunk_size
-        )
+        plan = campaign._plan(seed, chunk_size=chunk_size, store=self.store)
         campaign_id = plan.campaign_id
         if label:
             self.store.merge_metadata(campaign_id, {"label": label})
         already = len(plan.done)
-        num_scenarios = len(scenario_list)
+        num_scenarios = len(plan.scenarios)
         existing = self._submissions.get(campaign_id)
         if already >= num_scenarios:
             mode = "complete"
@@ -381,9 +357,7 @@ class CampaignService:
             self._spawn(
                 f"repro-service-run-{campaign_id[:8]}",
                 campaign_id,
-                lambda: campaign.run(
-                    seed=seed, chunk_size=chunk_size, store=self.store
-                ),
+                lambda: campaign._run_plan(plan),
             )
         self._register(campaign_id, mode, label)
         return {

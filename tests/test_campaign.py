@@ -175,8 +175,9 @@ class TestBackendRegistry:
         fitness = FalseAlarmFitness(
             test_table, num_runs=2, backend="vectorized"
         )
-        assert fitness._equipped is not fitness._unequipped
-        assert fitness._unequipped.equipage == "none"
+        assert fitness._alerts.backend is not fitness._misses.backend
+        assert fitness._alerts.backend.equipage == "both"
+        assert fitness._misses.backend.equipage == "none"
 
     def test_encounter_fitness_reuses_backend(self, test_table):
         from repro.search.fitness import EncounterFitness
@@ -281,20 +282,21 @@ class TestBackendOwnsSetup:
         "backend, pinned",
         [
             ("vectorized-batch", [
-                ((1.0, 16.8936905616915), 15.115699056275531),
-                ((0.25, 36.808134381269916), 16.22436924199139),
-                ((0.75, 38.624405148746234), 12.600190181171826),
+                ((1.0, 29.758375895512103), 23.19613711047088),
+                ((1.0, 25.356402090295237), 13.496716206302866),
+                ((0.75, 27.626629956938245), 6.924812618831552),
             ]),
             ("agent", [
-                ((0.75, 45.78182960531325), 30.058666936071745),
+                ((0.75, 46.67220756608991), 91.10656717361766),
             ]),
         ],
     )
     def test_false_alarm_fitness_values_are_pinned(
         self, test_table, backend, pinned
     ):
-        """Each arm draws one seed sequence from the fitness's
-        generator per evaluation; these values fix that stream."""
+        """Each arm runs one campaign per evaluation, its root seed
+        drawn from the generator both arms share, equipped arm first;
+        these values fix that stream."""
         from repro.search.fitness import FalseAlarmFitness
 
         genomes = [

@@ -1374,17 +1374,19 @@ class TestLogicTableRows:
         import repro.store.spec as spec_module
 
         queue_path, store_path = paths
+        # A table no earlier test has hashed: the digest cache is empty.
+        table = LogicTable(tiny_table.config, tiny_table.q)
         calls = []
-        digest_of = spec_module.table_digest
+        hash_table = spec_module._hash_table
 
         def counting(table):
             calls.append(table)
-            return digest_of(table)
+            return hash_table(table)
 
-        monkeypatch.setattr(spec_module, "table_digest", counting)
-        submit(equipped_campaign(tiny_table), SEED, queue=queue_path,
+        monkeypatch.setattr(spec_module, "_hash_table", counting)
+        submit(equipped_campaign(table), SEED, queue=queue_path,
                store=store_path)
-        assert calls == [tiny_table]
+        assert calls == [table]
 
     def test_unequipped_job_ships_no_table(self, paths):
         queue_path, store_path = paths
@@ -1448,27 +1450,25 @@ class TestLogicTableRows:
         store_path = tmp_path / "store.sqlite"
         campaign = equipped_campaign(tiny_table)
         with ResultStore(store_path) as store:
-            scenario_list, plan, _ = campaign._store_plan(
-                store, SEED, chunk_size=1
-            )
+            plan = campaign._plan(SEED, chunk_size=1, store=store)
         spec = old_format_spec(campaign.backend.config)
         conn = sqlite3.connect(queue_path)
         conn.executescript(OLD_QUEUE_SCHEMA)
         conn.execute(
             "INSERT INTO jobs VALUES (?, ?, ?, ?, ?, ?, ?, '{}')",
             (plan.campaign_id, "2026-01-01T00:00:00+00:00",
-             str(store_path), spec, RUNS, len(scenario_list),
-             len(plan.missing_chunks)),
+             str(store_path), spec, RUNS, len(plan.scenarios),
+             len(plan.chunks)),
         )
         conn.executemany(
             "INSERT INTO chunks (campaign_id, chunk_index, payload)"
             " VALUES (?, ?, ?)",
             [
                 (plan.campaign_id, position, pickle.dumps([
-                    (index, scenario_list[index].name, params, child)
+                    (index, plan.scenarios[index].name, params, child)
                     for index, params, child in chunk
                 ]))
-                for position, chunk in enumerate(plan.missing_chunks)
+                for position, chunk in enumerate(plan.chunks)
             ],
         )
         conn.commit()
@@ -1839,9 +1839,9 @@ class TestReviewHardening:
     def test_simulate_many_falls_back_for_non_bulk_inner(
         self, paths, tiny_table
     ):
-        """Direct run_many on the fleet backend (the path
-        FalseAlarmFitness(backend="distributed") takes) runs the
-        inherited megabatch kernel in-process, bit for bit."""
+        """Direct run_many on the fleet backend (a campaign chunk
+        drained in-process takes it) runs the inherited megabatch
+        kernel in-process, bit for bit."""
         import numpy as np
 
         from repro.experiments import make_backend

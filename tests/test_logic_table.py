@@ -3,6 +3,7 @@
 import json
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,22 @@ class TestOlderTables:
 
 
 class TestPersistence:
+    def test_loading_a_saved_table_holds_one_copy_of_q(
+        self, test_table, tmp_path
+    ):
+        # The npz member is read block by block into the corner-major
+        # array, never materialized in canonical order beside it.
+        path = tmp_path / "table.npz"
+        test_table.save(path)
+        tracemalloc.start()
+        try:
+            loaded = LogicTable.load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * loaded.q.nbytes
+        np.testing.assert_array_equal(loaded.q, test_table.q)
+
     def test_bytes_round_trip(self, tiny_table):
         data = tiny_table.to_bytes()
         assert isinstance(data, bytes)

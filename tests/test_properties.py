@@ -248,8 +248,8 @@ class TestMegabatchContractProperties:
         self, test_table, equipage
     ):
         """One ``Generator`` passed through successive ``run()`` calls
-        (as the stratified estimator does) yields the frozen kernel's
-        outputs and ends in the same state."""
+        (each call consumes it exactly as the kernel draws) yields the
+        frozen kernel's outputs and ends in the same state."""
         simulator = make_simulator(test_table, equipage)
         scenarios = [
             head_on_encounter(),

@@ -334,7 +334,8 @@ class TestErrorPaths:
 
     def test_oversized_noise_tape_is_400(self, client):
         # time_to_cpa=1e6 is finite, but one chunk of it would ask a
-        # worker for gigabytes of noise tape: refused before planning.
+        # worker for gigabytes of noise tape: the planner refuses it
+        # before anything is stored.
         absurd = [30, 0, 1e6, 50, 1, -10, 25, 2.5, 0]
         response = client.post("/campaigns", json_body={
             **UNEQUIPPED, "scenarios": [absurd], "runs": 100,
@@ -346,6 +347,59 @@ class TestErrorPaths:
         assert client.post("/campaigns", json_body={
             **UNEQUIPPED, "scenarios": [sane], "runs": 100,
         }).status == 202
+
+    def test_oversized_noise_tape_is_never_queued(self, tmp_path, tiny_table):
+        # The same refusal on the fleet path: Campaign.submit and the
+        # coordinator's submit raise before the campaign reaches the
+        # store or a job row reaches the queue, so no worker ever
+        # fails the chunk.
+        from repro.distributed import submit
+
+        queue_path = tmp_path / "queue.sqlite"
+        store_path = tmp_path / "store.sqlite"
+        campaign = Campaign(
+            [[30, 0, 1e6, 50, 1, -10, 25, 2.5, 0]],
+            table=tiny_table,
+            runs_per_scenario=100,
+        )
+        for enqueue in (campaign.submit, lambda seed, **paths: submit(
+            campaign, seed, **paths
+        )):
+            with pytest.raises(ValueError, match="MAX_TAPE_BYTES"):
+                enqueue(0, queue=queue_path, store=store_path)
+        with WorkQueue(queue_path) as queue:
+            assert queue.jobs() == []
+        with ResultStore(store_path) as store:
+            assert store.campaigns() == []
+
+    @pytest.mark.parametrize("queued", [False, True])
+    def test_a_post_plans_its_campaign_once(
+        self, tmp_path, monkeypatch, queued
+    ):
+        # Inline or queued, a POST plans once, on its request thread:
+        # the inline runner and the queue's fallback drain reuse that
+        # plan's chunks instead of planning again.
+        planned_on = []
+        plan = Campaign._plan
+
+        def counting(campaign, *args, **kwargs):
+            planned_on.append(threading.current_thread())
+            return plan(campaign, *args, **kwargs)
+
+        monkeypatch.setattr(Campaign, "_plan", counting)
+        service = CampaignService(
+            str(tmp_path / "store.sqlite"),
+            queue=str(tmp_path / "queue.sqlite") if queued else None,
+        )
+        try:
+            response = ServiceClient(make_app(service)).post(
+                "/campaigns", json_body=UNEQUIPPED
+            )
+            assert response.status == 202
+            assert response.json()["progress"]["complete"] is True
+        finally:
+            service.close()
+        assert planned_on == [threading.current_thread()]
 
     def test_malformed_where_and_params_are_400(self, client):
         cid = client.post("/campaigns", json_body=UNEQUIPPED).json()[

@@ -27,7 +27,7 @@ from repro.experiments import Campaign, ResultSet, SampledSource
 from repro.montecarlo import MonteCarloEstimator
 from repro.search.fitness import EncounterFitness
 from repro.search.ga import GAConfig
-from repro.experiments.campaign import RunRecord
+from repro.experiments.campaign import RunRecord, usable_cpus
 from repro.search.runner import SearchRunner
 from repro.sim.batch import BatchResult
 from repro.store import CampaignSpec, ResultStore, table_digest
@@ -72,8 +72,9 @@ def assert_records_identical(a: ResultSet, b: ResultSet) -> None:
 
 class TestCampaignSpec:
     def _spec(self, campaign, seed):
-        scenario_list, _, _ = campaign._plan(seed, 1, None)
-        return CampaignSpec.capture(campaign, scenario_list, seed)
+        return CampaignSpec.capture(
+            campaign, campaign._plan(seed).scenarios, seed
+        )
 
     def test_identity_is_stable(self, test_table):
         a = self._spec(make_campaign(test_table), 7)
@@ -643,6 +644,38 @@ class TestStoreMisc:
         )
         again = store.get_campaign(results.metadata["campaign_id"])
         assert again.wall_time == info.wall_time
+
+    def test_every_path_stores_the_same_timing_provenance(
+        self, test_table
+    ):
+        # run(), a drained iter_records() and the service's inline mode
+        # all write through the campaign's one record stream.
+        from repro.service import CampaignService
+
+        spec = {"scenarios": ["head_on", "tail_approach"], "runs": 5}
+
+        def through_service(store):
+            service = CampaignService(store, tables={"test": test_table})
+            service.submit({**spec, "seed": 3})
+            service.close(join_timeout=60.0)  # the runner stores timing
+
+        paths = {
+            "run": lambda campaign, store: campaign.run(3, store=store),
+            "iter_records": lambda campaign, store: list(
+                campaign.iter_records(3, store=store)
+            ),
+            "service": lambda campaign, store: through_service(store),
+        }
+        stored = {}
+        for name, run in paths.items():
+            with ResultStore(":memory:") as store:
+                run(Campaign.from_spec(spec, table=test_table), store)
+                (stored[name],) = store.campaigns()
+        assert len({info.campaign_id for info in stored.values()}) == 1
+        for name, info in stored.items():
+            assert info.wall_time > 0.0, name
+            assert info.cpu_count == usable_cpus(), name
+            assert info.metadata["workers"] == 1, name
 
     def test_sql_aggregates_match_resultset(self, test_table, store):
         results = make_campaign(test_table).run(seed=3, store=store)

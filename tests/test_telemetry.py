@@ -403,6 +403,12 @@ class TestServiceFrontDoor:
 
     def test_submit_then_trace_endpoint(self, tmp_path):
         client, service, store_path = self._client(tmp_path, arm=True)
+        # The registry is process-wide, so earlier tests' submissions
+        # are in it too: this POST must add exactly one.
+        submissions = telemetry.REGISTRY.counter(
+            "repro_service_submissions_total"
+        )
+        inline_before = int(submissions.value(mode="inline"))
         with service:
             spec = {
                 "scenarios": {"sample": 3},
@@ -433,7 +439,10 @@ class TestServiceFrontDoor:
             assert client.get("/campaigns/zzzz/trace").status == 404
 
             text = client.get("/metrics").text
-            assert 'repro_service_submissions_total{mode="inline"} 1' in text
+            assert (
+                'repro_service_submissions_total{mode="inline"} '
+                f"{inline_before + 1}"
+            ) in text.splitlines()
 
     def test_trace_endpoint_memory_store_empty(self):
         service = CampaignService()  # :memory:

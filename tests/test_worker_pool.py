@@ -143,6 +143,28 @@ class TestSearchPool:
         )
         assert_same_search(pooled, serial)
 
+    def test_false_alarm_search_pools_bitwise_serial(
+        self, test_table, monkeypatch, two_cpus
+    ):
+        # Both arms of the false-alarm fitness are EncounterFitness
+        # campaigns: the search keeps one warm pool per arm, reaps
+        # both, and scores every generation with a serial search's bits.
+        from repro.search.fitness import FalseAlarmFitness
+
+        seen = []
+        pooled = search(
+            FalseAlarmFitness(test_table, num_runs=4, seed=3),
+            generations=2, callback=lambda *_: seen.append(children()),
+        )
+        assert len(seen[0]) == 4
+        assert seen == [seen[0]] * 2
+        assert children() == []
+        use_cpus(monkeypatch, 1)
+        serial = search(
+            FalseAlarmFitness(test_table, num_runs=4, seed=3), generations=2
+        )
+        assert_same_search(pooled, serial)
+
     def test_one_cpu_stays_serial(self, test_table, monkeypatch, no_pool):
         use_cpus(monkeypatch, 1)
         result = search(EncounterFitness(test_table, num_runs=4, seed=3))
