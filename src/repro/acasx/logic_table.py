@@ -27,10 +27,10 @@ from repro.acasx.config import AcasConfig
 from repro.mdp.grid import Grid, UniformAxis
 
 
-#: Rows per block of the vectorized Q lookup: 1,024 rows × 8 corners ×
-#: NUM_ADVISORIES of float64 is 320 KB per stage, so a block's
+#: Rows per block of the vectorized Q lookup: 512 rows × 2 stages ×
+#: 8 corners × NUM_ADVISORIES of float64 is 320 KB, so a block's
 #: temporaries stay cache-sized at any batch width.
-_LOOKUP_BLOCK = 1024
+_LOOKUP_BLOCK = 512
 
 #: The raw byte layout's header-length prefix, and the boundary its
 #: padded header ends on, so Q is an aligned view of the buffer.
@@ -72,19 +72,6 @@ def make_cube_grid(config: AcasConfig) -> Grid:
             UniformAxis("dh1", -config.rate_max, config.rate_max, config.num_rate),
         ]
     )
-
-
-def _corner_sum(gathered: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sum over the corners of *gathered* Q rows.
-
-    *gathered* is ``(8, rows)`` void items of ``NUM_ADVISORIES`` float32
-    action values and *weights* ``(8, rows, 1)`` float64.  The corners
-    are summed in the order numpy's pairwise ``np.sum`` adds 8 values,
-    which a left-to-right sum is not.  Returns ``(rows, actions)``.
-    """
-    c = gathered.view(np.float32).reshape(*gathered.shape, NUM_ADVISORIES)
-    c = c * weights
-    return ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
 
 
 def _read_corner_major(member) -> np.ndarray:
@@ -233,12 +220,14 @@ class LogicTable:
         """Vectorized :meth:`q_values_at` for *n* independent states.
 
         Each row gathers 16 action rows of the corner-major Q (8 cube
-        corners at each of the two bracketing stages), in blocks of
-        ``_LOOKUP_BLOCK`` rows.  Both stages are always blended, the
-        row-wise arithmetic of the canonical-layout lookup it replaced
-        (a float32 value times a float64 weight, corners summed as
-        numpy's 8-wide pairwise ``np.sum`` does), so every output bit
-        is the same.
+        corners, :meth:`Grid.corners`, at each of the two bracketing
+        stages), in blocks of ``_LOOKUP_BLOCK`` rows.  Products and
+        sums run with the action axis leading, so every operation
+        reads contiguous rows of lookups.  The arithmetic is the
+        canonical-layout lookup's: a float32 value times a float64
+        weight, corners summed as numpy's 8-wide pairwise ``np.sum``
+        does, both stages always blended, so every output bit is the
+        same.
 
         Parameters
         ----------
@@ -247,7 +236,9 @@ class LogicTable:
         current_indices:
             Shape ``(n,)`` advisory-state indices.
         coords:
-            Shape ``(n, 3)`` of ``(h, own_rate, intruder_rate)``.
+            Shape ``(n, 3)`` of ``(h, own_rate, intruder_rate)``.  A
+            ``(3, n)`` array passed as its ``.T`` view reads each
+            coordinate contiguously.
 
         Returns
         -------
@@ -260,28 +251,37 @@ class LogicTable:
         k_hi = np.minimum(k_lo + 1, self.config.horizon)
         w_hi = k_float - k_lo
 
-        indices, weights = self.grid.interp_table(coords)  # (n, 8)
+        indices, weights = self.grid.corners(coords)  # (8, n)
         # Row (k, current, cube point) of Q as one void item holding
         # its NUM_ADVISORIES float32 action values.
         rows_q = self._q_rows.view((np.void, 4 * NUM_ADVISORIES)).reshape(-1)
         cube = self.config.cube_size
-        base_lo = (k_lo * NUM_ADVISORIES + current_indices) * cube
-        base_hi = (k_hi * NUM_ADVISORIES + current_indices) * cube
+        stage_bases = np.stack([
+            (k_lo * NUM_ADVISORIES + current_indices) * cube,
+            (k_hi * NUM_ADVISORIES + current_indices) * cube,
+        ])  # (2, n)
 
         n = tau.shape[0]
         out = np.empty((n, NUM_ADVISORIES))
         for start in range(0, n, _LOOKUP_BLOCK):
             rows = slice(start, min(start + _LOOKUP_BLOCK, n))
-            # Corners on the leading axis, so each corner's products
-            # are one contiguous (rows, actions) slab.
-            corners = np.ascontiguousarray(indices[rows].T)
-            corner_weights = weights[rows].T[:, :, None]
-            q_lo, q_hi = (
-                _corner_sum(rows_q[base[rows] + corners], corner_weights)
-                for base in (base_lo, base_hi)
+            gathered = np.take(
+                rows_q, stage_bases[:, None, rows] + indices[:, rows]
+            ).view(np.float32).reshape(2, 8, -1, NUM_ADVISORIES)
+            # (action, stage, corner, row).  Widening float32 to float64
+            # is exact, so this multiply is the float32 × float64 one.
+            c = gathered.transpose(3, 0, 1, 2).astype(float, order="C")
+            c *= weights[:, rows]
+            # Corners summed a level at a time in numpy's 8-wide
+            # pairwise order: ((c0+c1) + (c2+c3)) + ((c4+c5) + (c6+c7)).
+            c = c[:, :, 0::2] + c[:, :, 1::2]
+            c = c[:, :, 0::2] + c[:, :, 1::2]
+            stage_sums = c[:, :, 0] + c[:, :, 1]  # (action, stage, row)
+            wb = w_hi[rows]
+            np.add(
+                (1.0 - wb) * stage_sums[:, 0], wb * stage_sums[:, 1],
+                out=out[rows].T,
             )
-            wb = w_hi[rows, None]
-            out[rows] = (1.0 - wb) * q_lo + wb * q_hi
         return out
 
     def best_advisory(

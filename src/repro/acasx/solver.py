@@ -119,11 +119,14 @@ def build_action_transition(
             h_next = relative_altitude_change(
                 h_now, dh0_now, dh0_next, dh1_now, dh1_next, config.dt
             )
-            coords = np.stack([h_next, dh0_next, dh1_next], axis=1)
-            indices, weights = grid.interp_table(coords)
+            coords = np.stack([h_next, dh0_next, dh1_next])
+            # Corner-major (corners, cube) pieces, used as they are: each
+            # row still gets its corners in order, sample pair by sample
+            # pair, which is all the CSR conversion keeps of the order.
+            indices, weights = grid.corners(coords.T)
             prob = p_own * p_intr
-            num_corners = indices.shape[1]
-            rows.append(np.repeat(row_index, num_corners))
+            num_corners = indices.shape[0]
+            rows.append(np.tile(row_index, num_corners))
             cols.append(indices.reshape(-1))
             data.append((weights * prob).reshape(-1))
 

@@ -20,7 +20,8 @@ package expresses it declaratively:
   process-parallel or streaming (:meth:`Campaign.iter_records`)
   execution and :class:`ResultSet` export, plus :class:`WorkerPool`,
   the one process pool: one-shot for ``run(workers=N)``, or kept warm
-  across many campaigns with ``run(pool=...)``.
+  across many campaigns, on any of the backends it holds, with
+  ``run(pool=...)``.
 
 Everything downstream — GA fitness, Monte-Carlo estimation, the CLI —
 executes through this API, so sharding, persistence and new workloads

@@ -17,13 +17,15 @@ one lane array), or stream incrementally through
 :meth:`Campaign.iter_records`.
 
 :class:`WorkerPool` is the one process-pool path.  Each worker
-receives the backend once, through the pool initializer: fork-started
-workers inherit it, logic table and all, without copying or encoding
-anything, and spawn-started ones unpickle it once.  ``run(workers=N)``
-opens a one-shot pool for the call; a caller that runs many campaigns
-on one backend keeps a pool warm across them with ``run(pool=...)``,
-which is how a GA search runs every generation on every CPU
-(:class:`~repro.search.fitness.EncounterFitness`).
+receives the pool's backends once, through the pool initializer:
+fork-started workers inherit them, logic table and all, without copying
+or encoding anything, and spawn-started ones unpickle them once.
+``run(workers=N)`` opens a one-shot pool for the call; a caller that
+runs many campaigns keeps a pool warm across them with
+``run(pool=...)``, which is how a GA search runs every generation on
+every CPU (:class:`~repro.search.fitness.EncounterFitness`).  One pool
+may hold several backends, each task naming its own, so paired
+campaigns (equipped and unequipped arms) share one pool.
 
 Every campaign is planned once and streamed one way.  The planner
 (:meth:`Campaign._plan`) fixes the scenario list, the per-scenario
@@ -49,7 +51,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -365,21 +369,21 @@ def _run_chunk(
         return _execute_chunk(backend, num_runs, chunk)
 
 
-# Per-process backend set by the pool initializer: each worker receives
-# the pool's backend once, not once per task.
-_WORKER_BACKEND: Optional[SimulationBackend] = None
+# Per-process backends set by the pool initializer: each worker receives
+# the pool's backends once, not once per task.
+_WORKER_BACKENDS: Tuple[SimulationBackend, ...] = ()
 
 
-def _init_worker(backend: SimulationBackend) -> None:
-    """Pool initializer: keep the pool's backend for every task.
+def _init_worker(backends: Tuple[SimulationBackend, ...]) -> None:
+    """Pool initializer: keep the pool's backends for every task.
 
-    Under ``fork`` (the Linux default before Python 3.14) *backend* is
-    the parent's own object, inherited with the process; under
-    ``spawn``/``forkserver`` it arrives pickled once per worker
+    Under ``fork`` (the Linux default before Python 3.14) *backends*
+    are the parent's own objects, inherited with the process; under
+    ``spawn``/``forkserver`` they arrive pickled once per worker
     (numpy's raw array pickling for the logic table).
     """
-    global _WORKER_BACKEND
-    _WORKER_BACKEND = backend
+    global _WORKER_BACKENDS
+    _WORKER_BACKENDS = backends
 
 
 def _task_trace() -> Optional[Dict[str, str]]:
@@ -397,12 +401,14 @@ def _task_trace() -> Optional[Dict[str, str]]:
 
 
 def _worker_execute_chunk(
+    backend_index: int,
     num_runs: int,
     chunk_index: int,
     chunk: WorkChunk,
     trace: Optional[Dict[str, str]],
 ) -> List[Tuple[int, BatchResult]]:
-    """Worker task entry point: run one chunk on the per-process backend.
+    """Worker task entry point: run one chunk on the per-process backend
+    at *backend_index* of the pool's backends.
 
     *trace* is the submitter's :func:`_task_trace`.  The worker joins
     that trace as a ``pool:<pid>`` process and seats this chunk's span
@@ -410,7 +416,7 @@ def _worker_execute_chunk(
     so the parent must come with each task, never from whichever task
     armed the worker first.  A task without a context records nothing.
     """
-    assert _WORKER_BACKEND is not None, "worker pool not initialized"
+    assert _WORKER_BACKENDS, "worker pool not initialized"
     if trace is None:
         if telemetry.armed():
             telemetry.disarm()
@@ -418,7 +424,9 @@ def _worker_execute_chunk(
         telemetry.ensure(
             trace["db"], trace["trace_id"], process=f"pool:{os.getpid()}"
         ).remote_parent = trace["parent_id"]
-    return _run_chunk(_WORKER_BACKEND, num_runs, chunk_index, chunk)
+    return _run_chunk(
+        _WORKER_BACKENDS[backend_index], num_runs, chunk_index, chunk
+    )
 
 
 def usable_cpus() -> int:
@@ -444,13 +452,16 @@ def default_pool_size(
 
 
 class WorkerPool:
-    """A process pool whose workers each hold one simulation backend.
+    """A process pool whose workers each hold the same simulation backends.
 
     The one process-parallel path of :class:`Campaign`:
     ``run(workers=N)`` opens a one-shot pool for its call, and a caller
-    that runs many campaigns on one backend keeps a pool open across
-    them (``run(pool=...)``), so only the first campaign pays for
-    process start-up and each worker's first touch of the logic table.
+    that runs many campaigns keeps a pool open across them
+    (``run(pool=...)``), so only the first campaign pays for process
+    start-up and each worker's first touch of the logic table.  The
+    pool holds every backend its campaigns simulate with (*backends*,
+    a sequence of ready backends) and each task names its own, so the
+    equipped and unequipped arms of a paired estimate share one pool.
     Results are bitwise identical to a serial run whichever way.
 
     Use it as a context manager (or call :meth:`close`): leaving the
@@ -459,15 +470,15 @@ class WorkerPool:
     ``concurrent.futures.process.BrokenProcessPool`` at once.
     """
 
-    def __init__(self, backend: SimulationBackend, workers: int):
-        self.backend = backend
+    def __init__(self, backends: Sequence[SimulationBackend], workers: int):
+        self.backends = tuple(backends)
         self.workers = workers
-        # The backend travels once per process, through the initializer;
+        # The backends travel once per process, through the initializer;
         # processes start with the first task.
         self._executor = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(backend,),
+            initargs=(self.backends,),
         )
 
     def __enter__(self) -> "WorkerPool":
@@ -481,19 +492,25 @@ class WorkerPool:
         self._executor.shutdown(wait=True, cancel_futures=True)
 
     def run_chunks(
-        self, num_runs: int, chunks: List[WorkChunk]
+        self, backend: SimulationBackend, num_runs: int,
+        chunks: List[WorkChunk],
     ) -> Iterator[List[Tuple[int, BatchResult]]]:
-        """Simulate *chunks* on the pool, yielding outcomes in order.
+        """Simulate *chunks* on the pool's *backend*, yielding outcomes
+        in order.
 
         Only a bounded window of chunks is in flight, so a slow consumer
         of the stream does not accumulate every finished chunk's results
         in memory.
         """
+        index = next(
+            i for i, held in enumerate(self.backends) if held is backend
+        )
         trace = _task_trace()
 
         def submit(chunk_index, chunk):
             return self._executor.submit(
-                _worker_execute_chunk, num_runs, chunk_index, chunk, trace
+                _worker_execute_chunk, index, num_runs, chunk_index, chunk,
+                trace,
             )
 
         chunk_iter = enumerate(chunks)
@@ -826,12 +843,14 @@ class Campaign:
         """
         workers = min(plan.workers, len(plan.chunks))
         if workers > 1 and pool is None:
-            with WorkerPool(self.backend, workers) as one_shot:
+            with WorkerPool([self.backend], workers) as one_shot:
                 yield from self._stream(plan, one_shot)
             return
         start = time.perf_counter()
         if workers > 1:
-            outcomes = pool.run_chunks(self.runs_per_scenario, plan.chunks)
+            outcomes = pool.run_chunks(
+                self.backend, self.runs_per_scenario, plan.chunks
+            )
         else:
             outcomes = (
                 _run_chunk(self.backend, self.runs_per_scenario, index, chunk)
@@ -885,9 +904,9 @@ class Campaign:
 
         *pool* runs the plan on an open :class:`WorkerPool` instead of
         starting one, with or without a *store*; the plan is sized for
-        ``pool.workers``.  The pool must have been built for this
-        campaign's backend object (its processes simulate with the
-        backend they were given, so any other would return wrong bits
+        ``pool.workers``.  The pool must hold this campaign's backend
+        object among its backends (its processes simulate with the
+        backends they were given, so any other would return wrong bits
         without an error), and ``workers`` must stay 1: both are
         ``ValueError``.
 
@@ -914,7 +933,7 @@ class Campaign:
         on a fleet — with results bitwise identical to an untraced run.
         """
         if pool is not None:
-            if pool.backend is not self.backend:
+            if not any(held is self.backend for held in pool.backends):
                 raise ValueError(
                     "pool= was built for a different backend: its "
                     "processes would simulate with that backend's table"

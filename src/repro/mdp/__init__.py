@@ -15,7 +15,7 @@ This subpackage provides the optimization substrate of the paper's
 - :mod:`repro.mdp.policy` — lookup-table policies ("logic tables").
 """
 
-from repro.mdp.grid import Grid, UniformAxis, interp_weights_1d
+from repro.mdp.grid import Grid, UniformAxis
 from repro.mdp.model import TabularMDP, MDPDefinition
 from repro.mdp.policy import TabularPolicy
 from repro.mdp.policy_iteration import PolicyIterationResult, policy_iteration
@@ -36,7 +36,6 @@ __all__ = [
     "UniformAxis",
     "ValueIterationResult",
     "backward_induction",
-    "interp_weights_1d",
     "policy_iteration",
     "value_iteration",
 ]

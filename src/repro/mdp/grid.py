@@ -6,9 +6,8 @@ onto grid points — the paper (Section IV) singles out this "sampling and
 interpolation" step as a source of inaccuracy that validation must
 confront.  This module implements that machinery:
 
-- :class:`UniformAxis` — one evenly spaced axis with clipping semantics;
-- :func:`interp_weights_1d` — barycentric weights of a continuous value
-  between its two bracketing grid points;
+- :class:`UniformAxis` — one evenly spaced axis with clipping semantics,
+  which brackets a continuous value between two of its points;
 - :class:`Grid` — a product of axes supporting flat indexing and
   multilinear interpolation of values defined on the grid.
 """
@@ -20,27 +19,6 @@ from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
-
-
-def interp_weights_1d(
-    axis_points: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Locate *values* on a sorted 1-D axis and return interpolation data.
-
-    Returns ``(lo, hi, w_hi)`` where ``lo``/``hi`` are the bracketing
-    indices and ``w_hi`` the weight on ``hi`` (so the weight on ``lo`` is
-    ``1 - w_hi``).  Values outside the axis are clipped to the ends,
-    matching how a logic table saturates at its grid boundary.
-    """
-    points = np.asarray(axis_points, dtype=float)
-    vals = np.clip(np.asarray(values, dtype=float), points[0], points[-1])
-    hi = np.searchsorted(points, vals, side="right")
-    hi = np.clip(hi, 1, len(points) - 1)
-    lo = hi - 1
-    span = points[hi] - points[lo]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        w_hi = np.where(span > 0, (vals - points[lo]) / span, 0.0)
-    return lo.astype(np.int64), hi.astype(np.int64), w_hi
 
 
 @dataclass(frozen=True)
@@ -69,6 +47,20 @@ class UniformAxis:
             raise ValueError(
                 f"axis {self.name!r} needs high > low, got [{self.low}, {self.high}]"
             )
+        # bracket() places a value by arithmetic and corrects the guess
+        # by at most one point.  The placement is monotone in the value,
+        # so that correction finds the exact bracket of every value if
+        # it places each grid point within one index of its own.
+        points = self.points
+        placed = (points - points[0]) / self.step
+        if not (
+            np.all(points[1:] > points[:-1])
+            and np.all(np.abs(placed - np.arange(self.num)) < 1.0)
+        ):
+            raise ValueError(
+                f"axis {self.name!r} is too fine for float64: its points "
+                "are not distinct, evenly placed values"
+            )
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -93,12 +85,37 @@ class UniformAxis:
         """Index of the grid point equal to *value* (within *tol*).
 
         Raises ``ValueError`` when *value* is not a grid point; use
-        :func:`interp_weights_1d` for off-grid values.
+        :meth:`bracket` for off-grid values.
         """
         idx = int(round((value - self.low) / self.step))
         if idx < 0 or idx >= self.num or abs(self.points[idx] - value) > tol:
             raise ValueError(f"{value} is not a grid point of axis {self.name!r}")
         return idx
+
+    def bracket(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Locate *values* between two grid points.
+
+        Returns ``(lo, w_hi)``: ``lo`` is the largest index whose point
+        does not exceed the value, at most ``num - 2``, so the value
+        lies between points ``lo`` and ``lo + 1``; ``w_hi`` is the
+        weight on point ``lo + 1`` (the weight on ``lo`` is ``1 -
+        w_hi``).  Values outside the axis are clipped to its ends, as
+        a logic table saturates at its grid boundary.
+
+        ``lo`` is placed by arithmetic, then compared against the
+        points, which gives the bracket ``np.searchsorted(points,
+        value, side="right") - 1`` does, clipped to ``[0, num - 2]``.
+        """
+        points = self.points
+        vals = np.clip(values, points[0], points[-1])
+        # vals - points[0] >= 0, so truncation is floor.  fmin puts a
+        # NaN in the last bracket, where searchsorted sorts it.
+        guess = np.fmin((vals - points[0]) / self.step, self.num - 2)
+        guess = guess.astype(np.int64)
+        lo = guess - (points[guess] > vals)
+        lo += (points[guess + 1] <= vals) & (guess < self.num - 2)
+        lo_points = points[lo]
+        return lo, (vals - lo_points) / (points[lo + 1] - lo_points)
 
 
 class Grid:
@@ -107,9 +124,11 @@ class Grid:
     Values defined on the grid are stored flat (C order over the axes in
     construction order); :meth:`interpolate` evaluates such a value array
     at arbitrary continuous points by multilinear interpolation, and
-    :meth:`interp_table` precomputes the corner indices/weights so the
-    same interpolation can be replayed cheaply (the hot path of value
-    iteration over sampled successor states).
+    :meth:`corners` precomputes the corner indices/weights corner-major
+    so the same interpolation can be replayed cheaply (the hot paths of
+    the logic-table solve over sampled successor states and of the
+    logic-table lookup).  :meth:`interp_table` is the same data
+    point-major.
     """
 
     def __init__(self, axes: Sequence[UniformAxis]):
@@ -162,6 +181,44 @@ class Grid:
         mesh = np.meshgrid(*(ax.points for ax in self.axes), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
+    def corners(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Multilinear interpolation corners and weights, corner-major.
+
+        Parameters
+        ----------
+        coords:
+            Array of shape ``(n, ndim)`` of continuous query points
+            (clipped per-axis).  A transposed ``(ndim, n)`` array
+            passed as its ``.T`` view reads each axis contiguously.
+
+        Returns
+        -------
+        (indices, weights):
+            Both of shape ``(2**ndim, n)``: row ``c`` holds corner
+            ``c``'s flat grid index and barycentric weight for every
+            point; bit ``dim`` of ``c`` selects that axis's upper
+            point.  The weights sum to one over the corners.
+        """
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if coords.shape[1] != self.ndim:
+            raise ValueError(
+                f"coords must have {self.ndim} columns, got {coords.shape[1]}"
+            )
+        n = coords.shape[0]
+        # The upper point is always lo + 1, so a corner's flat index is
+        # the point's "all lo" index plus that corner's fixed offset.
+        base = np.zeros(n, dtype=np.int64)
+        weights = np.ones((1, n))
+        for dim, ax in enumerate(self.axes):
+            lo, w_hi = ax.bracket(coords[:, dim])
+            base += self._strides[dim] * lo
+            # Grow the corner axis one dim at a time, new bit slowest:
+            # corner c's weight is the product of its per-axis weights
+            # taken in axis order (axis 0 first).
+            pair = np.stack([1.0 - w_hi, w_hi])  # (2, n)
+            weights = (pair[:, None, :] * weights[None, :, :]).reshape(-1, n)
+        return self._corner_offsets[:, None] + base, weights
+
     def interp_table(
         self, coords: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -176,35 +233,13 @@ class Grid:
         Returns
         -------
         (indices, weights):
-            ``indices`` has shape ``(n, 2**ndim)`` of flat grid indices
-            and ``weights`` the matching barycentric weights, summing to
+            :meth:`corners` point-major: C-contiguous arrays of shape
+            ``(n, 2**ndim)``, ``indices`` flat grid indices and
+            ``weights`` the matching barycentric weights, summing to
             one along the last axis.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.shape[1] != self.ndim:
-            raise ValueError(
-                f"coords must have {self.ndim} columns, got {coords.shape[1]}"
-            )
-        n = coords.shape[0]
-        # ``hi`` is always ``lo + 1`` (interp_weights_1d clips hi into
-        # [1, num-1] and derives lo from it), so corner indices are one
-        # base flat index per point plus the precomputed per-corner
-        # offsets — pure int64 arithmetic, so reassociating the sums
-        # cannot change a single index.
-        base = np.zeros(n, dtype=np.int64)
-        weights = np.ones((n, 1), dtype=float)
-        for dim, ax in enumerate(self.axes):
-            lo, _hi, w_hi = interp_weights_1d(ax.points, coords[:, dim])
-            base += self._strides[dim] * lo
-            # Grow the corner axis one dim at a time, new bit slowest:
-            # corner c's weight stays the product of its per-axis
-            # weights taken in axis order (axis 0 first), so every
-            # weight bit matches the per-corner accumulation it
-            # replaces.
-            pair = np.stack([1.0 - w_hi, w_hi], axis=1)  # (n, 2)
-            weights = (pair[:, :, None] * weights[:, None, :]).reshape(n, -1)
-        indices = base[:, None] + self._corner_offsets[None, :]
-        return indices, weights
+        indices, weights = self.corners(coords)
+        return np.ascontiguousarray(indices.T), np.ascontiguousarray(weights.T)
 
     def interpolate(self, values: np.ndarray, coords: np.ndarray) -> np.ndarray:
         """Evaluate grid-defined *values* at continuous *coords*.

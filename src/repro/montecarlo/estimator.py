@@ -17,7 +17,8 @@ The campaigns inherit the experiment API's properties: the simulation
 backend is registry-selected (``"vectorized-batch"`` default — the
 megabatch path that flattens whole chunks of encounters into one lane
 array per arm — ``"agent"`` for the faithful engine) and ``workers>1``
-fans the encounters out across processes without changing the result.
+fans both arms' encounters out across one process pool without
+changing the result.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.analysis.metrics import (
     wilson_interval,
 )
 from repro.encounters.encoding import EncounterParameters
-from repro.experiments.campaign import Campaign, ResultSet
+from repro.experiments.campaign import Campaign, ResultSet, WorkerPool
 from repro.sim.encounter import EncounterSimConfig
 from repro.util.rng import SeedLike, as_generator
 
@@ -108,8 +109,10 @@ class MonteCarloEstimator:
         Extra factory options forwarded to each arm's backend (see
         :class:`~repro.experiments.Campaign`).
     workers:
-        Process-parallel fan-out of each arm's campaign (1 = serial;
-        the estimate is identical either way).
+        Process-parallel fan-out of the arms' campaigns, which run one
+        after the other on one :class:`~repro.experiments.WorkerPool`
+        holding both arms' backends (1 = serial; the estimate is
+        identical either way).
     store:
         Optional :class:`~repro.store.ResultStore` both arms' campaigns
         write through — each arm lands under its own provenance hash
@@ -160,8 +163,8 @@ class MonteCarloEstimator:
         rng = as_generator(seed)
         encounters = self.source.sample(num_encounters, seed=rng)
 
-        def arm(equipage: str) -> ResultSet:
-            campaign = Campaign(
+        arms = [
+            Campaign(
                 encounters,
                 backend=self.backend,
                 table=None if equipage == "none" else self.table,
@@ -170,12 +173,22 @@ class MonteCarloEstimator:
                 sim_config=self.sim_config,
                 backend_options=self.backend_options,
             )
-            return campaign.run(
-                seed=rng, workers=self.workers, store=self.store
-            )
-
-        equipped = arm("both")
-        unequipped = arm("none")
+            for equipage in ("both", "none")
+        ]
+        # min(workers, encounters) processes plan each arm exactly as
+        # run(workers=self.workers) would; a fleet is its own pool.
+        workers = min(self.workers, num_encounters)
+        if workers > 1 and not hasattr(arms[0].backend, "run_campaign"):
+            with WorkerPool([arm.backend for arm in arms], workers) as pool:
+                equipped, unequipped = [
+                    arm.run(seed=rng, store=self.store, pool=pool)
+                    for arm in arms
+                ]
+        else:
+            equipped, unequipped = [
+                arm.run(seed=rng, workers=self.workers, store=self.store)
+                for arm in arms
+            ]
 
         equipped_nmacs = equipped.nmac_count
         unequipped_nmacs = unequipped.nmac_count

@@ -34,7 +34,7 @@ with the same pool, store and provenance; none simulates on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,7 +69,51 @@ def paper_fitness(min_separations: np.ndarray) -> float:
     return float(np.mean(COLLISION_GAIN / (1.0 + min_separations)))
 
 
-class EncounterFitness:
+class _PoolScope:
+    """A ``with`` scope that keeps one warm :class:`WorkerPool` open.
+
+    The first :meth:`_scope_pool` call inside the scope starts a pool
+    holding *backends* (``min(usable CPUs, chunks in the plan)``
+    processes); later calls reuse it and the outermost exit closes
+    it, also when the scope raises.  Scopes nest.  Outside any scope,
+    on one CPU or on a fleet-bound backend (``"distributed"``, whose
+    fleet is the parallelism) there is no pool.
+    """
+
+    num_runs: int
+
+    def __init__(self, backends: Sequence[SimulationBackend]):
+        self._backends = list(backends)
+        self._scopes = 0
+        self._pool: Optional[WorkerPool] = None
+
+    def __enter__(self):
+        self._scopes += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._scopes -= 1
+        if self._scopes == 0 and self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.close()
+
+    def _scope_pool(self, num_genomes: int) -> Optional[WorkerPool]:
+        """The open scope's pool, started by its first evaluation."""
+        backends = self._backends
+        if (
+            self._pool is None
+            and self._scopes
+            and not hasattr(backends[0], "run_campaign")
+        ):
+            workers = default_pool_size(
+                backends[0], self.num_runs, num_genomes
+            )
+            if workers > 1:
+                self._pool = WorkerPool(backends, workers)
+        return self._pool
+
+
+class EncounterFitness(_PoolScope):
     """Evaluates encounter genomes by campaigns of stochastic runs.
 
     Parameters
@@ -147,32 +191,7 @@ class EncounterFitness:
         self.store = store
         self._rng = as_generator(seed)
         self.evaluations = 0
-        self._scopes = 0
-        self._pool: Optional[WorkerPool] = None
-
-    def __enter__(self) -> "EncounterFitness":
-        self._scopes += 1
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._scopes -= 1
-        if self._scopes == 0 and self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.close()
-
-    def _scope_pool(self, num_genomes: int) -> Optional[WorkerPool]:
-        """The open scope's pool, started by its first evaluation."""
-        if (
-            self._pool is None
-            and self._scopes
-            and not hasattr(self.backend, "run_campaign")
-        ):
-            workers = default_pool_size(
-                self.backend, self.num_runs, num_genomes
-            )
-            if workers > 1:
-                self._pool = WorkerPool(self.backend, workers)
-        return self._pool
+        super().__init__([self.backend])
 
     def simulate(self, genome: np.ndarray) -> BatchResult:
         """Run one genome's campaign of stochastic simulation runs."""
@@ -197,13 +216,16 @@ class EncounterFitness:
         :class:`WorkerPool`.
         """
         genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
+        return self._evaluate(genomes, self._scope_pool(len(genomes)))
+
+    def _evaluate(
+        self, genomes: np.ndarray, pool: Optional[WorkerPool]
+    ) -> np.ndarray:
+        """Score *genomes* in one campaign, on *pool* when given."""
         campaign = Campaign(
             genomes, backend=self.backend, runs_per_scenario=self.num_runs
         )
-        result_set = campaign.run(
-            seed=self._rng, store=self.store,
-            pool=self._scope_pool(len(genomes)),
-        )
+        result_set = campaign.run(seed=self._rng, store=self.store, pool=pool)
         self.evaluations += len(genomes)
         return np.array(
             [self.score(record.runs) for record in result_set], dtype=float
@@ -255,7 +277,7 @@ class _MeanMiss(EncounterFitness):
         return float(result.min_separation.mean())
 
 
-class FalseAlarmFitness:
+class FalseAlarmFitness(_PoolScope):
     """Search objective for false-alarm-prone situations.
 
     The paper proposes the GA approach for "identifying situations
@@ -273,11 +295,11 @@ class FalseAlarmFitness:
     campaign: :meth:`evaluate_population` scores a GA generation as one
     equipped and one unequipped campaign, and inside a ``with
     fitness:`` scope (which :meth:`~repro.search.ga.GeneticAlgorithm.run`
-    opens) each arm runs its campaigns on its own warm
-    :class:`~repro.experiments.WorkerPool`, with bits identical to a
-    serial search.  Both arms draw their campaigns' root seeds from one
-    generator, the equipped arm first, so successive evaluations are
-    independent.
+    opens) both arms run their campaigns on one warm
+    :class:`~repro.experiments.WorkerPool` holding both arms'
+    backends, with bits identical to a serial search.  Both arms draw
+    their campaigns' root seeds from one generator, the equipped arm
+    first, so successive evaluations are independent.
 
     Parameters
     ----------
@@ -326,31 +348,24 @@ class FalseAlarmFitness:
         )
         self.num_runs = num_runs
         self.scale = scale
+        super().__init__([self._alerts.backend, self._misses.backend])
 
     @property
     def evaluations(self) -> int:
         """Genomes evaluated so far (each through both arms)."""
         return self._alerts.evaluations
 
-    def __enter__(self) -> "FalseAlarmFitness":
-        self._alerts.__enter__()
-        self._misses.__enter__()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self._misses.__exit__(*exc_info)
-        finally:
-            self._alerts.__exit__(*exc_info)
-
     def components(self, genome: np.ndarray) -> tuple[float, float]:
         """(alert rate, mean unmitigated miss distance) for one genome."""
         return self._alerts(genome), self._misses(genome)
 
     def evaluate_population(self, genomes: np.ndarray) -> np.ndarray:
-        """Fitness of a whole population: one campaign per arm."""
-        alert_rates = self._alerts.evaluate_population(genomes)
-        mean_misses = self._misses.evaluate_population(genomes)
+        """Fitness of a whole population: one campaign per arm, both on
+        the scope's pool."""
+        genomes = np.atleast_2d(np.asarray(genomes, dtype=float))
+        pool = self._scope_pool(len(genomes))
+        alert_rates = self._alerts._evaluate(genomes, pool)
+        mean_misses = self._misses._evaluate(genomes, pool)
         return alert_rates * mean_misses / self.scale
 
     def __call__(self, genome: np.ndarray) -> float:

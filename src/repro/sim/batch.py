@@ -25,6 +25,12 @@ kernel is organised as:
   draws while eliminating the per-decision Python RNG loop
   (``tests/batch_reference.py`` freezes that inline-draw loop as the
   independent equivalence oracle).
+- **Lanes last** — every lane array keeps the lane axis last: positions
+  and velocities are ``(3, lanes)``, the sense tape ``(D_max, 4, 3,
+  lanes)``, so each physics, monitor and conflict-geometry operation
+  runs over a contiguous row of lanes (``vel[2]``, ``pos[:2]``), never
+  a strided column.  The layout decides only where a lane's values sit
+  in memory, never the float operations applied to them.
 - **Per-phase timers** — every ``run_many`` call times its tape-draw,
   decision, physics and observe phases and, when tracing is armed,
   records them as ``kernel.*`` spans under the caller's open span
@@ -131,16 +137,17 @@ def check_tape_budget(
 class _NoiseTapes(NamedTuple):
     """Decision-major pre-drawn noise for one ``run_many`` invocation.
 
-    ``sense`` is four ``(D_max, total, 3)`` arrays (intruder report
-    position/velocity noise, then own report), ``vert`` is
-    ``(D_max, substeps, 2, total)`` and ``horiz`` is
-    ``(D_max, substeps, 2, total, 2)`` — side axis: own then intruder.
-    Entries are ``None`` when that stream draws nothing (equipage /
-    zero stds).  Decision ``d`` of scenario ``s`` is filled only for
-    ``d < num_decisions[s]``: a finished scenario consumes no draws.
+    Lanes last: ``sense`` is ``(D_max, 4, 3, total)`` (report: intruder
+    position, intruder velocity, own position, own velocity; then
+    axis x/y/z), ``vert`` is ``(D_max, substeps, 2, total)`` and
+    ``horiz`` is ``(D_max, substeps, 2, 2, total)`` (side, then axis
+    x/y) — side axis: own then intruder.  Entries are ``None`` when
+    that stream draws nothing (equipage / zero stds).  Decision ``d``
+    of scenario ``s`` is filled only for ``d < num_decisions[s]``: a
+    finished scenario consumes no draws.
     """
 
-    sense: Optional[List[np.ndarray]]
+    sense: Optional[np.ndarray]
     vert: Optional[np.ndarray]
     horiz: Optional[np.ndarray]
 
@@ -218,13 +225,16 @@ class BatchEncounterSimulator:
     # Decision helpers
     # ------------------------------------------------------------------
     def _conflict_geometry(self, own_pos, own_vel, intr_pos, intr_vel):
-        """Vectorized port of AcasXuController._conflict_geometry."""
+        """Vectorized port of AcasXuController._conflict_geometry.
+
+        Takes ``(3, lanes)`` states.
+        """
         config = self.table.config
         horizon_seconds = config.horizon * config.dt
-        rel_pos = intr_pos[:, :2] - own_pos[:, :2]
-        rel_vel = intr_vel[:, :2] - own_vel[:, :2]
-        speed_sq = np.einsum("ij,ij->i", rel_vel, rel_vel)
-        dot = np.einsum("ij,ij->i", rel_pos, rel_vel)
+        rel_pos = intr_pos[:2] - own_pos[:2]
+        rel_vel = intr_vel[:2] - own_vel[:2]
+        speed_sq = rel_vel[0] * rel_vel[0] + rel_vel[1] * rel_vel[1]
+        dot = rel_pos[0] * rel_vel[0] + rel_pos[1] * rel_vel[1]
         # Masked divide: lanes with ~zero closing speed keep the 0.0
         # prefill and the division is never evaluated there, so no
         # errstate bracket is needed (same lane values as the
@@ -232,8 +242,8 @@ class BatchEncounterSimulator:
         t_star = np.zeros_like(dot)
         np.divide(-dot, speed_sq, out=t_star, where=speed_sq > 1e-12)
         tau = np.maximum(t_star, 0.0)
-        at_cpa = rel_pos + rel_vel * tau[:, None]
-        miss = np.hypot(at_cpa[:, 0], at_cpa[:, 1])
+        at_cpa = rel_pos + rel_vel * tau
+        miss = np.hypot(at_cpa[0], at_cpa[1])
 
         converging = tau > 0.0
         within_horizon = tau <= horizon_seconds
@@ -245,7 +255,7 @@ class BatchEncounterSimulator:
         self, own_pos, own_vel, sensed_intr_pos, sensed_intr_vel, current_sra
     ):
         """New advisory indices for one (uncoordinated) side of every run."""
-        n = own_pos.shape[0]
+        n = own_pos.shape[1]
         tau, in_conflict = self._conflict_geometry(
             own_pos, own_vel, sensed_intr_pos, sensed_intr_vel
         )
@@ -253,15 +263,14 @@ class BatchEncounterSimulator:
         active = np.flatnonzero(in_conflict)
         if active.size == 0:
             return new_sra
-        coords = np.stack(
-            [
-                sensed_intr_pos[active, 2] - own_pos[active, 2],
-                own_vel[active, 2],
-                sensed_intr_vel[active, 2],
-            ],
-            axis=1,
+        coords = np.stack([
+            sensed_intr_pos[2, active] - own_pos[2, active],
+            own_vel[2, active],
+            sensed_intr_vel[2, active],
+        ])
+        q = self.table.q_values_batch(
+            tau[active], current_sra[active], coords.T
         )
-        q = self.table.q_values_batch(tau[active], current_sra[active], coords)
         new_sra[active] = np.argmax(q, axis=1)
         return new_sra
 
@@ -295,7 +304,7 @@ class BatchEncounterSimulator:
         when both aircraft are equipped; one call amortizes the
         per-lookup interpolation setup across both sides.
         """
-        n = own_pos.shape[0]
+        n = own_pos.shape[1]
         sensed_ip = intr_pos + sense_noise[0]
         sensed_iv = intr_vel + sense_noise[1]
         sensed_op = own_pos + sense_noise[2]
@@ -314,18 +323,18 @@ class BatchEncounterSimulator:
         if split + active_intr.size == 0:
             return new_own, new_intr
 
-        coords = np.empty((split + active_intr.size, 3))
-        coords[:split, 0] = sensed_ip[active_own, 2] - own_pos[active_own, 2]
-        coords[:split, 1] = own_vel[active_own, 2]
-        coords[:split, 2] = sensed_iv[active_own, 2]
-        coords[split:, 0] = sensed_op[active_intr, 2] - intr_pos[active_intr, 2]
-        coords[split:, 1] = intr_vel[active_intr, 2]
-        coords[split:, 2] = sensed_ov[active_intr, 2]
+        coords = np.empty((3, split + active_intr.size))
+        coords[0, :split] = sensed_ip[2, active_own] - own_pos[2, active_own]
+        coords[1, :split] = own_vel[2, active_own]
+        coords[2, :split] = sensed_iv[2, active_own]
+        coords[0, split:] = sensed_op[2, active_intr] - intr_pos[2, active_intr]
+        coords[1, split:] = intr_vel[2, active_intr]
+        coords[2, split:] = sensed_ov[2, active_intr]
         tau = np.concatenate([tau_own[active_own], tau_intr[active_intr]])
         current = np.concatenate(
             [own_sra[active_own], intr_sra[active_intr]]
         )
-        q = self.table.q_values_batch(tau, current, coords)
+        q = self.table.q_values_batch(tau, current, coords.T)
 
         q_own, q_intr = q[:split], q[split:]
         if self.coordination:
@@ -348,15 +357,17 @@ class BatchEncounterSimulator:
 
         Replicates :func:`repro.dynamics.aircraft.step_aircraft`:
         advisory ramp (exact trapezoid) then Brownian rate disturbance.
-        Every operation is lane-wise, so the result for one lane does
-        not depend on which other lanes share the arrays.
+        ``pos``/``vel`` are ``(3, lanes)``, the noises ``(lanes,)``
+        (vertical) and ``(2, lanes)`` (horizontal).  Every operation is
+        lane-wise, so the result for one lane does not depend on which
+        other lanes share the arrays.
 
         ``gathered`` is ``(target, accel, max_change, ramp_mask)`` from
         :meth:`_gather_advisory` — the advisory is fixed for a whole
         decision, so the kernel gathers once per decision instead of
         once per substep.
         """
-        vz = vel[:, 2]
+        vz = vel[2]
         # Inactive advisories gather a 0.0 target and 0.0 acceleration,
         # so their ramp clips to (signed) zero, t_ramp masks to zero and
         # the commanded displacement collapses to the free-flight vz*dt
@@ -381,26 +392,26 @@ class BatchEncounterSimulator:
         np.subtract(dt, t_ramp, out=t_ramp)
         t_ramp *= vz_capture
         lift += t_ramp
-        pos[:, 2] += lift
-        vel[:, 2] = vz_capture  # equals vz where inactive (ramp == 0)
+        pos[2] += lift
+        vel[2] = vz_capture  # equals vz where inactive (ramp == 0)
 
         if vertical_noise is not None:
             bump = 0.5 * vertical_noise
             bump *= dt
             bump *= dt
-            pos[:, 2] += bump
-            vel[:, 2] += vertical_noise * dt
+            pos[2] += bump
+            vel[2] += vertical_noise * dt
 
         if horizontal_noise is not None:
-            drift = vel[:, :2] * dt
+            drift = vel[:2] * dt
             kick = 0.5 * horizontal_noise
             kick *= dt
             kick *= dt
             drift += kick
-            pos[:, :2] += drift
-            vel[:, :2] += horizontal_noise * dt
+            pos[:2] += drift
+            vel[:2] += horizontal_noise * dt
         else:
-            pos[:, :2] += vel[:, :2] * dt
+            pos[:2] += vel[:2] * dt
 
     @staticmethod
     def _gather_advisory(sra, dt: float):
@@ -436,7 +447,10 @@ class BatchEncounterSimulator:
         stream is consumed in exactly the historical inline order —
         per decision: intruder report (pos x, y, z, vel x, y, z), own
         report, then per substep per side: vertical rate, horizontal
-        accel (n, 2) in C order — and scaled per segment.  Since
+        accel (n, 2) in C order — and scaled per segment.  The sense
+        draws already run lanes last, so each scenario fills its lanes
+        of the sense tape with one block copy; the horizontal draws
+        run lane-major and are transposed into the tape.  Since
         ``Generator.normal(0.0, std, size)`` evaluates
         ``0.0 + std * z`` over ``size`` sequential standard-normal
         draws, the scaled slices are bitwise identical to the inline
@@ -466,15 +480,12 @@ class BatchEncounterSimulator:
             return _NoiseTapes(None, None, None)
 
         d_max = int(num_decisions.max())
-        sense_tape = (
-            [np.empty((d_max, total, 3)) for _ in range(4)]
-            if sensing else None
-        )
+        sense_tape = np.empty((d_max, 4, 3, total)) if sensing else None
         vert_tape = (
             np.empty((d_max, substeps, 2, total)) if has_vert else None
         )
         horiz_tape = (
-            np.empty((d_max, substeps, 2, total, 2)) if has_horiz else None
+            np.empty((d_max, substeps, 2, 2, total)) if has_horiz else None
         )
         sensor = config.sensor
         # Per-axis report scales: position then velocity, x/y/z.
@@ -503,10 +514,7 @@ class BatchEncounterSimulator:
                 reports = z[:, :sense_len].reshape(d_s, 4, 3, n)
                 reports[:, 0::2] *= pos_scales[None, None, :, None]
                 reports[:, 1::2] *= vel_scales[None, None, :, None]
-                for r in range(4):
-                    sense_tape[r][:d_s, rows, :] = reports[:, r].transpose(
-                        0, 2, 1
-                    )
+                sense_tape[:d_s, :, :, rows] = reports
             if has_vert or has_horiz:
                 sub = z[:, sense_len:].reshape(
                     d_s, substeps, 2, vert_len + horiz_len
@@ -516,9 +524,9 @@ class BatchEncounterSimulator:
                     vert_tape[:d_s, :, :, rows] = sub[..., :vert_len]
                 if has_horiz:
                     sub[..., vert_len:] *= h_std
-                    horiz_tape[:d_s, :, :, rows, :] = sub[
-                        ..., vert_len:
-                    ].reshape(d_s, substeps, 2, n, 2)
+                    horiz_tape[:d_s, ..., rows] = sub[..., vert_len:].reshape(
+                        d_s, substeps, 2, n, 2
+                    ).transpose(0, 1, 2, 4, 3)
         return _NoiseTapes(sense_tape, vert_tape, horiz_tape)
 
     def run_many(
@@ -589,17 +597,19 @@ class BatchEncounterSimulator:
         order = np.argsort(-num_decisions, kind="stable")
         slot_decisions = num_decisions[order]
 
-        own_pos = np.empty((total, 3))
-        own_vel = np.empty((total, 3))
-        intr_pos = np.empty((total, 3))
-        intr_vel = np.empty((total, 3))
+        # Lanes last: (3, total) states, so the active prefix
+        # [:, :m*n] is a view whose rows are contiguous.
+        own_pos = np.empty((3, total))
+        own_vel = np.empty((3, total))
+        intr_pos = np.empty((3, total))
+        intr_vel = np.empty((3, total))
         for slot, s in enumerate(order):
             own0, intr0 = decode_encounter(params_list[s])
             rows = slice(slot * n, (slot + 1) * n)
-            own_pos[rows] = own0.position
-            own_vel[rows] = own0.velocity
-            intr_pos[rows] = intr0.position
-            intr_vel[rows] = intr0.velocity
+            own_pos[:, rows] = own0.position[:, None]
+            own_vel[:, rows] = own0.velocity[:, None]
+            intr_pos[:, rows] = intr0.position[:, None]
+            intr_vel[:, rows] = intr0.velocity[:, None]
 
         mark = time.perf_counter
         t_tape = t_decision = t_physics = t_observe = 0.0
@@ -629,8 +639,8 @@ class BatchEncounterSimulator:
             # update is pure in-place arithmetic — no per-call
             # gather + scatter on the full lane arrays.
             delta = own_p - intr_p
-            horizontal = np.hypot(delta[:, 0], delta[:, 1])
-            vertical = np.abs(delta[:, 2])
+            horizontal = np.hypot(delta[0], delta[1])
+            vertical = np.abs(delta[2])
             separation = np.hypot(horizontal, vertical)
             np.minimum(sep_acc, separation, out=sep_acc)
             np.minimum(horiz_acc, horizontal, out=horiz_acc)
@@ -652,17 +662,9 @@ class BatchEncounterSimulator:
             # This decision's noise is pure tape indexing — the active
             # prefix makes every slice below a plain view.
             t0 = mark()
-            sense_noise = (
-                [tape[decision][lanes] for tape in tapes.sense]
-                if tapes.sense is not None else None
-            )
-            vert_noise = (
-                tapes.vert[decision][:, :, lanes]
-                if tapes.vert is not None else None
-            )
-            horiz_noise = (
-                tapes.horiz[decision][:, :, lanes, :]
-                if tapes.horiz is not None else None
+            sense_noise, vert_noise, horiz_noise = (
+                None if tape is None else tape[decision, ..., lanes]
+                for tape in tapes
             )
             t_tape += mark() - t0
 
@@ -670,8 +672,8 @@ class BatchEncounterSimulator:
             # views: every in-place update below lands directly in the
             # full lane arrays with no scatter-back.
             t0 = mark()
-            op, ov = own_pos[lanes], own_vel[lanes]
-            ip, iv = intr_pos[lanes], intr_vel[lanes]
+            op, ov = own_pos[:, lanes], own_vel[:, lanes]
+            ip, iv = intr_pos[:, lanes], intr_vel[:, lanes]
             osra, isra = own_sra[lanes], intr_sra[lanes]
 
             if own_equipped and intr_equipped:

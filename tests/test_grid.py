@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mdp.grid import Grid, UniformAxis, interp_weights_1d
+from repro.mdp.grid import Grid, UniformAxis
 
 
 class TestUniformAxis:
@@ -21,6 +21,12 @@ class TestUniformAxis:
         with pytest.raises(ValueError):
             UniformAxis("x", 1.0, 0.0, 5)
 
+    def test_rejects_axis_finer_than_float64(self):
+        # Spacing below one ulp of the values: points collapse, and no
+        # placement could bracket a value between two distinct points.
+        with pytest.raises(ValueError, match="too fine"):
+            UniformAxis("x", 1.0, 1.0 + 1e-15, 50)
+
     def test_clip(self):
         axis = UniformAxis("x", -1.0, 1.0, 3)
         np.testing.assert_allclose(axis.clip(np.array([-5, 0, 5])), [-1, 0, 1])
@@ -35,30 +41,35 @@ class TestUniformAxis:
             axis.index_of(2.5)
 
 
+def interp_1d(low, high, num, values):
+    """``(indices, weights)`` of *values* on a one-axis grid: columns
+    are the lower and upper bracketing point."""
+    grid = Grid([UniformAxis("x", low, high, num)])
+    return grid.interp_table(np.asarray(values, dtype=float)[:, None])
+
+
 class TestInterpWeights1d:
     def test_at_grid_points(self):
+        indices, weights = interp_1d(0.0, 2.0, 3, [0.0, 1.0, 2.0])
         points = np.array([0.0, 1.0, 2.0])
-        lo, hi, w = interp_weights_1d(points, np.array([0.0, 1.0, 2.0]))
-        np.testing.assert_allclose(w * (points[hi] - points[lo]) + points[lo],
-                                   [0.0, 1.0, 2.0])
+        np.testing.assert_allclose(
+            (points[indices] * weights).sum(axis=1), [0.0, 1.0, 2.0]
+        )
 
     def test_midpoint(self):
-        points = np.array([0.0, 2.0])
-        lo, hi, w = interp_weights_1d(points, np.array([1.0]))
-        assert lo[0] == 0 and hi[0] == 1
-        assert w[0] == pytest.approx(0.5)
+        indices, weights = interp_1d(0.0, 2.0, 2, [1.0])
+        assert indices[0].tolist() == [0, 1]
+        assert weights[0, 1] == pytest.approx(0.5)
 
     def test_clipping_below_and_above(self):
-        points = np.array([0.0, 1.0])
-        lo, hi, w = interp_weights_1d(points, np.array([-3.0, 9.0]))
-        assert w[0] == pytest.approx(0.0)
-        assert w[1] == pytest.approx(1.0)
+        __, weights = interp_1d(0.0, 1.0, 2, [-3.0, 9.0])
+        assert weights[0, 1] == pytest.approx(0.0)
+        assert weights[1, 1] == pytest.approx(1.0)
 
     @given(st.floats(-20, 20))
     def test_weight_always_in_unit_interval(self, value):
-        points = np.linspace(-5, 5, 11)
-        __, __, w = interp_weights_1d(points, np.array([value]))
-        assert 0.0 <= w[0] <= 1.0
+        __, weights = interp_1d(-5.0, 5.0, 11, [value])
+        assert 0.0 <= weights[0, 1] <= 1.0
 
 
 @pytest.fixture
@@ -116,6 +127,16 @@ class TestGrid:
         queries = np.array([[0.123, 0.456], [-9.0, 9.0], [0.5, -0.5]])
         __, weights = grid_2d.interp_table(queries)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_interp_table_is_corners_point_major(self, grid_2d):
+        queries = np.array([[0.123, 0.456], [-9.0, 9.0], [0.5, -0.5]])
+        indices, weights = grid_2d.interp_table(queries)
+        corner_indices, corner_weights = grid_2d.corners(queries)
+        assert indices.flags.c_contiguous and weights.flags.c_contiguous
+        assert corner_indices.flags.c_contiguous
+        assert corner_indices.shape == (4, 3)
+        np.testing.assert_array_equal(indices, corner_indices.T)
+        np.testing.assert_array_equal(weights, corner_weights.T)
 
     def test_out_of_range_clipped(self, grid_2d):
         values = np.arange(grid_2d.size, dtype=float)

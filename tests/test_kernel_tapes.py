@@ -74,11 +74,50 @@ def mixed_durations():
 KERNEL_GOLDEN = Path(__file__).with_name("kernel_golden.json")
 
 
-def kernel_digests(table, scenarios):
-    """sha256 of ``run_many``'s outputs over the bitwise test's grid.
+#: The one disturbance setting under which the kernel draws and applies
+#: its horizontal-acceleration tape (the default config draws none).
+HORIZONTAL = DisturbanceModel(horizontal_accel_std=0.1)
 
-    One digest per equipage × coordination × substeps cell, for the
-    scenarios in one call ("whole") and in two ("split", 3 + the rest).
+
+def horizontal_simulator(table, equipage, substeps):
+    """A simulator with horizontal disturbance on (coordination on)."""
+    return BatchEncounterSimulator(
+        table if equipage != "none" else None,
+        EncounterSimConfig(physics_substeps=substeps, disturbance=HORIZONTAL),
+        equipage=equipage,
+    )
+
+
+def kernel_cells(table):
+    """``(name, simulator)`` for every cell the digests cover: equipage
+    x coordination x substeps at the default config, then equipage x
+    substeps with horizontal disturbance on."""
+    for equipage, coordination, substeps in itertools.product(
+        ("both", "own-only", "none"), (True, False), (1, 4)
+    ):
+        yield (
+            f"{equipage}/coordination={coordination}/substeps={substeps}",
+            BatchEncounterSimulator(
+                table if equipage != "none" else None,
+                EncounterSimConfig(physics_substeps=substeps),
+                equipage=equipage,
+                coordination=coordination,
+            ),
+        )
+    for equipage, substeps in itertools.product(
+        ("both", "own-only", "none"), (1, 4)
+    ):
+        yield (
+            f"{equipage}/horizontal_accel_std=0.1/substeps={substeps}",
+            horizontal_simulator(table, equipage, substeps),
+        )
+
+
+def kernel_digests(table, scenarios):
+    """sha256 of ``run_many``'s outputs over :func:`kernel_cells`.
+
+    One digest per cell, for the scenarios in one call ("whole") and in
+    two ("split", 3 + the rest).
     """
     seeds = [1000 + i for i in range(len(scenarios))]
     chunkings = {
@@ -86,15 +125,7 @@ def kernel_digests(table, scenarios):
         "split": [slice(None, 3), slice(3, None)],
     }
     digests = {}
-    for equipage, coordination, substeps in itertools.product(
-        ("both", "own-only", "none"), (True, False), (1, 4)
-    ):
-        sim = BatchEncounterSimulator(
-            table if equipage != "none" else None,
-            EncounterSimConfig(physics_substeps=substeps),
-            equipage=equipage,
-            coordination=coordination,
-        )
+    for cell, sim in kernel_cells(table):
         for chunking, parts in chunkings.items():
             sha = hashlib.sha256()
             for part in parts:
@@ -103,7 +134,6 @@ def kernel_digests(table, scenarios):
                         sha.update(np.ascontiguousarray(
                             getattr(result, field)
                         ).tobytes())
-            cell = f"{equipage}/coordination={coordination}/substeps={substeps}"
             digests[f"{cell}/{chunking}"] = sha.hexdigest()
     return digests
 
@@ -125,6 +155,20 @@ class TestTapeKernelBitwise:
             equipage=equipage,
             coordination=coordination,
         )
+        seeds = [1000 + i for i in range(len(mixed_durations))]
+        new = sim.run_many(mixed_durations, 7, seeds)
+        ref = reference_run_many(sim, mixed_durations, 7, seeds)
+        for a, b in zip(new, ref):
+            assert_results_equal(a, b)
+
+    @pytest.mark.parametrize("equipage", ["both", "own-only", "none"])
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_horizontal_disturbance_matches_reference(
+        self, test_table, mixed_durations, equipage, substeps
+    ):
+        """The horizontal-acceleration tape, drawn and applied, matches
+        the frozen kernel's inline draws bit for bit."""
+        sim = horizontal_simulator(test_table, equipage, substeps)
         seeds = [1000 + i for i in range(len(mixed_durations))]
         new = sim.run_many(mixed_durations, 7, seeds)
         ref = reference_run_many(sim, mixed_durations, 7, seeds)

@@ -316,10 +316,10 @@ class TestPoolWorkers:
             max_workers=1,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_init_worker,
-            initargs=(backend,),
+            initargs=((backend,),),
         ) as pool:
             future = pool.submit(
-                _worker_execute_chunk, 4, 0, chunk, None  # untraced
+                _worker_execute_chunk, 0, 4, 0, chunk, None  # untraced
             )
             outcome = future.result(timeout=120)
         assert [index for index, _ in outcome] == [0, 1]

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.acasx.advisories import NUM_ADVISORIES
+from repro.acasx.config import preset_config
+from repro.acasx.logic_table import make_cube_grid
 from repro.dynamics.aircraft import cpa_horizontal_miss, time_to_cpa
 from repro.encounters.encoding import (
     EncounterParameters,
@@ -27,7 +29,7 @@ from repro.sim.encounter import EQUIPAGES
 from repro.sim.sensors import AdsBSensor
 from repro.store import ResultStore, results_digest
 
-from batch_reference import reference_run_many
+from batch_reference import _interp_table, reference_run_many
 
 #: Strategy over the full scenario-generator parameter box.
 encounter_params = st.builds(
@@ -51,7 +53,45 @@ def near_or_anywhere(limit: float):
     )
 
 
+def axis_coordinates(points: np.ndarray):
+    """Coordinates that probe the placement on one axis: a grid point,
+    one ulp to either side of one, anywhere between the ends, anywhere
+    beyond either end (infinities included), or NaN."""
+    low, high = float(points[0]), float(points[-1])
+    nudged = st.tuples(
+        st.sampled_from(points.tolist()), st.sampled_from([-1, 0, 1])
+    ).map(lambda pair: float(np.nextafter(pair[0], pair[1] * np.inf))
+          if pair[1] else pair[0])
+    return st.one_of(
+        nudged,
+        st.floats(low, high),
+        st.floats(max_value=low, allow_nan=False),
+        st.floats(min_value=high, allow_nan=False),
+        st.just(float("nan")),
+    )
+
+
 class TestInterpolationProperties:
+    @pytest.mark.parametrize("preset", ["test", "paper"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_placement_matches_the_searchsorted_oracle(self, preset, data):
+        """``interp_table`` places every coordinate by arithmetic; its
+        indices and weight bytes equal the frozen searchsorted
+        placement's (``batch_reference._interp_table``) on both
+        presets' cube grids, at and around every kind of coordinate."""
+        grid = make_cube_grid(preset_config(preset))
+        coords = np.array(data.draw(st.lists(
+            st.tuples(*(axis_coordinates(ax.points) for ax in grid.axes)),
+            min_size=1, max_size=60,
+        ), "coords"))
+        indices, weights = grid.interp_table(coords)
+        expected_indices, expected_weights = _interp_table(grid, coords)
+        np.testing.assert_array_equal(indices, expected_indices)
+        np.testing.assert_array_equal(
+            weights.view(np.uint64), expected_weights.view(np.uint64)
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_q_stays_within_its_corners(self, tiny_table, data):

@@ -80,7 +80,7 @@ class TestCampaignPool:
             population(), table=test_table, runs_per_scenario=4,
         )
         serial = campaign.run(seed=2)
-        with WorkerPool(campaign.backend, 2) as pool:
+        with WorkerPool([campaign.backend], 2) as pool:
             first = campaign.run(seed=2, pool=pool)
             pids = children()
             with ResultStore(":memory:") as store:
@@ -91,16 +91,62 @@ class TestCampaignPool:
         assert results_digest(first) == results_digest(serial)
         assert results_digest(stored) == results_digest(serial)
 
+    def test_one_pool_serves_each_backend_it_holds(self, test_table):
+        # Paired arms, one pool: each task names its campaign's backend.
+        arms = [
+            Campaign(population(), table=table, equipage=equipage,
+                     runs_per_scenario=4)
+            for table, equipage in ((test_table, "both"), (None, "none"))
+        ]
+        serial = [arm.run(seed=5) for arm in arms]
+        with WorkerPool([arm.backend for arm in arms], 2) as pool:
+            pooled = [arm.run(seed=5, pool=pool) for arm in arms]
+            pids = children()
+            again = arms[0].run(seed=5, pool=pool)
+            assert children() == pids
+        assert children() == []
+        for got, want in zip(pooled + [again], serial + serial[:1]):
+            assert results_digest(got) == results_digest(want)
+
+    def test_montecarlo_runs_both_arms_on_one_pool(
+        self, test_table, monkeypatch
+    ):
+        from repro.encounters.statistical import StatisticalEncounterModel
+        from repro.montecarlo import MonteCarloEstimator
+        from repro.montecarlo import estimator as estimator_module
+
+        pools = []
+
+        class CountedPool(WorkerPool):
+            def __init__(self, backends, workers):
+                pools.append(len(backends))
+                super().__init__(backends, workers)
+
+        monkeypatch.setattr(estimator_module, "WorkerPool", CountedPool)
+
+        def estimate(workers):
+            report = MonteCarloEstimator(
+                test_table, StatisticalEncounterModel(),
+                runs_per_encounter=3, workers=workers,
+            ).estimate(6, seed=4)
+            return [results_digest(arm) for arm in (
+                report.equipped_results, report.unequipped_results
+            )], report.summary()
+
+        assert estimate(2) == estimate(1)
+        assert pools == [2]
+        assert children() == []
+
     def test_pool_for_another_backend_is_refused(self, test_table):
         campaign = Campaign(population(), table=test_table, runs_per_scenario=2)
         other = make_backend("vectorized-batch", table=test_table)
-        with WorkerPool(other, 2) as pool:
+        with WorkerPool([other], 2) as pool:
             with pytest.raises(ValueError, match="different backend"):
                 campaign.run(seed=0, pool=pool)
 
     def test_pool_and_workers_together_are_refused(self, test_table):
         campaign = Campaign(population(), table=test_table, runs_per_scenario=2)
-        with WorkerPool(campaign.backend, 2) as pool:
+        with WorkerPool([campaign.backend], 2) as pool:
             with pytest.raises(ValueError, match="not both"):
                 campaign.run(seed=0, pool=pool, workers=2)
 
@@ -147,8 +193,9 @@ class TestSearchPool:
         self, test_table, monkeypatch, two_cpus
     ):
         # Both arms of the false-alarm fitness are EncounterFitness
-        # campaigns: the search keeps one warm pool per arm, reaps
-        # both, and scores every generation with a serial search's bits.
+        # campaigns: the search runs them on one warm pool holding both
+        # arms' backends, reaps it, and scores every generation with a
+        # serial search's bits.
         from repro.search.fitness import FalseAlarmFitness
 
         seen = []
@@ -156,7 +203,7 @@ class TestSearchPool:
             FalseAlarmFitness(test_table, num_runs=4, seed=3),
             generations=2, callback=lambda *_: seen.append(children()),
         )
-        assert len(seen[0]) == 4
+        assert len(seen[0]) == 2
         assert seen == [seen[0]] * 2
         assert children() == []
         use_cpus(monkeypatch, 1)
