@@ -16,6 +16,7 @@ gathers a row per corner instead of a value per corner and action.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
@@ -40,6 +41,9 @@ _Q_ALIGN = 64
 #: The header's name for a corner-major body.  A header without a
 #: ``layout`` key carries a canonical ``[k, sRA, a, cube]`` body.
 _CORNER_MAJOR = "k,current,cube,action"
+
+#: A lookup's state arguments: ``tau``, then ``coords``' columns.
+_STATE_NAMES = ("tau", "h", "own_rate", "intruder_rate")
 
 #: The :class:`AcasConfig` fields both byte layouts record.
 _CONFIG_KEYS = (
@@ -190,12 +194,25 @@ class LogicTable:
         current:
             The advisory currently displayed (hysteresis state).
         h, own_rate, intruder_rate:
-            Continuous relative altitude (m) and vertical rates (m/s).
+            Continuous relative altitude (m) and vertical rates (m/s),
+            clamped onto the grid.
 
         Returns
         -------
         Array of shape ``(num_advisories,)``.
+
+        Raises
+        ------
+        ValueError
+            Naming the argument, if ``tau``, ``h``, ``own_rate`` or
+            ``intruder_rate`` is NaN.  Infinities clamp like any other
+            out-of-range value.
         """
+        for name, value in zip(
+            _STATE_NAMES, (tau, h, own_rate, intruder_rate)
+        ):
+            if math.isnan(value):
+                raise ValueError(f"{name} is NaN")
         k_float = float(np.clip(tau / self.config.dt, 0.0, self.config.horizon))
         k_lo = int(np.floor(k_float))
         k_hi = min(k_lo + 1, self.config.horizon)
@@ -243,8 +260,20 @@ class LogicTable:
         Returns
         -------
         Array of shape ``(n, num_advisories)``.
+
+        Raises
+        ------
+        ValueError
+            Naming the argument and the first row, if any row's
+            ``tau`` or coordinate is NaN.
         """
         tau = np.asarray(tau, dtype=float)
+        coords = np.asarray(coords, dtype=float)
+        if np.isnan(tau).any() or np.isnan(coords).any():
+            for name, column in zip(_STATE_NAMES, (tau, *coords.T)):
+                rows = np.flatnonzero(np.isnan(column))
+                if rows.size:
+                    raise ValueError(f"{name} is NaN in row {rows[0]}")
         current_indices = np.asarray(current_indices, dtype=np.int64)
         k_float = np.clip(tau / self.config.dt, 0.0, self.config.horizon)
         k_lo = np.floor(k_float).astype(np.int64)
@@ -296,7 +325,8 @@ class LogicTable:
         """The Q-maximizing advisory, honouring coordination locks.
 
         Advisories whose sense appears in *forbidden_senses* are masked
-        out; COC is always permitted.
+        out; COC is always permitted.  A NaN state is a ``ValueError``,
+        as in :meth:`q_values_at`.
         """
         q = self.q_values_at(tau, current, h, own_rate, intruder_rate)
         forbidden = set(forbidden_senses) - {AdvisorySense.NONE}

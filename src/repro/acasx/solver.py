@@ -22,7 +22,7 @@ product per action; the advisory-state dimension only shifts rewards.
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 from scipy import sparse
@@ -94,49 +94,58 @@ def build_action_transition(
     Row ``s`` holds the probability-weighted interpolation weights of
     every successor grid corner reachable from cube point ``s`` when the
     own-ship tracks *advisory* for one step.
+
+    Every row has the same number of entries before duplicates are
+    summed, one per (own sample, intruder sample, cube corner), so they
+    are written straight into CSR arrays with rows of equal width: one
+    column array and one data array, filled sample pair by sample pair,
+    each pair's corner-major ``(corners, cube)`` block into its own
+    columns.  A row's entries stand in (sample pair, corner) order, and
+    the per-row sort in ``sum_duplicates`` is unstable, so that order is
+    part of the matrix's bits.
     """
     grid = make_cube_grid(config)
     h_points = config.h_points
     rate_points = config.rate_points
     num_h, num_rate = config.num_h, config.num_rate
     cube_size = config.cube_size
+    own_samples = own_rate_samples(config, advisory)
+    intruder_samples = intruder_rate_samples(config)
 
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    data: List[np.ndarray] = []
-    row_index = np.arange(cube_size)
+    num_corners = 2**grid.ndim
+    width = len(own_samples) * len(intruder_samples) * num_corners
+    # scipy's own choice for this many entries: int32 unless they
+    # outgrow it.
+    index_dtype = sparse.get_index_dtype(maxval=cube_size * width)
+    cols = np.empty((cube_size, width), dtype=index_dtype)
+    data = np.empty((cube_size, width))
 
     # Current values on the cube, flattened in (h, dh0, dh1) C order.
     h_now = np.repeat(h_points, num_rate * num_rate)
     dh0_now = np.tile(np.repeat(rate_points, num_rate), num_h)
     dh1_now = np.tile(rate_points, num_h * num_rate)
 
-    for own_next_grid, p_own in own_rate_samples(config, advisory):
+    start = 0
+    for own_next_grid, p_own in own_samples:
         # Successor own rate per cube point.
         dh0_next = np.tile(np.repeat(own_next_grid, num_rate), num_h)
-        for intr_next_grid, p_intr in intruder_rate_samples(config):
+        for intr_next_grid, p_intr in intruder_samples:
             dh1_next = np.tile(intr_next_grid, num_h * num_rate)
             h_next = relative_altitude_change(
                 h_now, dh0_now, dh0_next, dh1_now, dh1_next, config.dt
             )
             coords = np.stack([h_next, dh0_next, dh1_next])
-            # Corner-major (corners, cube) pieces, used as they are: each
-            # row still gets its corners in order, sample pair by sample
-            # pair, which is all the CSR conversion keeps of the order.
             indices, weights = grid.corners(coords.T)
-            prob = p_own * p_intr
-            num_corners = indices.shape[0]
-            rows.append(np.tile(row_index, num_corners))
-            cols.append(indices.reshape(-1))
-            data.append((weights * prob).reshape(-1))
+            pair = slice(start, start + num_corners)
+            cols[:, pair] = indices.T
+            np.multiply(weights.T, p_own * p_intr, out=data[:, pair])
+            start += num_corners
 
-    matrix = sparse.coo_matrix(
-        (
-            np.concatenate(data),
-            (np.concatenate(rows), np.concatenate(cols)),
-        ),
+    indptr = np.arange(0, cube_size * width + 1, width, dtype=index_dtype)
+    matrix = sparse.csr_matrix(
+        (data.reshape(-1), cols.reshape(-1), indptr),
         shape=(cube_size, cube_size),
-    ).tocsr()
+    )
     matrix.sum_duplicates()
     return matrix
 

@@ -6,6 +6,11 @@ separation, respect the NMAC terminal cost, and cost alerts so level
 flight is preferred when safe.
 """
 
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,7 @@ from repro.acasx.advisories import (
 )
 from repro.acasx.config import AcasConfig
 from repro.acasx.config import paper_config as paper_preset
+from repro.acasx.config import preset_config
 from repro.acasx.config import test_config as fast_preset
 from repro.acasx.dynamics import (
     intruder_rate_samples,
@@ -32,6 +38,19 @@ from repro.acasx.solver import (
     stage_reward_matrix,
     terminal_values,
 )
+
+TABLE_GOLDEN = Path(__file__).with_name("table_golden.json")
+
+
+def traced_peak(build):
+    """``build()``'s result and the peak bytes tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        result = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 class TestConfig:
@@ -165,6 +184,35 @@ class TestTransitionMatrices:
         expected_h = float(row @ h_values)
         assert expected_h < 0.0
 
+    @pytest.mark.parametrize("preset", ["test", "paper"])
+    def test_matrices_match_committed_digests(self, preset):
+        # Pins every bit of the five matrices, index dtypes included.
+        # The unstable per-row sort in sum_duplicates sees each row's
+        # entries in the order the builder writes them, so these
+        # digests also pin that order.
+        config = preset_config(preset)
+        digest = hashlib.sha256()
+        for advisory in ADVISORIES:
+            matrix = build_action_transition(config, advisory)
+            assert matrix.has_canonical_format
+            for array in (matrix.indptr, matrix.indices, matrix.data):
+                digest.update(array.dtype.name.encode())
+                digest.update(array.tobytes())
+        golden = json.loads(TABLE_GOLDEN.read_text())["transitions"]
+        assert digest.hexdigest() == golden[preset]
+
+    def test_build_holds_its_entries_about_once(self):
+        # Every row has one entry per (own sample, intruder sample,
+        # corner) before duplicates are summed; written straight into
+        # int32 columns and float64 data, they take 12 bytes each.
+        config = fast_preset()
+        width = len(config.own_noise) * len(config.intruder_noise) * 8
+        entry_bytes = config.cube_size * width * 12
+        _, peak = traced_peak(
+            lambda: build_action_transition(config, CLIMB)
+        )
+        assert peak < 2 * entry_bytes
+
 
 class TestSolvedTable:
     def test_q_shape(self, tiny_table, tiny_config):
@@ -232,3 +280,9 @@ class TestSolvedTable:
     def test_metadata_recorded(self, tiny_table):
         assert tiny_table.metadata["solver"] == "backward_induction"
         assert tiny_table.metadata["cube_size"] == tiny_table.config.cube_size
+
+    def test_solve_peak_stays_under_twice_q(self):
+        # Q, written once, plus the five summed transition matrices and
+        # one transition build's unsummed entries at a time.
+        table, peak = traced_peak(lambda: build_logic_table(fast_preset()))
+        assert peak < 2 * table.q.nbytes

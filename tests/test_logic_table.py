@@ -135,6 +135,67 @@ class TestBestAdvisory:
         assert slice_.max() < NUM_ADVISORIES
 
 
+STATE_ARGUMENTS = ("tau", "h", "own_rate", "intruder_rate")
+
+
+def lookup_state(nan_at=None):
+    """tau, h, own_rate, intruder_rate of one state, NaN in *nan_at*."""
+    state = [10.0, 20.0, 1.0, -1.0]
+    if nan_at is not None:
+        state[STATE_ARGUMENTS.index(nan_at)] = float("nan")
+    return state
+
+
+class TestNanState:
+    """A NaN state has no verdict: every lookup refuses it with one
+    ValueError naming the argument, while infinities still clamp."""
+
+    @pytest.mark.parametrize("name", STATE_ARGUMENTS)
+    def test_q_values_at_names_the_argument(self, tiny_table, name):
+        tau, h, own_rate, intruder_rate = lookup_state(name)
+        with pytest.raises(ValueError, match=f"^{name} is NaN$"):
+            tiny_table.q_values_at(tau, COC, h, own_rate, intruder_rate)
+
+    @pytest.mark.parametrize("name", STATE_ARGUMENTS)
+    def test_best_advisory_names_the_argument(self, tiny_table, name):
+        tau, h, own_rate, intruder_rate = lookup_state(name)
+        with pytest.raises(ValueError, match=f"^{name} is NaN$"):
+            tiny_table.best_advisory(tau, COC, h, own_rate, intruder_rate)
+
+    def test_policy_slice_names_the_argument(self, tiny_table):
+        with pytest.raises(ValueError, match="^tau is NaN$"):
+            tiny_table.policy_slice(float("nan"), COC)
+        with pytest.raises(ValueError, match="^intruder_rate is NaN$"):
+            tiny_table.policy_slice(10.0, COC, intruder_rate=float("nan"))
+
+    @pytest.mark.parametrize("lanes_last", [False, True])
+    @pytest.mark.parametrize("name", STATE_ARGUMENTS)
+    def test_q_values_batch_names_the_argument_and_row(
+        self, tiny_table, name, lanes_last
+    ):
+        states = np.array([lookup_state()] * 4)
+        states[2] = lookup_state(name)
+        coords = states[:, 1:]
+        if lanes_last:  # the kernel's (3, n) array, passed as its .T
+            coords = np.ascontiguousarray(coords.T).T
+        with pytest.raises(ValueError, match=f"^{name} is NaN in row 2$"):
+            tiny_table.q_values_batch(states[:, 0], np.zeros(4), coords)
+
+    def test_infinities_clamp_onto_the_table(self, tiny_table):
+        config = tiny_table.config
+        inf = float("inf")
+        edge = (config.horizon * config.dt, -config.h_max,
+                config.rate_max, -config.rate_max)
+        q_edge = tiny_table.q_values_at(edge[0], COC, *edge[1:])
+        q_inf = tiny_table.q_values_at(inf, COC, -inf, inf, -inf)
+        np.testing.assert_allclose(q_inf, q_edge)
+        batch = tiny_table.q_values_batch(
+            np.array([inf, edge[0]]), np.zeros(2),
+            np.array([[-inf, inf, -inf], edge[1:]]),
+        )
+        np.testing.assert_allclose(batch, [q_edge, q_edge])
+
+
 def _stage_sums_reference(table, tau, current_indices, coords):
     """The pre-refactor q_values_batch up to its stage blend: a
     per-advisory loop of fancy-indexed sums over the canonical

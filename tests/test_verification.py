@@ -19,6 +19,10 @@ class TestChecksOnSolvedTable:
         report = verify_table(tiny_table, include_dense_cross_check=False)
         assert report.all_passed, report.summary()
 
+    def test_paper_table_passes(self, paper_table):
+        report = verify_table(paper_table, include_dense_cross_check=False)
+        assert report.all_passed, report.summary()
+
     def test_dense_cross_check_passes(self):
         finding = cross_check_with_dense_solver(
             AcasConfig(num_h=7, num_rate=3, horizon=4)
