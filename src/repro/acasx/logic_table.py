@@ -11,6 +11,14 @@ machinery Section IV of the paper flags as validation-relevant.
 The table stores Q corner-major, ``[k, sRA, cube, a]``: the values of
 every action at one cube corner are one contiguous row, so a lookup
 gathers a row per corner instead of a value per corner and action.
+
+The simulation kernel needs only the argmax of a lookup, and for a
+state clear of conflict (COC) that argmax is often settled before any
+interpolation: one advisory beats every other at all corners the state
+blends.  :meth:`LogicTable.decided_advisories` answers such states from
+a small index of those cells, derived from Q on first use and never
+stored or shipped; every other state goes through
+:meth:`LogicTable.q_values_batch`.
 """
 
 from __future__ import annotations
@@ -23,7 +31,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.acasx.advisories import ADVISORIES, NUM_ADVISORIES, Advisory, AdvisorySense
+from repro.acasx.advisories import (
+    ADVISORIES,
+    COC,
+    NUM_ADVISORIES,
+    Advisory,
+    AdvisorySense,
+)
 from repro.acasx.config import AcasConfig
 from repro.mdp.grid import Grid, UniformAxis
 
@@ -32,6 +46,14 @@ from repro.mdp.grid import Grid, UniformAxis
 #: 8 corners × NUM_ADVISORIES of float64 is 320 KB, so a block's
 #: temporaries stay cache-sized at any batch width.
 _LOOKUP_BLOCK = 512
+
+#: By how much, as a fraction of the largest |Q| in the COC slab, an
+#: advisory must beat every other at a cell's corners for the decided
+#: index to name it.  Derived, not tuned: an interpolated value lies
+#: within about a dozen float64 roundings (under 2**-49 of that |Q|) of
+#: its exact convex combination, so 2**-40 leaves a wide safety factor
+#: (:meth:`LogicTable.decided_advisories`).
+_DECIDED_MARGIN = 2.0 ** -40
 
 #: The raw byte layout's header-length prefix, and the boundary its
 #: padded header ends on, so Q is an aligned view of the buffer.
@@ -118,7 +140,9 @@ class LogicTable:
     zero-copy view of it in the canonical ``[k, sRA, a, cube]`` order,
     which is the order ``table_digest``, the npz cache and every
     reader of ``table.q`` see.  The table stores no other view, so a
-    pickled table carries one copy of Q.
+    pickled table carries one copy of Q.  The only other array it
+    holds, the decided-advisory index of :meth:`decided_advisories`, is
+    built from Q on first use and left out of pickles.
 
     Parameters
     ----------
@@ -162,11 +186,19 @@ class LogicTable:
         self._q_rows.flags.writeable = False
         self.grid = make_cube_grid(config)
         self.metadata: Dict[str, object] = dict(metadata or {})
+        self._decided: Optional[np.ndarray] = None
+
+    def __getstate__(self):
+        # The decided index is derived from Q: a copy rebuilds it.
+        state = self.__dict__.copy()
+        del state["_decided"]
+        return state
 
     def __setstate__(self, state) -> None:
         # Unpickled arrays come back writeable; the table's Q never is.
         self.__dict__.update(state)
         self._q_rows.flags.writeable = False
+        self._decided = None
 
     @property
     def q(self) -> np.ndarray:
@@ -267,18 +299,8 @@ class LogicTable:
             Naming the argument and the first row, if any row's
             ``tau`` or coordinate is NaN.
         """
-        tau = np.asarray(tau, dtype=float)
-        coords = np.asarray(coords, dtype=float)
-        if np.isnan(tau).any() or np.isnan(coords).any():
-            for name, column in zip(_STATE_NAMES, (tau, *coords.T)):
-                rows = np.flatnonzero(np.isnan(column))
-                if rows.size:
-                    raise ValueError(f"{name} is NaN in row {rows[0]}")
+        coords, k_lo, k_hi, w_hi = self._batch_state(tau, coords)
         current_indices = np.asarray(current_indices, dtype=np.int64)
-        k_float = np.clip(tau / self.config.dt, 0.0, self.config.horizon)
-        k_lo = np.floor(k_float).astype(np.int64)
-        k_hi = np.minimum(k_lo + 1, self.config.horizon)
-        w_hi = k_float - k_lo
 
         indices, weights = self.grid.corners(coords)  # (8, n)
         # Row (k, current, cube point) of Q as one void item holding
@@ -290,7 +312,7 @@ class LogicTable:
             (k_hi * NUM_ADVISORIES + current_indices) * cube,
         ])  # (2, n)
 
-        n = tau.shape[0]
+        n = w_hi.shape[0]
         out = np.empty((n, NUM_ADVISORIES))
         for start in range(0, n, _LOOKUP_BLOCK):
             rows = slice(start, min(start + _LOOKUP_BLOCK, n))
@@ -312,6 +334,116 @@ class LogicTable:
                 out=out[rows].T,
             )
         return out
+
+    def decided_advisories(
+        self,
+        tau: np.ndarray,
+        current_indices: np.ndarray,
+        coords: np.ndarray,
+    ) -> np.ndarray:
+        """The argmax of :meth:`q_values_batch` where it is settled
+        without interpolating, else -1.
+
+        A row is answered when its current advisory is COC and the
+        decided index names the same advisory for its cell at both
+        bracketing stages: that advisory's Q beats every other
+        advisory's by more than ``_DECIDED_MARGIN`` times the COC
+        slab's largest |Q| at all 16 corners the row blends.  The cell
+        is the one :meth:`Grid.corners` interpolates over
+        (:meth:`Grid.cells`, the same :meth:`UniformAxis.bracket`
+        placement), and the stages are :meth:`q_values_batch`'s.
+
+        Why the answer is exact: :meth:`q_values_batch` gives each
+        advisory a convex combination of its 16 corner values.  The
+        weights lie in [0, 1] and sum to 1 within a few ulp, so the
+        exact combinations of the named advisory and any other differ
+        by more than the margin, 2**-40 of that |Q|, less a few ulp of
+        it.  The float64 evaluation adds about a dozen roundings, each
+        at most 2**-53 of the largest |Q| it touches, so each computed
+        value is within 2**-49 of that |Q| of its exact combination.
+        The named advisory therefore stays strictly ahead, and
+        ``np.argmax`` returns it.  Other current advisories, ties,
+        non-finite Q and rows whose two stages disagree are -1.
+
+        Takes the arguments of :meth:`q_values_batch` and returns an
+        ``int8`` array of shape ``(n,)``.
+
+        Raises
+        ------
+        ValueError
+            Naming the argument and the first row, if any row's
+            ``tau`` or coordinate is NaN, as :meth:`q_values_batch`.
+        """
+        coords, k_lo, k_hi, _ = self._batch_state(tau, coords)
+        cells = self.grid.cells(coords)
+        index = self._decided_index()
+        decided = index[k_lo, cells]
+        decided[
+            (index[k_hi, cells] != decided)
+            | (np.asarray(current_indices) != COC.index)
+        ] = -1
+        return decided
+
+    def _batch_state(self, tau, coords):
+        """``coords`` as floats, then each row's bracketing stages
+        ``k_lo`` and ``k_hi`` and the weight on ``k_hi``.  A NaN ``tau``
+        or coordinate is a ``ValueError`` naming it and its first row."""
+        tau = np.asarray(tau, dtype=float)
+        coords = np.asarray(coords, dtype=float)
+        if np.isnan(tau).any() or np.isnan(coords).any():
+            for name, column in zip(_STATE_NAMES, (tau, *coords.T)):
+                rows = np.flatnonzero(np.isnan(column))
+                if rows.size:
+                    raise ValueError(f"{name} is NaN in row {rows[0]}")
+        k_float = np.clip(tau / self.config.dt, 0.0, self.config.horizon)
+        k_lo = np.floor(k_float).astype(np.int64)
+        k_hi = np.minimum(k_lo + 1, self.config.horizon)
+        return coords, k_lo, k_hi, k_float - k_lo
+
+    def _decided_index(self) -> np.ndarray:
+        """The decided index ``[k, cube]`` of :meth:`decided_advisories`.
+
+        Entry ``(k, b)`` is the advisory whose stage-``k`` COC-row Q
+        beats every other advisory's by more than the margin at all 8
+        corners of the cell based at cube point ``b``, or -1.  Bases on
+        an axis's last point (their cell would leave the cube) stay -1.
+        A NaN or infinite Q makes the margin non-finite, so every entry
+        stays -1.  Built once, on first use, one stage at a time: only
+        a stage's values are held beside the ``int8`` index.
+        """
+        if self._decided is not None:
+            return self._decided
+        coc = self._q_rows[:, COC.index]  # (k, cube, a), a view
+        # max|Q| without a slab-sized temporary.
+        bound = _DECIDED_MARGIN * max(float(coc.max()), -float(coc.min()))
+        shape = self.grid.shape
+        index = np.full((len(coc), *shape), -1, dtype=np.int8)
+        for stage, q in zip(index, coc):
+            actions = np.ascontiguousarray(q.T)
+            # Each point's best advisory (the first of equals, as
+            # np.argmax picks) and the runner-up's value.
+            best = np.zeros(len(q), dtype=np.int8)
+            first = actions[0].copy()
+            second = np.full(len(q), -np.inf, dtype=q.dtype)
+            for a, values in enumerate(actions[1:], start=1):
+                best[values > first] = a
+                np.maximum(second, np.minimum(first, values), out=second)
+                np.maximum(first, values, out=first)
+            gap = first.astype(float) - second
+            best[~(gap > bound)] = -1  # a NaN gap stays -1 too
+            # A cell keeps its corners' advisory where all 8 agree,
+            # narrowed one axis at a time to the cells' bases.
+            agreed = best.reshape(shape)
+            for axis in range(len(shape)):
+                lo = agreed[(slice(None),) * axis + (slice(None, -1),)]
+                hi = agreed[(slice(None),) * axis + (slice(1, None),)]
+                agreed = np.where(lo == hi, lo, np.int8(-1))
+            stage[tuple(slice(0, num - 1) for num in shape)] = agreed
+        index = index.reshape(len(coc), -1)
+        # Read-only like Q: a write would change decisions unseen.
+        index.flags.writeable = False
+        self._decided = index
+        return index
 
     def best_advisory(
         self,

@@ -17,7 +17,11 @@ respect to the model" is checked rather than assumed:
 - :func:`cross_check_with_dense_solver` — on a reduced grid, the
   specialized sparse solver must agree with the generic dense
   backward-induction solver of :mod:`repro.mdp` run on an explicitly
-  materialized MDP.
+  materialized MDP;
+- :func:`check_decided_index` — wherever the table's decided-advisory
+  index answers a lookup without interpolating
+  (:meth:`LogicTable.decided_advisories`), its answer must be the
+  interpolated argmax.
 
 Each check returns a :class:`VerificationFinding`; :func:`verify_table`
 runs them all and aggregates a report.
@@ -169,6 +173,60 @@ def check_value_monotonicity(table: LogicTable) -> VerificationFinding:
     )
 
 
+def check_decided_index(table: LogicTable) -> VerificationFinding:
+    """Decided advisories must equal the argmax of the interpolation.
+
+    Draws 100,000 states from a generator seeded with 0, biased to
+    where interpolation is most fragile: each coordinate is a grid
+    point, or one ulp either side of one (a cell face), in half the
+    draws and anywhere from 10 % below to 10 % above its axis
+    otherwise; ``tau`` is a stage boundary, or one ulp either side, in
+    half the draws and anywhere from before 0 to past the horizon
+    otherwise.  The current advisory is COC in four draws of five, any
+    advisory otherwise.
+    Every state :meth:`LogicTable.decided_advisories` answers must get
+    the advisory ``np.argmax`` picks from
+    :meth:`LogicTable.q_values_batch`.
+    """
+    config = table.config
+    samples = 100_000
+    rng = np.random.default_rng(0)
+
+    def near(points: np.ndarray) -> np.ndarray:
+        spread = 0.1 * (points[-1] - points[0])
+        anywhere = rng.uniform(points[0] - spread, points[-1] + spread,
+                               samples)
+        grid = rng.choice(points, samples)
+        # Toward grid - 1, grid or grid + 1: an ulp below, on, or above.
+        nudged = np.nextafter(grid, grid + rng.integers(-1, 2, samples))
+        return np.where(rng.random(samples) < 0.5, nudged, anywhere)
+
+    tau = near(np.arange(config.horizon + 1) * config.dt)
+    coords = np.stack([near(axis.points) for axis in table.grid.axes])
+    current = np.where(
+        rng.random(samples) < 0.8,
+        COC.index,
+        rng.integers(0, NUM_ADVISORIES, samples),
+    )
+    decided = table.decided_advisories(tau, current, coords.T)
+    answered = decided >= 0
+    best = np.argmax(
+        table.q_values_batch(tau[answered], current[answered],
+                             coords[:, answered].T),
+        axis=1,
+    )
+    wrong = int(np.count_nonzero(best != decided[answered]))
+    return VerificationFinding(
+        name="decided-advisory index",
+        passed=wrong == 0,
+        detail=(
+            f"{answered.mean():.1%} of {samples:,} sampled states "
+            f"answered without interpolating, {wrong} differ from the "
+            "interpolated argmax"
+        ),
+    )
+
+
 def cross_check_with_dense_solver(
     config: AcasConfig | None = None,
     tolerance: float = 1e-3,
@@ -237,6 +295,7 @@ def verify_table(
         check_terminal_consistency(table),
         check_symmetry(table),
         check_value_monotonicity(table),
+        check_decided_index(table),
     ]
     if include_dense_cross_check:
         findings.append(cross_check_with_dense_solver())

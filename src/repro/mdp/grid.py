@@ -108,14 +108,25 @@ class UniformAxis:
         """
         points = self.points
         vals = np.clip(values, points[0], points[-1])
-        # vals - points[0] >= 0, so truncation is floor.  fmin puts a
-        # NaN in the last bracket, where searchsorted sorts it.
+        lo = self._lower(vals)
+        lo_points = points[lo]
+        return lo, (vals - lo_points) / (points[lo + 1] - lo_points)
+
+    def lower(self, values: np.ndarray) -> np.ndarray:
+        """The ``lo`` of :meth:`bracket`, without computing its weight."""
+        points = self.points
+        return self._lower(np.clip(values, points[0], points[-1]))
+
+    def _lower(self, vals: np.ndarray) -> np.ndarray:
+        # vals are clipped, so vals - points[0] >= 0 and truncation is
+        # floor.  fmin puts a NaN in the last bracket, where searchsorted
+        # sorts it.
+        points = self.points
         guess = np.fmin((vals - points[0]) / self.step, self.num - 2)
         guess = guess.astype(np.int64)
         lo = guess - (points[guess] > vals)
         lo += (points[guess + 1] <= vals) & (guess < self.num - 2)
-        lo_points = points[lo]
-        return lo, (vals - lo_points) / (points[lo + 1] - lo_points)
+        return lo
 
 
 class Grid:
@@ -181,6 +192,28 @@ class Grid:
         mesh = np.meshgrid(*(ax.points for ax in self.axes), indexing="ij")
         return np.stack([m.reshape(-1) for m in mesh], axis=-1)
 
+    def _query_points(self, coords: np.ndarray) -> np.ndarray:
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if coords.shape[1] != self.ndim:
+            raise ValueError(
+                f"coords must have {self.ndim} columns, got {coords.shape[1]}"
+            )
+        return coords
+
+    def cells(self, coords: np.ndarray) -> np.ndarray:
+        """Flat index of each point's cell, named by its "all lo" corner.
+
+        The same placement as :meth:`corners` (whose row 0 it equals),
+        without the weights.  Takes *coords* as :meth:`corners` does and
+        returns shape ``(n,)``; a cell's base is never on an axis's last
+        point.
+        """
+        coords = self._query_points(coords)
+        base = np.zeros(coords.shape[0], dtype=np.int64)
+        for dim, ax in enumerate(self.axes):
+            base += self._strides[dim] * ax.lower(coords[:, dim])
+        return base
+
     def corners(self, coords: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Multilinear interpolation corners and weights, corner-major.
 
@@ -199,11 +232,7 @@ class Grid:
             point; bit ``dim`` of ``c`` selects that axis's upper
             point.  The weights sum to one over the corners.
         """
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        if coords.shape[1] != self.ndim:
-            raise ValueError(
-                f"coords must have {self.ndim} columns, got {coords.shape[1]}"
-            )
+        coords = self._query_points(coords)
         n = coords.shape[0]
         # The upper point is always lo + 1, so a corner's flat index is
         # the point's "all lo" index plus that corner's fixed offset.
@@ -216,7 +245,9 @@ class Grid:
             # corner c's weight is the product of its per-axis weights
             # taken in axis order (axis 0 first).
             pair = np.stack([1.0 - w_hi, w_hi])  # (2, n)
-            weights = (pair[:, None, :] * weights[None, :, :]).reshape(-1, n)
+            weights = (pair[:, None, :] * weights[None, :, :]).reshape(
+                2 << dim, n
+            )
         return self._corner_offsets[:, None] + base, weights
 
     def interp_table(

@@ -31,6 +31,14 @@ kernel is organised as:
   runs over a contiguous row of lanes (``vel[2]``, ``pos[:2]``), never
   a strided column.  The layout decides only where a lane's values sit
   in memory, never the float operations applied to them.
+- **Interpolate only the open lookups** — a decision needs only each
+  lookup's argmax.  A lookup that starts clear of conflict in a cell
+  where one advisory beats every other at all corners, by a margin no
+  rounding can close, is answered from the logic table's decided index
+  (:meth:`~repro.acasx.logic_table.LogicTable.decided_advisories`);
+  the rest are interpolated
+  (:meth:`~repro.acasx.logic_table.LogicTable.q_values_batch`).  Every
+  advisory is the one interpolation would pick, bit for bit.
 - **Per-phase timers** — every ``run_many`` call times its tape-draw,
   decision, physics and observe phases and, when tracing is armed,
   records them as ``kernel.*`` spans under the caller's open span
@@ -203,6 +211,13 @@ class BatchEncounterSimulator:
         ``'both'`` (default), ``'own-only'`` or ``'none'``.
     coordination:
         Whether two equipped aircraft exchange maneuver senses.
+
+    Raises
+    ------
+    ValueError
+        If *config* asks for ADS-B report loss
+        (``sensor.dropout_rate > 0``): the kernel senses every report,
+        so only the ``"agent"`` backend simulates dropout.
     """
 
     #: Registry key, which campaign identity records.
@@ -216,8 +231,15 @@ class BatchEncounterSimulator:
         coordination: bool = True,
     ):
         check_equipage(equipage, table)
+        config = config or EncounterSimConfig()
+        if config.sensor.dropout_rate > 0:
+            raise ValueError(
+                f"sensor.dropout_rate = {config.sensor.dropout_rate} is not "
+                "simulated by the megabatch kernel, which receives every "
+                'ADS-B report; use backend="agent" to simulate dropout'
+            )
         self.table = table
-        self.config = config or EncounterSimConfig()
+        self.config = config
         self.equipage = equipage
         self.coordination = coordination
 
@@ -268,10 +290,15 @@ class BatchEncounterSimulator:
             own_vel[2, active],
             sensed_intr_vel[2, active],
         ])
+        tau, current = tau[active], current_sra[active]
+        decided = self.table.decided_advisories(tau, current, coords.T)
+        rows = np.flatnonzero(decided < 0)
         q = self.table.q_values_batch(
-            tau[active], current_sra[active], coords.T
+            tau[rows], current[rows], coords[:, rows].T
         )
-        new_sra[active] = np.argmax(q, axis=1)
+        decided = decided.astype(np.int64)
+        decided[rows] = np.argmax(q, axis=1)
+        new_sra[active] = decided
         return new_sra
 
     @staticmethod
@@ -303,6 +330,15 @@ class BatchEncounterSimulator:
         still locks the intruder's choice.  Used by :meth:`run_many`
         when both aircraft are equipped; one call amortizes the
         per-lookup interpolation setup across both sides.
+
+        Both sides' conflict rows are first probed together with
+        :meth:`LogicTable.decided_advisories`, whose answer is that
+        row's unmasked argmax.  Only the rest enter the joint call:
+        rows the probe leaves open and, with coordination on, rows
+        probed to an active advisory, which a lock may forbid.  A lock
+        never masks COC, so every other row keeps its probed advisory,
+        which is what the masked argmax would return, and the outputs
+        are bit for bit those of interpolating every row.
         """
         n = own_pos.shape[1]
         sensed_ip = intr_pos + sense_noise[0]
@@ -334,16 +370,32 @@ class BatchEncounterSimulator:
         current = np.concatenate(
             [own_sra[active_own], intr_sra[active_intr]]
         )
-        q = self.table.q_values_batch(tau, current, coords.T)
+        decided = self.table.decided_advisories(tau, current, coords.T)
+        interpolate = decided < 0
+        if self.coordination:
+            interpolate |= decided > 0
+        rows = np.flatnonzero(interpolate)
+        q = self.table.q_values_batch(
+            tau[rows], current[rows], coords[:, rows].T
+        )
+        decided = decided.astype(np.int64)
 
-        q_own, q_intr = q[:split], q[split:]
+        cut = int(np.searchsorted(rows, split))
+        own_rows, intr_rows = rows[:cut], rows[cut:]
+        q_own, q_intr = q[:cut], q[cut:]
         if self.coordination:
             # Own decides first, seeing the intruder's previous lock.
-            self._mask_forbidden(q_own, _SENSES[intr_sra[active_own]])
-        new_own[active_own] = np.argmax(q_own, axis=1)
+            self._mask_forbidden(
+                q_own, _SENSES[intr_sra[active_own[own_rows]]]
+            )
+        decided[own_rows] = np.argmax(q_own, axis=1)
+        new_own[active_own] = decided[:split]
         if self.coordination:
-            self._mask_forbidden(q_intr, _SENSES[new_own[active_intr]])
-        new_intr[active_intr] = np.argmax(q_intr, axis=1)
+            self._mask_forbidden(
+                q_intr, _SENSES[new_own[active_intr[intr_rows - split]]]
+            )
+        decided[intr_rows] = np.argmax(q_intr, axis=1)
+        new_intr[active_intr] = decided[split:]
         return new_own, new_intr
 
     # ------------------------------------------------------------------

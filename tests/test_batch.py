@@ -1,10 +1,13 @@
 """Tests for the vectorized batch simulator, including the statistical
 equivalence check against the agent-based reference engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.encounters import head_on_encounter, tail_approach_encounter
+from repro.experiments import Campaign
 from repro.sim import (
     BatchEncounterSimulator,
     EncounterSimConfig,
@@ -39,6 +42,83 @@ class TestConstruction:
         simulator = BatchEncounterSimulator(test_table)
         with pytest.raises(ValueError):
             simulator.run(head_on_encounter(), 0)
+
+    def test_sensor_dropout_refused(self, test_table):
+        """The kernel receives every ADS-B report, so a config with
+        report loss is refused rather than simulated without it — by
+        the kernel and by a campaign that would store it under a
+        dropout config's id."""
+        config = EncounterSimConfig(sensor=AdsBSensor(dropout_rate=0.9))
+        refusal = r'sensor\.dropout_rate = 0\.9 .*backend="agent"'
+        with pytest.raises(ValueError, match=refusal):
+            BatchEncounterSimulator(test_table, config)
+        with pytest.raises(ValueError, match=refusal):
+            Campaign(["head_on"], table=test_table, sim_config=config)
+        agent = Campaign(
+            ["head_on"], backend="agent", table=test_table,
+            sim_config=config, runs_per_scenario=2,
+        )
+        assert agent.run(seed=1).records[0].num_runs == 2
+
+
+def config_perturbations(config, prefix=""):
+    """``(field path, config)`` for every leaf field of *config* and of
+    the dataclasses it nests, each config differing from *config* in
+    that field alone: doubled, or 0.5 where it is 0.
+
+    ``extra_duration`` is instead cut to end the run 10 s before the
+    closest approach: any longer run only adds steps after it, where
+    separations grow and no advisory is issued."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            for path, nested in config_perturbations(
+                value, f"{prefix}{field.name}."
+            ):
+                yield path, dataclasses.replace(config, **{field.name: nested})
+            continue
+        if field.name == "extra_duration":
+            changed = -10.0
+        else:
+            changed = type(value)(value * 2 if value else 0.5)
+        yield prefix + field.name, dataclasses.replace(
+            config, **{field.name: changed}
+        )
+
+
+class TestKernelReadsItsConfig:
+    def test_every_config_field_changes_the_output_or_is_refused(
+        self, test_table
+    ):
+        """A config field the kernel ignores would let it simulate
+        another experiment than the one a campaign records.  Every
+        field of ``EncounterSimConfig``, ``AdsBSensor`` and
+        ``DisturbanceModel`` must either change the kernel's runs or
+        make it refuse the config, naming the field."""
+        def runs(config):
+            result = BatchEncounterSimulator(test_table, config).run(
+                head_on_encounter(), 200, seed=1
+            )
+            return [
+                getattr(result, name).tobytes() for name in (
+                    "min_separation", "min_horizontal", "nmac",
+                    "own_alerted", "intruder_alerted",
+                )
+            ]
+
+        default = runs(EncounterSimConfig())
+        ignored = []
+        paths = []
+        for path, config in config_perturbations(EncounterSimConfig()):
+            paths.append(path)
+            try:
+                changed = runs(config) != default
+            except ValueError as refusal:
+                changed = path in str(refusal)
+            if not changed:
+                ignored.append(path)
+        assert "sensor.dropout_rate" in paths and "decision_dt" in paths
+        assert not ignored, f"the kernel ignores {ignored}"
 
 
 class TestDeterministicEquivalence:

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.acasx.advisories import COC, NUM_ADVISORIES
 from repro.encounters import (
     StatisticalEncounterModel,
     head_on_encounter,
@@ -38,7 +39,7 @@ from repro.sim.disturbance import DisturbanceModel
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore, results_digest
 
-from batch_reference import reference_run_many
+from batch_reference import _SENSES, _decide_side, reference_run_many
 
 RESULT_FIELDS = (
     "min_separation",
@@ -210,6 +211,87 @@ class TestTapeKernelBitwise:
         ) + sim.run_many(mixed_durations[3:], 5, seeds[3:])
         for a, b in zip(whole, parts):
             assert_results_equal(a, b)
+
+
+class TestDecidedLookups:
+    """Rows the decided index answers keep the advisory interpolating
+    every row would pick, coordination locks included."""
+
+    @pytest.mark.parametrize("coordination", [True, False])
+    def test_pair_decision_matches_the_frozen_sides(
+        self, test_table, coordination
+    ):
+        """Lane states built so each side senses a chosen state: mostly
+        COC rows in cells the index settles to a climb or descent, under
+        every kind of lock, plus rows anywhere.  Each side's sensed
+        state is set through the sense noise, so the two sides' cells
+        are drawn independently."""
+        table = test_table
+        config = table.config
+        index = table._decided_index()
+        stage, base = np.nonzero((index[:-1] > 0) & (index[:-1] == index[1:]))
+        rng = np.random.default_rng(0)
+        lanes = 800
+
+        def sensed_states():
+            """tau and (h, own rate, intruder rate) per lane."""
+            settled = rng.integers(0, len(stage), lanes)
+            cells = np.stack(table.grid.multi_index(base[settled]))
+            coords = np.stack([
+                ax.points[cell] + rng.uniform(0, ax.step, lanes)
+                for ax, cell in zip(table.grid.axes, cells)
+            ])
+            tau = (stage[settled] + rng.uniform(0, 1, lanes)) * config.dt
+            anywhere = rng.random(lanes) < 0.3
+            coords[:, anywhere] = np.stack([
+                rng.uniform(-1.2 * ax.high, 1.2 * ax.high, lanes)
+                for ax in table.grid.axes
+            ])[:, anywhere]
+            tau[anywhere] = rng.uniform(0, config.horizon * config.dt,
+                                        lanes)[anywhere]
+            return tau, coords
+
+        (tau_own, own), (tau_intr, intr) = sensed_states(), sensed_states()
+        own_pos, intr_pos = np.zeros((3, lanes)), np.zeros((3, lanes))
+        own_vel, intr_vel = np.zeros((3, lanes)), np.zeros((3, lanes))
+        own_vel[2], intr_vel[2] = own[1], intr[1]
+        noise = np.zeros((4, 3, lanes))
+        # Closing head-on at 30 m/s from 30 * tau metres, as each sees it.
+        noise[0, 0], noise[1, 0] = 30.0 * tau_own, -30.0
+        noise[2, 0], noise[3, 0] = 30.0 * tau_intr, -30.0
+        noise[0, 2], noise[1, 2] = own[0], own[2] - intr_vel[2]
+        noise[2, 2], noise[3, 2] = intr[0], intr[2] - own_vel[2]
+        own_sra = np.where(rng.random(lanes) < 0.8, COC.index,
+                           rng.integers(0, NUM_ADVISORIES, lanes))
+        intr_sra = rng.integers(0, NUM_ADVISORIES, lanes)
+
+        sim = BatchEncounterSimulator(table, coordination=coordination)
+        new_own, new_intr = sim._decide_pair(
+            own_pos, own_vel, intr_pos, intr_vel, noise, own_sra, intr_sra
+        )
+        ref_own = _decide_side(
+            table, own_pos.T, own_vel.T, (intr_pos + noise[0]).T,
+            (intr_vel + noise[1]).T, own_sra,
+            _SENSES[intr_sra] if coordination else None,
+        )
+        ref_intr = _decide_side(
+            table, intr_pos.T, intr_vel.T, (own_pos + noise[2]).T,
+            (own_vel + noise[3]).T, intr_sra,
+            _SENSES[ref_own] if coordination else None,
+        )
+        np.testing.assert_array_equal(new_own, ref_own)
+        np.testing.assert_array_equal(new_intr, ref_intr)
+        # The draw reaches the rows a lock decides: on each side, some
+        # row probed to an active advisory ends on another one.
+        overridden = [
+            ((probed > 0) & (ref != probed)).any()
+            for probed, ref in (
+                (table.decided_advisories(tau_own, own_sra, own.T), ref_own),
+                (table.decided_advisories(tau_intr, intr_sra, intr.T),
+                 ref_intr),
+            )
+        ]
+        assert overridden == [coordination, coordination]
 
 
 # ----------------------------------------------------------------------

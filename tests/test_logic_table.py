@@ -11,6 +11,8 @@ import pytest
 from repro.acasx.advisories import ADVISORIES, CLIMB, COC, NUM_ADVISORIES, AdvisorySense
 from repro.acasx.config import AcasConfig
 from repro.acasx.logic_table import LogicTable, make_cube_grid
+from repro.encounters import head_on_encounter
+from repro.sim import BatchEncounterSimulator
 
 
 class TestConstruction:
@@ -180,6 +182,17 @@ class TestNanState:
             coords = np.ascontiguousarray(coords.T).T
         with pytest.raises(ValueError, match=f"^{name} is NaN in row 2$"):
             tiny_table.q_values_batch(states[:, 0], np.zeros(4), coords)
+
+    @pytest.mark.parametrize("name", STATE_ARGUMENTS)
+    def test_decided_advisories_names_the_argument_and_row(
+        self, tiny_table, name
+    ):
+        states = np.array([lookup_state()] * 4)
+        states[2] = lookup_state(name)
+        with pytest.raises(ValueError, match=f"^{name} is NaN in row 2$"):
+            tiny_table.decided_advisories(
+                states[:, 0], np.zeros(4), states[:, 1:]
+            )
 
     def test_infinities_clamp_onto_the_table(self, tiny_table):
         config = tiny_table.config
@@ -434,6 +447,90 @@ class TestPersistence:
         q1 = tiny_table.q_values_at(9.3, CLIMB, 12.0, -1.0, 2.0)
         q2 = loaded.q_values_at(9.3, CLIMB, 12.0, -1.0, 2.0)
         np.testing.assert_allclose(q1, q2)
+
+
+class TestDecidedIndex:
+    """The decided index is derived from Q: built once per table, on
+    first use, and never pickled.  (Its answers are checked against
+    interpolation in ``test_properties.py``.)"""
+
+    def test_a_lead_inside_the_margin_stays_open(self, tiny_table):
+        # One stage where CLIMB leads every other COC-row action by
+        # 1e-12, far inside 2**-40 of the slab's largest |Q| (about
+        # 1e4 * 9.1e-13), then the same stage with a clear lead.
+        q = tiny_table.q.copy()
+        q[5, COC.index] = 0.0
+        q[5, COC.index, CLIMB.index] = 1e-12
+        assert (LogicTable(tiny_table.config, q)._decided_index()[5]
+                == -1).all()
+        q[5, COC.index, CLIMB.index] = 1.0
+        index = LogicTable(tiny_table.config, q)._decided_index()[5]
+        cells = tiny_table.grid.cells(tiny_table.grid.points())
+        assert (index[np.unique(cells)] == CLIMB.index).all()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_q_answers_nothing(self, tiny_table, value):
+        q = tiny_table.q.copy()
+        assert (LogicTable(tiny_table.config, q)._decided_index() >= 0).any()
+        q[3, COC.index, 2, 0] = value
+        assert (LogicTable(tiny_table.config, q)._decided_index() == -1).all()
+
+    @staticmethod
+    def fresh(table):
+        # An unpickled copy has not built its index yet.
+        return pickle.loads(pickle.dumps(table))
+
+    @staticmethod
+    def decide(table):
+        result = BatchEncounterSimulator(table).run(
+            head_on_encounter(), 50, seed=1
+        )
+        return [
+            getattr(result, name).tobytes() for name in (
+                "min_separation", "min_horizontal", "nmac",
+                "own_alerted", "intruder_alerted",
+            )
+        ]
+
+    def test_pickles_leave_the_index_out(self, test_table):
+        table = self.fresh(test_table)
+        before = len(pickle.dumps(table))
+        runs = self.decide(table)
+        assert table._decided is not None
+        data = pickle.dumps(table)
+        assert len(data) == before
+        clone = pickle.loads(data)
+        assert clone._decided is None
+        assert self.decide(clone) == runs
+        assert clone._decided.tobytes() == table._decided.tobytes()
+
+    def test_a_second_decision_reuses_the_index(self, test_table):
+        table = self.fresh(test_table)
+        self.decide(table)
+        index = table._decided
+        self.decide(table)
+        assert table._decided is index
+
+    def test_the_index_is_read_only(self, tiny_table):
+        index = LogicTable(tiny_table.config, tiny_table.q)._decided_index()
+        with pytest.raises(ValueError, match="read-only"):
+            index[0, 0] = CLIMB.index
+
+    def test_build_holds_a_few_stage_blocks(self, test_table):
+        # The bound is the int8 index plus four stage blocks (one
+        # stage's COC-row Q as float64), under a tenth of Q on this
+        # preset: room for a stage's temporaries, never for a slab.
+        table = self.fresh(test_table)
+        config = table.config
+        index_bytes = (config.horizon + 1) * config.cube_size
+        stage_block = config.cube_size * NUM_ADVISORIES * 8
+        tracemalloc.start()
+        try:
+            table._decided_index()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < index_bytes + 4 * stage_block
 
 
 class TestCubeGrid:

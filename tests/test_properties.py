@@ -5,13 +5,14 @@ produce — the kind of blanket guarantees unit tests on hand-picked
 cases cannot give.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from repro.acasx.advisories import NUM_ADVISORIES
+from repro.acasx.advisories import COC, NUM_ADVISORIES
 from repro.acasx.config import preset_config
 from repro.acasx.logic_table import make_cube_grid
 from repro.dynamics.aircraft import cpa_horizontal_miss, time_to_cpa
@@ -53,10 +54,11 @@ def near_or_anywhere(limit: float):
     )
 
 
-def axis_coordinates(points: np.ndarray):
+def axis_coordinates(points: np.ndarray, nan: bool = True):
     """Coordinates that probe the placement on one axis: a grid point,
     one ulp to either side of one, anywhere between the ends, anywhere
-    beyond either end (infinities included), or NaN."""
+    beyond either end (infinities included), or NaN unless *nan* is
+    false."""
     low, high = float(points[0]), float(points[-1])
     nudged = st.tuples(
         st.sampled_from(points.tolist()), st.sampled_from([-1, 0, 1])
@@ -67,7 +69,7 @@ def axis_coordinates(points: np.ndarray):
         st.floats(low, high),
         st.floats(max_value=low, allow_nan=False),
         st.floats(min_value=high, allow_nan=False),
-        st.just(float("nan")),
+        *([st.just(float("nan"))] if nan else []),
     )
 
 
@@ -136,6 +138,85 @@ class TestInterpolationProperties:
         slack = 16 * np.finfo(float).eps * np.abs(corners).max(axis=2)
         assert np.all(q >= corners.min(axis=2) - slack)
         assert np.all(q <= corners.max(axis=2) + slack)
+
+
+@pytest.fixture(scope="module")
+def preset_tables(test_table, paper_table):
+    return {"test": test_table, "paper": paper_table}
+
+
+class TestDecidedIndexProperties:
+    """``LogicTable.decided_advisories`` answers a lookup only where the
+    answer is settled: it must be the argmax of ``q_values_batch``."""
+
+    @pytest.mark.parametrize("preset", ["test", "paper"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_answers_equal_the_interpolated_argmax(
+        self, preset_tables, preset, data
+    ):
+        """At and one ulp around grid points (cell faces) and stage
+        boundaries (integer tau), anywhere inside, beyond either end
+        (infinities included), for every current advisory."""
+        table = preset_tables[preset]
+        config = table.config
+        states = data.draw(st.lists(
+            st.tuples(
+                axis_coordinates(
+                    np.arange(config.horizon + 1) * config.dt, nan=False
+                ),
+                st.one_of(
+                    st.just(COC.index), st.integers(0, NUM_ADVISORIES - 1)
+                ),
+                *(axis_coordinates(ax.points, nan=False)
+                  for ax in table.grid.axes),
+            ),
+            min_size=1, max_size=80,
+        ), "states")
+        tau = np.array([state[0] for state in states])
+        current = np.array([state[1] for state in states])
+        coords = np.array([state[2:] for state in states])
+
+        decided = table.decided_advisories(tau, current, coords)
+        best = np.argmax(table.q_values_batch(tau, current, coords), axis=1)
+        answered = decided >= 0
+        np.testing.assert_array_equal(decided[answered], best[answered])
+        assert not answered[current != COC.index].any()
+
+    def test_index_matches_a_brute_force_rebuild(self, test_table):
+        """Cell by cell: an advisory that beats every other by more
+        than 2**-40 of the COC slab's largest |Q| at all 8 corners, or
+        -1; cells whose base is on an axis's last point stay -1."""
+        config = test_table.config
+        coc = test_table.q[:, COC.index].astype(float)  # (k, a, cube)
+        bound = 2.0 ** -40 * np.abs(coc).max()
+        shape = test_table.grid.shape
+        expected = np.full(
+            (config.horizon + 1, config.cube_size), -1, dtype=np.int8
+        )
+        corners = list(itertools.product((0, 1), repeat=len(shape)))
+        for cell in itertools.product(*(range(num - 1) for num in shape)):
+            points = [
+                np.ravel_multi_index(
+                    tuple(c + d for c, d in zip(cell, corner)), shape
+                )
+                for corner in corners
+            ]
+            values = coc[:, :, points]  # (k, a, corner)
+            best = values[:, :, 0].argmax(axis=1)  # (k,)
+            others = np.where(
+                np.arange(NUM_ADVISORIES)[None, :, None] == best[:, None, None],
+                -np.inf, values,
+            ).max(axis=1)  # (k, corner)
+            leads = values[np.arange(len(best)), best] - others
+            settled = np.all(leads > bound, axis=1)
+            expected[:, np.ravel_multi_index(cell, shape)] = np.where(
+                settled, best, -1
+            )
+
+        index = test_table._decided_index()
+        assert index.dtype == np.int8 and index.shape == expected.shape
+        assert index.tobytes() == expected.tobytes()
 
 
 class TestEncounterGeometryProperties:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.acasx.advisories import CLIMB, COC
 from repro.acasx.config import AcasConfig
 from repro.acasx.logic_table import LogicTable
 from repro.acasx.verification import (
+    check_decided_index,
     check_symmetry,
     check_terminal_consistency,
     check_value_monotonicity,
@@ -22,6 +24,7 @@ class TestChecksOnSolvedTable:
     def test_paper_table_passes(self, paper_table):
         report = verify_table(paper_table, include_dense_cross_check=False)
         assert report.all_passed, report.summary()
+        assert "[PASS] decided-advisory index" in report.summary()
 
     def test_dense_cross_check_passes(self):
         finding = cross_check_with_dense_solver(
@@ -73,6 +76,15 @@ class TestChecksCatchCorruption:
 
         corrupted = self.corrupt(tiny_table, mutate)
         assert not check_value_monotonicity(corrupted).passed
+
+    def test_decided_index_check_catches_a_wrong_answer(self, tiny_table):
+        # A fresh table, so the shared fixture's index stays intact.
+        table = LogicTable(tiny_table.config, tiny_table.q)
+        index = table._decided_index()
+        assert (index == COC.index).any()
+        assert check_decided_index(table).passed
+        table._decided = np.where(index == COC.index, CLIMB.index, index)
+        assert not check_decided_index(table).passed
 
     def test_report_flags_failure(self, tiny_table):
         def mutate(q):
