@@ -56,8 +56,9 @@ DEFAULT_OWN_BEARING = 0.0
 #: inside the NMAC cylinder).  A finite but absurd value (a ground
 #: speed of 1e200 m/s) would otherwise simulate into an astronomically
 #: large miss distance: a "no NMAC" verdict about no physical
-#: encounter.  ``time_to_cpa`` is bounded by the noise-tape budget
-#: (``repro.sim.batch.MAX_TAPE_BYTES``) and the angles are periodic.
+#: encounter.  ``time_to_cpa`` is bounded by the most noise one kernel
+#: call may draw (``repro.sim.batch.MAX_TAPE_BYTES``) and the angles
+#: are periodic.
 MAX_GROUND_SPEED = 400.0  # above the speed of sound at sea level
 MAX_VERTICAL_SPEED = 100.0  # about 20,000 ft/min
 MAX_CPA_HORIZONTAL_DISTANCE = 50_000.0

@@ -186,9 +186,9 @@ class CampaignService:
         campaign's own planner, so its size is capped before that:
         ``"sample"``, ``"runs"`` and ``"chunk_size"`` × ``"runs"``
         above the wire-format caps raise ``ValueError`` (a 400 over
-        HTTP).  The planner refuses any chunk whose noise tapes would
-        exceed :data:`~repro.sim.batch.MAX_TAPE_BYTES` the same way,
-        before the campaign reaches the store or the queue.
+        HTTP).  The planner refuses any chunk that would draw more
+        noise than :data:`~repro.sim.batch.MAX_TAPE_BYTES` the same
+        way, before the campaign reaches the store or the queue.
         """
         if not isinstance(payload, dict):
             raise ValueError(

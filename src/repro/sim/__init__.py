@@ -18,10 +18,10 @@ pieces:
   point used by everything else (GA fitness, Monte-Carlo, examples);
 - :mod:`repro.sim.batch` — the megabatch kernel, a vectorized fast
   path that simulates the noisy runs of many encounters as one lane
-  array (with pre-drawn noise tapes; its per-phase timings become
-  ``kernel.*`` spans of a traced run).  Its bitwise tests compare it
-  against a frozen copy of its pre-refactor numerics that lives with
-  the tests (``tests/batch_reference.py``).
+  array (drawing each scenario's noise a few decisions ahead; its
+  per-phase timings become ``kernel.*`` spans of a traced run).  Its
+  bitwise tests compare it against a frozen copy of its pre-refactor
+  numerics that lives with the tests (``tests/batch_reference.py``).
 """
 
 from repro.sim.agents import UavAgent

@@ -16,17 +16,19 @@ simulator is also the ``"vectorized-batch"`` simulation backend
 scenarios through :meth:`~BatchEncounterSimulator.run_many`.  The
 kernel is organised as:
 
-- **Noise tapes** — each scenario's entire disturbance + sensor noise
-  sequence is pre-drawn up front with one bulk ``standard_normal`` per
-  scenario, in the historical per-decision inline draw order, then
-  scaled per segment.  ``Generator.normal(0.0, std, size)`` computes
-  ``0.0 + std * z`` over ``size`` sequential draws of the same ziggurat
-  stream, so the tape slices are bitwise identical to those inline
-  draws while eliminating the per-decision Python RNG loop
+- **Noise window** — each scenario's disturbance + sensor noise is
+  drawn a few decisions ahead, one ``standard_normal(out=...)`` per
+  scenario per refill of a window of at most :data:`_WINDOW`
+  decisions, in the historical per-decision inline draw order; each
+  decision scales its slice into the lanes-last arrays the phases
+  read (:class:`_NoiseWindow`, whose docstring gives why every bit
+  equals those inline draws).  A generator is called once per
+  refill, not several times per decision, and the kernel's memory
+  scales with lanes, not lanes × duration
   (``tests/batch_reference.py`` freezes that inline-draw loop as the
   independent equivalence oracle).
 - **Lanes last** — every lane array keeps the lane axis last: positions
-  and velocities are ``(3, lanes)``, the sense tape ``(D_max, 4, 3,
+  and velocities are ``(3, lanes)``, the sense noise ``(4, 3,
   lanes)``, so each physics, monitor and conflict-geometry operation
   runs over a contiguous row of lanes (``vel[2]``, ``pos[:2]``), never
   a strided column.  The layout decides only where a lane's values sit
@@ -39,9 +41,10 @@ kernel is organised as:
   the rest are interpolated
   (:meth:`~repro.acasx.logic_table.LogicTable.q_values_batch`).  Every
   advisory is the one interpolation would pick, bit for bit.
-- **Per-phase timers** — every ``run_many`` call times its tape-draw,
-  decision, physics and observe phases and, when tracing is armed,
-  records them as ``kernel.*`` spans under the caller's open span
+- **Per-phase timers** — every ``run_many`` call times its noise draw
+  (``kernel.tape_draw``), decision, physics and observe phases and,
+  when tracing is armed, records them as ``kernel.*`` spans under the
+  caller's open span
   (:func:`repro.telemetry.record_phases`), so a traced campaign shows
   its kernel split on every execution path.
 
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -79,14 +82,27 @@ _ACTIVE = np.array([a.is_active for a in ADVISORIES])
 _TARGET_FILLED = np.nan_to_num(_TARGET_RATES)
 _RAMP_MASK = _ACTIVE & (_ACCELS > 0)
 
-#: Most bytes of noise tape one :meth:`BatchEncounterSimulator.run_many`
-#: call may allocate.  The largest tapes the library itself sizes — a
-#: default chunk of :data:`~repro.experiments.campaign.DEFAULT_CHUNK_LANES`
-#: (8,192) lanes at about 60 decisions — take at most about 165 MB (both
+#: Most bytes of noise one :meth:`BatchEncounterSimulator.run_many`
+#: call may draw (:func:`tape_bytes`).  It bounds the work a call asks
+#: for, not its memory: the kernel holds at most :data:`_WINDOW`
+#: decisions of that noise at a time.  The largest draws the library
+#: itself sizes — a default chunk of
+#: :data:`~repro.experiments.campaign.DEFAULT_CHUNK_LANES` (8,192) lanes
+#: at about 60 decisions — come to at most about 165 MB (both
 #: disturbances on; 87 MB at the default config), 13x below it.  A
 #: request past it cannot describe a physical encounter run:
-#: ``time_to_cpa=1e6`` at 100 runs would need up to 34 GB.
+#: ``time_to_cpa=1e6`` at 100 runs would draw up to 34 GB.
 MAX_TAPE_BYTES = 2 * 1024 ** 3
+
+#: Decisions of noise each scenario draws per refill of the kernel's
+#: noise window (:class:`_NoiseWindow`).  Tracemalloc peak of one
+#: 819-scenario x 10-run equipped chunk (at most 60 decisions) by
+#: window: 1 -> 9.4 MB, 4 -> 13.8 MB, 8 -> 19.5 MB, 16 -> 31.1 MB, 64
+#: (one whole-run window) -> 94.5 MB.  A window of 1 makes one
+#: generator call per scenario per decision and slowed that chunk
+#: unequipped to 0.40 s, against 0.31-0.34 s for 4 to 64 (median of 5
+#: on one pinned CPU of a 2-CPU host).
+_WINDOW = 8
 
 
 def _num_decisions(config: EncounterSimConfig, params) -> int:
@@ -105,13 +121,14 @@ def tape_bytes(
     params_list: Sequence[EncounterParameters],
     num_runs: int,
 ) -> int:
-    """Bytes of noise tape ``run_many(params_list, num_runs)`` allocates.
+    """Bytes of noise ``run_many(params_list, num_runs)`` draws.
 
-    ``D_max`` decisions × lanes × the doubles one lane draws per
-    decision: 12 sensor-report values when equipped, plus per physics
-    substep and side a vertical-rate and two horizontal-acceleration
-    values when those disturbances are on (22 equipped at the default
-    config, 42 with horizontal disturbance on too).
+    Each scenario's own decisions × its runs × the doubles one lane
+    draws per decision: 12 sensor-report values when equipped, plus per
+    physics substep and side a vertical-rate and two
+    horizontal-acceleration values when those disturbances are on (22
+    equipped at the default config, 42 with horizontal disturbance on
+    too).
     """
     disturbance = config.disturbance
     per_decision = 12 * (equipage in ("both", "own-only")) + (
@@ -120,8 +137,8 @@ def tape_bytes(
             + 2 * (disturbance.horizontal_accel_std > 0)
         )
     )
-    d_max = max(_num_decisions(config, params) for params in params_list)
-    return 8 * per_decision * d_max * len(params_list) * num_runs
+    decisions = sum(_num_decisions(config, params) for params in params_list)
+    return 8 * per_decision * decisions * num_runs
 
 
 def check_tape_budget(
@@ -130,34 +147,137 @@ def check_tape_budget(
     params_list: Sequence[EncounterParameters],
     num_runs: int,
 ) -> None:
-    """Raise ``ValueError`` if the tapes exceed :data:`MAX_TAPE_BYTES`."""
+    """Raise ``ValueError`` if the call would draw more noise than
+    :data:`MAX_TAPE_BYTES`."""
     need = tape_bytes(config, equipage, params_list, num_runs)
     if need > MAX_TAPE_BYTES:
         longest = max(params.time_to_cpa for params in params_list)
         raise ValueError(
             f"{len(params_list)} scenario(s) x {num_runs} runs with "
-            f"time_to_cpa up to {longest:g} s need {need:,} bytes of "
-            f"noise tape, over MAX_TAPE_BYTES = {MAX_TAPE_BYTES:,}; "
+            f"time_to_cpa up to {longest:g} s would draw {need:,} bytes "
+            f"of noise, over MAX_TAPE_BYTES = {MAX_TAPE_BYTES:,}; "
             "shorten the encounters or run fewer lanes per chunk"
         )
 
 
-class _NoiseTapes(NamedTuple):
-    """Decision-major pre-drawn noise for one ``run_many`` invocation.
+class _NoiseWindow:
+    """The next few decisions of every scenario's noise, drawn ahead.
 
-    Lanes last: ``sense`` is ``(D_max, 4, 3, total)`` (report: intruder
-    position, intruder velocity, own position, own velocity; then
-    axis x/y/z), ``vert`` is ``(D_max, substeps, 2, total)`` and
-    ``horiz`` is ``(D_max, substeps, 2, 2, total)`` (side, then axis
-    x/y) — side axis: own then intruder.  Entries are ``None`` when
-    that stream draws nothing (equipage / zero stds).  Decision ``d``
-    of scenario ``s`` is filled only for ``d < num_decisions[s]``: a
-    finished scenario consumes no draws.
+    One float64 array ``(slots, min(_WINDOW, D_max), stride)`` holds
+    each slot's raw standard normals for up to :data:`_WINDOW`
+    decisions, slots in the kernel's descending-duration order;
+    ``stride`` is the doubles one scenario draws per decision
+    (:func:`tape_bytes`), in the historical inline draw order: the
+    intruder report (pos x, y, z, vel x, y, z) then the own report,
+    each lanes last, then per substep per side the vertical rate
+    ``(lanes,)`` and the horizontal accel ``(lanes, 2)`` in C order.
+
+    :meth:`draw` refills every active slot's rows in place at each
+    multiple of ``_WINDOW`` (``standard_normal(out=...)``, at most up
+    to the slot's last decision) and scales the decision's row into
+    preallocated lanes-last arrays, sliced to the active prefix: sense
+    ``(4, 3, lanes)`` (report: intruder position, intruder velocity,
+    own position, own velocity; then axis x/y/z), vertical
+    ``(substeps, 2, lanes)`` and horizontal ``(substeps, 2, 2, lanes)``
+    (side: own then intruder; then axis x/y).  A stream that draws
+    nothing (equipage, zero std) is ``None``.
+
+    Why the bits are those of the inline draws: each generator fills,
+    in order, exactly the normals a draw of its whole run would
+    (``d_s * stride`` of them, the same amount the inline
+    per-decision ``Generator.normal`` calls consume), only split
+    across refills; numpy's ``Generator`` carries no normal from one
+    call to the next, so how its stream is split cannot change a
+    value.  Each value is then scaled by the same float64 ``std * z``
+    multiply that ``Generator.normal(0.0, std, size)`` applies.  A
+    generator shared by two scenarios would be consumed in refill
+    order instead, which :meth:`BatchEncounterSimulator.run_many`
+    refuses.
     """
 
-    sense: Optional[np.ndarray]
-    vert: Optional[np.ndarray]
-    horiz: Optional[np.ndarray]
+    def __init__(
+        self,
+        config: EncounterSimConfig,
+        sensing: bool,
+        rngs: List[np.random.Generator],
+        decisions: np.ndarray,
+        n: int,
+    ):
+        substeps = config.physics_substeps
+        sensor = config.sensor
+        noise_std = config.disturbance.vertical_rate_std
+        h_std = config.disturbance.horizontal_accel_std
+        total = len(rngs) * n
+        self.rngs, self.decisions = rngs, decisions
+        self.n, self.substeps = n, substeps
+        self.sense_len = 12 * n if sensing else 0
+        self.vert_len = n if noise_std > 0 else 0
+        self.per_side = self.vert_len + (2 * n if h_std > 0 else 0)
+        stride = self.sense_len + substeps * 2 * self.per_side
+        self.window = (
+            np.empty((len(rngs), min(_WINDOW, int(decisions[0])), stride))
+            if stride else None
+        )
+        self.sense = np.empty((4, 3, total)) if sensing else None
+        self.vert = np.empty((substeps, 2, total)) if noise_std > 0 else None
+        self.horiz = np.empty((substeps, 2, 2, total)) if h_std > 0 else None
+        # Per-report, per-axis scales: position then velocity, x/y/z.
+        pos_std = (sensor.horizontal_position_std,) * 2 + (
+            sensor.vertical_position_std,
+        )
+        vel_std = (sensor.horizontal_velocity_std,) * 2 + (
+            sensor.vertical_velocity_std,
+        )
+        self.sense_scale = np.array(
+            [pos_std, vel_std, pos_std, vel_std]
+        )[:, :, None, None]
+        self.vert_scale = noise_std / np.sqrt(config.decision_dt / substeps)
+        self.h_std = h_std
+
+    def draw(self, decision: int, m: int):
+        """``(sense, vert, horiz)`` for *decision* of the first *m* slots.
+
+        The arrays are views of buffers the next call overwrites.
+        """
+        if self.window is None:
+            return None, None, None
+        row = decision % _WINDOW
+        if row == 0:
+            for slot in range(m):
+                ahead = min(_WINDOW, int(self.decisions[slot]) - decision)
+                self.rngs[slot].standard_normal(
+                    out=self.window[slot, :ahead].reshape(-1)
+                )
+        n, lanes = self.n, m * self.n
+        raw = self.window[:m, row]
+        sense = vert = horiz = None
+        if self.sense is not None:
+            sense = self.sense[..., :lanes]
+            reports = raw[:, :self.sense_len].reshape(m, 4, 3, n)
+            np.multiply(
+                reports.transpose(1, 2, 0, 3), self.sense_scale,
+                out=sense.reshape(4, 3, m, n),
+            )
+        # (slot, substep, side, per-side draws): vertical then horizontal.
+        sub = raw[:, self.sense_len:].reshape(
+            m, self.substeps, 2, self.per_side
+        )
+        if self.vert is not None:
+            vert = self.vert[..., :lanes]
+            np.multiply(
+                sub[..., :n].transpose(1, 2, 0, 3), self.vert_scale,
+                out=vert.reshape(self.substeps, 2, m, n),
+            )
+        if self.horiz is not None:
+            horiz = self.horiz[..., :lanes]
+            accels = sub[..., self.vert_len:].reshape(
+                m, self.substeps, 2, n, 2
+            )
+            np.multiply(
+                accels.transpose(1, 2, 4, 0, 3), self.h_std,
+                out=horiz.reshape(self.substeps, 2, 2, m, n),
+            )
+        return sense, vert, horiz
 
 
 @dataclass
@@ -485,102 +605,6 @@ class BatchEncounterSimulator:
     # ------------------------------------------------------------------
     # Megabatch: many scenarios × many runs as one lane array
     # ------------------------------------------------------------------
-    def _draw_noise_tapes(
-        self,
-        rngs: List[np.random.Generator],
-        num_decisions: np.ndarray,
-        n: int,
-        total: int,
-    ) -> _NoiseTapes:
-        """Pre-draw every scenario's full noise sequence up front.
-
-        One bulk ``standard_normal`` per scenario replaces the
-        historical thousands of tiny per-decision draws.  The flat
-        stream is consumed in exactly the historical inline order —
-        per decision: intruder report (pos x, y, z, vel x, y, z), own
-        report, then per substep per side: vertical rate, horizontal
-        accel (n, 2) in C order — and scaled per segment.  The sense
-        draws already run lanes last, so each scenario fills its lanes
-        of the sense tape with one block copy; the horizontal draws
-        run lane-major and are transposed into the tape.  Since
-        ``Generator.normal(0.0, std, size)`` evaluates
-        ``0.0 + std * z`` over ``size`` sequential standard-normal
-        draws, the scaled slices are bitwise identical to the inline
-        calls they replace.
-
-        The tapes are the kernel's dominant working set (~``D_max *
-        total * 42`` doubles at default substeps, :func:`tape_bytes`);
-        megabatch chunk sizing
-        (:data:`repro.experiments.campaign.DEFAULT_CHUNK_LANES`) keeps
-        that to a few hundred MB, and :meth:`run_many` refuses calls
-        over :data:`MAX_TAPE_BYTES` before drawing anything.
-        """
-        config = self.config
-        substeps = config.physics_substeps
-        sub_dt = config.decision_dt / substeps
-        sensing = self.equipage in ("both", "own-only")
-        noise_std = config.disturbance.vertical_rate_std
-        h_std = config.disturbance.horizontal_accel_std
-        has_vert = noise_std > 0
-        has_horiz = h_std > 0
-
-        vert_len = n if has_vert else 0
-        horiz_len = 2 * n if has_horiz else 0
-        sense_len = 12 * n if sensing else 0
-        stride = sense_len + substeps * 2 * (vert_len + horiz_len)
-        if stride == 0:
-            return _NoiseTapes(None, None, None)
-
-        d_max = int(num_decisions.max())
-        sense_tape = np.empty((d_max, 4, 3, total)) if sensing else None
-        vert_tape = (
-            np.empty((d_max, substeps, 2, total)) if has_vert else None
-        )
-        horiz_tape = (
-            np.empty((d_max, substeps, 2, 2, total)) if has_horiz else None
-        )
-        sensor = config.sensor
-        # Per-axis report scales: position then velocity, x/y/z.
-        pos_scales = np.array([
-            sensor.horizontal_position_std,
-            sensor.horizontal_position_std,
-            sensor.vertical_position_std,
-        ])
-        vel_scales = np.array([
-            sensor.horizontal_velocity_std,
-            sensor.horizontal_velocity_std,
-            sensor.vertical_velocity_std,
-        ])
-        vert_scale = noise_std / np.sqrt(sub_dt) if has_vert else 0.0
-
-        for s, rng in enumerate(rngs):
-            d_s = int(num_decisions[s])
-            rows = slice(s * n, (s + 1) * n)
-            z = rng.standard_normal(d_s * stride).reshape(d_s, stride)
-            if sensing:
-                # (decision, report, axis, lane); reports in draw order:
-                # intruder pos, intruder vel, own pos, own vel.  Scaling
-                # happens in place on the raw draws (z is scratch):
-                # ``std * z`` is the same float64 multiply either way,
-                # so every tape bit matches the allocating form.
-                reports = z[:, :sense_len].reshape(d_s, 4, 3, n)
-                reports[:, 0::2] *= pos_scales[None, None, :, None]
-                reports[:, 1::2] *= vel_scales[None, None, :, None]
-                sense_tape[:d_s, :, :, rows] = reports
-            if has_vert or has_horiz:
-                sub = z[:, sense_len:].reshape(
-                    d_s, substeps, 2, vert_len + horiz_len
-                )
-                if has_vert:
-                    sub[..., :vert_len] *= vert_scale
-                    vert_tape[:d_s, :, :, rows] = sub[..., :vert_len]
-                if has_horiz:
-                    sub[..., vert_len:] *= h_std
-                    horiz_tape[:d_s, ..., rows] = sub[..., vert_len:].reshape(
-                        d_s, substeps, 2, n, 2
-                    ).transpose(0, 1, 2, 4, 3)
-        return _NoiseTapes(sense_tape, vert_tape, horiz_tape)
-
     def run_many(
         self,
         params_list: Sequence[EncounterParameters],
@@ -598,20 +622,25 @@ class BatchEncounterSimulator:
         per-scenario Python stepping loop disappears.
 
         Each scenario's disturbance and sensor noise comes from its own
-        pre-drawn tape (:meth:`_draw_noise_tapes`), and every array
-        operation is lane-wise, so the slice returned for a scenario is
-        **bitwise identical** to running that scenario alone
-        (``run(params, num_runs, seed)``) — independent of which
-        scenarios share the batch and in what order (chunking cannot
-        change results).  The pre-refactor inline-draw implementation
-        survives as ``reference_run_many`` in
-        ``tests/batch_reference.py``, the independent oracle the
+        generator, drawn a few decisions ahead (:class:`_NoiseWindow`),
+        and every array operation is lane-wise, so the slice returned
+        for a scenario is **bitwise identical** to running that
+        scenario alone (``run(params, num_runs, seed)``) — independent
+        of which scenarios share the batch and in what order (chunking
+        cannot change results).  That needs one generator per
+        scenario: two seeds that resolve to the same ``Generator``
+        object (the generator itself, or an ``RngStream`` over it)
+        raise ``ValueError`` naming both positions; equal integer seeds
+        are distinct generators and are fine.  The pre-refactor
+        inline-draw implementation survives as ``reference_run_many``
+        in ``tests/batch_reference.py``, the independent oracle the
         equivalence tests compare against.
 
         With tracing armed, the call's phase timings land as four
-        ``kernel.*`` spans under the caller's open span.  A call whose
-        noise tapes would exceed :data:`MAX_TAPE_BYTES` raises
-        ``ValueError`` before anything is drawn.
+        ``kernel.*`` spans under the caller's open span.  A call that
+        would draw more noise than :data:`MAX_TAPE_BYTES`
+        (:func:`tape_bytes`) raises ``ValueError`` before anything is
+        drawn.
         """
         params_list = list(params_list)
         if not params_list:
@@ -628,6 +657,15 @@ class BatchEncounterSimulator:
         config = self.config
         check_tape_budget(config, self.equipage, params_list, num_runs)
         rngs = [as_generator(seed) for seed in seeds]
+        first_use = {}
+        for s, rng in enumerate(rngs):
+            first = first_use.setdefault(id(rng), s)
+            if first != s:
+                raise ValueError(
+                    f"seeds[{first}] and seeds[{s}] are the same Generator; "
+                    "each scenario needs its own stream (spawn one per "
+                    "scenario from a SeedSequence)"
+                )
 
         num_scenarios = len(params_list)
         n = num_runs
@@ -643,7 +681,7 @@ class BatchEncounterSimulator:
         # longest encounters in the lowest lanes, the still-active lanes
         # are always the contiguous prefix [0, m*n): every per-decision
         # gather below is a plain view and no scatter-back is needed.
-        # Each slot keeps its scenario's own rng and tape slice, and
+        # Each slot keeps its scenario's own rng and noise rows, and
         # every kernel op is lane-wise, so the permutation cannot change
         # any lane's bits; results map back to input order on return.
         order = np.argsort(-num_decisions, kind="stable")
@@ -672,8 +710,8 @@ class BatchEncounterSimulator:
         intr_equipped = self.equipage == "both"
 
         t0 = mark()
-        tapes = self._draw_noise_tapes(
-            [rngs[s] for s in order], slot_decisions, n, total
+        noise = _NoiseWindow(
+            config, own_equipped, [rngs[s] for s in order], slot_decisions, n
         )
         t_tape += mark() - t0
 
@@ -711,13 +749,8 @@ class BatchEncounterSimulator:
             m = int(np.searchsorted(neg_decisions, -decision, side="left"))
             lanes = slice(0, m * n)
 
-            # This decision's noise is pure tape indexing — the active
-            # prefix makes every slice below a plain view.
             t0 = mark()
-            sense_noise, vert_noise, horiz_noise = (
-                None if tape is None else tape[decision, ..., lanes]
-                for tape in tapes
-            )
+            sense_noise, vert_noise, horiz_noise = noise.draw(decision, m)
             t_tape += mark() - t0
 
             # The active lanes are a contiguous prefix, so these are

@@ -1,17 +1,22 @@
-"""Noise-tape megabatch kernel: bitwise equivalence and observability.
+"""Megabatch kernel noise: bitwise equivalence, budget and observability.
 
-The kernel pre-draws every scenario's disturbance and sensor noise into
-tapes and then runs the decision/physics/observe phases over one lane
-array.  These tests pin the contract down:
+The kernel draws every scenario's disturbance and sensor noise a few
+decisions ahead, into a window it refills in place, and runs the
+decision/physics/observe phases over one lane array.  These tests pin
+the contract down:
 
-- the tape kernel is **bitwise identical** to the frozen pre-refactor
+- the kernel is **bitwise identical** to the frozen pre-refactor
   implementation (``batch_reference.py`` beside this file) across
-  every equipage × coordination × substeps combination, and each
-  scenario's slice equals its one-scenario :meth:`run` call;
+  every equipage × coordination × substeps combination and at the
+  window's edges, and each scenario's slice equals its one-scenario
+  :meth:`run` call;
 - its outputs over that grid, whole and chunked, hash to the digests
   committed in ``kernel_golden.json``, which also catches a change
   (a numpy upgrade) that moves the kernel and the oracle together;
 - chunking cannot change a single bit;
+- a call draws exactly the noise :func:`tape_bytes` counts, nothing
+  past :data:`MAX_TAPE_BYTES`, and holds memory that scales with its
+  lanes, not with its duration;
 - with tracing armed, every kernel call's phase timers land as four
   synthetic ``kernel.*`` spans under the open chunk span — serially and
   in a worker pool — without changing a bit.
@@ -20,6 +25,7 @@ array.  These tests pin the contract down:
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +38,15 @@ from repro.encounters import (
     head_on_encounter,
     tail_approach_encounter,
 )
+from repro.encounters.generator import ScenarioGenerator
 from repro.experiments import Campaign, make_backend
 from repro.experiments.campaign import _execute_chunk
-from repro.sim.batch import MAX_TAPE_BYTES, BatchEncounterSimulator, tape_bytes
+from repro.sim.batch import (
+    _WINDOW,
+    MAX_TAPE_BYTES,
+    BatchEncounterSimulator,
+    tape_bytes,
+)
 from repro.sim.disturbance import DisturbanceModel
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import ResultStore, results_digest
@@ -57,7 +69,8 @@ def assert_results_equal(a, b):
 
 def mixed_scenarios():
     """Mixed-duration scenarios so the sorted active-lane prefix, the
-    tape slicing, and the early-stop mask are all exercised."""
+    per-scenario window refills, and the early-stop mask are all
+    exercised."""
     model = StatisticalEncounterModel()
     sampled = model.sample(4, seed=np.random.default_rng(11))
     return sampled + [
@@ -76,7 +89,7 @@ KERNEL_GOLDEN = Path(__file__).with_name("kernel_golden.json")
 
 
 #: The one disturbance setting under which the kernel draws and applies
-#: its horizontal-acceleration tape (the default config draws none).
+#: horizontal-acceleration noise (the default config draws none).
 HORIZONTAL = DisturbanceModel(horizontal_accel_std=0.1)
 
 
@@ -149,7 +162,7 @@ class TestTapeKernelBitwise:
     def test_matches_pre_refactor_reference(
         self, test_table, mixed_durations, equipage, coordination, substeps
     ):
-        """Tape kernel == frozen inline-draw kernel, bit for bit."""
+        """Kernel == frozen inline-draw kernel, bit for bit."""
         sim = BatchEncounterSimulator(
             test_table if equipage != "none" else None,
             EncounterSimConfig(physics_substeps=substeps),
@@ -167,7 +180,7 @@ class TestTapeKernelBitwise:
     def test_horizontal_disturbance_matches_reference(
         self, test_table, mixed_durations, equipage, substeps
     ):
-        """The horizontal-acceleration tape, drawn and applied, matches
+        """The horizontal-acceleration noise, drawn and applied, matches
         the frozen kernel's inline draws bit for bit."""
         sim = horizontal_simulator(test_table, equipage, substeps)
         seeds = [1000 + i for i in range(len(mixed_durations))]
@@ -177,10 +190,36 @@ class TestTapeKernelBitwise:
             assert_results_equal(a, b)
 
     @pytest.mark.parametrize("equipage", ["both", "own-only"])
+    @pytest.mark.parametrize("horizontal", [False, True])
+    def test_window_edges_match_reference(
+        self, test_table, equipage, horizontal
+    ):
+        """Scenarios ending just before, at and after a window refill,
+        and two refills in, share one call and match the oracle."""
+        config = EncounterSimConfig(
+            extra_duration=0.0,
+            disturbance=HORIZONTAL if horizontal else DisturbanceModel(),
+        )
+        sim = BatchEncounterSimulator(test_table, config, equipage=equipage)
+        # With no extra duration, a time_to_cpa of d seconds is d decisions.
+        lengths = [_WINDOW + 1, _WINDOW - 1, 2 * _WINDOW + 1, _WINDOW]
+        scenarios = [
+            (head_on_encounter if i % 2 else tail_approach_encounter)(
+                time_to_cpa=float(d)
+            )
+            for i, d in enumerate(lengths)
+        ]
+        seeds = [500 + i for i in range(len(scenarios))]
+        new = sim.run_many(scenarios, 6, seeds)
+        ref = reference_run_many(sim, scenarios, 6, seeds)
+        for a, b in zip(new, ref):
+            assert_results_equal(a, b)
+
+    @pytest.mark.parametrize("equipage", ["both", "own-only"])
     def test_matches_per_scenario_run(
         self, test_table, mixed_durations, equipage
     ):
-        """Every scenario's tape slice == its solo run() output."""
+        """Every scenario's slice == its solo run() output."""
         sim = BatchEncounterSimulator(test_table, equipage=equipage)
         seeds = [77 + i for i in range(len(mixed_durations))]
         batch = sim.run_many(mixed_durations, 9, seeds)
@@ -295,52 +334,69 @@ class TestDecidedLookups:
 
 
 # ----------------------------------------------------------------------
-# Empty-tail short-circuit (fully-stored resume)
+# Noise drawn, its budget, and the memory it holds
 # ----------------------------------------------------------------------
+class CountingGenerator(np.random.Generator):
+    """A generator that tallies the standard normals it fills."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.normals = 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self.normals += out.size if out is not None else int(np.prod(size))
+        return super().standard_normal(size, dtype, out)
+
+
+def drawn_bytes(sim, scenarios, num_runs):
+    """Bytes of normals ``sim.run_many`` draws from its generators."""
+    rngs = [CountingGenerator(i) for i in range(len(scenarios))]
+    sim.run_many(scenarios, num_runs, rngs)
+    return 8 * sum(rng.normals for rng in rngs)
+
+
+def traced_peak(call):
+    """The peak bytes tracemalloc saw ``call()`` hold."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestTapeBudget:
     def test_tape_bytes_is_what_the_kernel_draws(
         self, test_table, mixed_durations
     ):
-        config = EncounterSimConfig(
-            disturbance=DisturbanceModel(horizontal_accel_std=0.1)
-        )
-        decisions = np.array([
-            max(1, int(round(
-                (p.time_to_cpa + config.extra_duration) / config.decision_dt
-            )))
-            for p in mixed_durations
-        ])
-        for equipage in ("both", "none"):
+        # A 30 s and a 55 s encounter draw 50 and 75 decisions of noise
+        # (22 doubles per lane each), not 75 each.
+        sim = BatchEncounterSimulator(test_table)
+        pair = [
+            head_on_encounter(time_to_cpa=30.0),
+            tail_approach_encounter(time_to_cpa=55.0),
+        ]
+        assert tape_bytes(sim.config, "both", pair, 4) == 88_000
+        assert drawn_bytes(sim, pair, 4) == 88_000
+        for equipage, disturbance in itertools.product(
+            ("both", "none"), (DisturbanceModel(), HORIZONTAL)
+        ):
+            config = EncounterSimConfig(disturbance=disturbance)
             sim = BatchEncounterSimulator(
-                test_table, config, equipage=equipage
+                test_table if equipage != "none" else None,
+                config, equipage=equipage,
             )
-            rngs = [
-                np.random.default_rng(i) for i in range(len(mixed_durations))
-            ]
-            tapes = sim._draw_noise_tapes(
-                rngs, decisions, 4, 4 * len(mixed_durations)
+            assert drawn_bytes(sim, mixed_durations, 4) == tape_bytes(
+                config, equipage, mixed_durations, 4
             )
-            drawn = sum(
-                array.nbytes
-                for part in tapes if part is not None
-                for array in (part if isinstance(part, list) else [part])
-            )
-            assert tape_bytes(
-                sim.config, equipage, mixed_durations, 4
-            ) == drawn
 
-    def test_oversized_tape_is_refused_before_drawing(
-        self, test_table, monkeypatch
-    ):
+    def test_oversized_tape_is_refused_before_drawing(self, test_table):
         sim = BatchEncounterSimulator(test_table)
         params = head_on_encounter(time_to_cpa=1e6)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("tape drawn past the budget")
-
-        monkeypatch.setattr(sim, "_draw_noise_tapes", refuse)
+        rng = CountingGenerator(0)
         with pytest.raises(ValueError, match="MAX_TAPE_BYTES"):
-            sim.run_many([params], 100)
+            sim.run_many([params], 100, [rng])
+        assert rng.normals == 0
         assert tape_bytes(sim.config, "both", [params], 100) > MAX_TAPE_BYTES
         # The library's own largest chunk sits at least 10x below it.
         chunk = [head_on_encounter(time_to_cpa=40.0)] * 82
@@ -352,6 +408,35 @@ class TestTapeBudget:
         )
 
 
+class TestKernelMemory:
+    """The noise window holds a few decisions, so a call's memory
+    scales with its lanes, not with how long its encounters last."""
+
+    def test_peak_does_not_grow_with_duration(self, test_table):
+        sim = BatchEncounterSimulator(test_table)
+        sim.run_many([head_on_encounter()], 2, [0])  # lazy table state
+
+        def peak(time_to_cpa):
+            params = head_on_encounter(time_to_cpa=time_to_cpa)
+            return traced_peak(lambda: sim.run_many([params], 200, [1]))
+
+        # 420 decisions against 60.
+        assert peak(400.0) < 1.25 * peak(40.0)
+
+    def test_paper_chunk_peak(self, paper_table):
+        """One 25 x 100 GA chunk on the paper table."""
+        sim = BatchEncounterSimulator(paper_table)
+        sim.run_many([head_on_encounter()], 2, [0])  # lazy table state
+        chunk = ScenarioGenerator().random_encounters(
+            25, seed=np.random.default_rng(0)
+        )
+        seeds = np.random.SeedSequence(5).spawn(len(chunk))
+        assert traced_peak(lambda: sim.run_many(chunk, 100, seeds)) < 12e6
+
+
+# ----------------------------------------------------------------------
+# Empty-tail short-circuit (fully-stored resume)
+# ----------------------------------------------------------------------
 class TestEmptyTail:
     def test_execute_chunk_short_circuits(self, test_table):
         backend = make_backend("vectorized-batch", table=test_table)

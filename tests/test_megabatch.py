@@ -35,6 +35,7 @@ from repro.experiments.campaign import (
 from repro.sim.batch import BatchEncounterSimulator
 from repro.sim.encounter import EncounterSimConfig
 from repro.store import results_digest, table_digest
+from repro.util.rng import RngStream
 
 RESULT_FIELDS = (
     "min_separation",
@@ -101,6 +102,30 @@ class TestRunMany:
             sim.run_many([head_on_encounter()], 0)
         with pytest.raises(ValueError, match="seeds"):
             sim.run_many([head_on_encounter()], 3, seeds=[1, 2])
+
+    def test_shared_generator_is_refused(self, test_table):
+        """Slots draw in duration order, so a generator shared by two
+        scenarios would give neither its solo bits: the kernel refuses
+        it, naming both positions, before drawing anything."""
+        sim = BatchEncounterSimulator(test_table, EncounterSimConfig())
+        pair = [
+            tail_approach_encounter(time_to_cpa=25.0),
+            head_on_encounter(time_to_cpa=30.0),
+        ]
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for seeds in (
+            [rng, rng], [RngStream(rng), RngStream(rng)], [rng, RngStream(rng)]
+        ):
+            with pytest.raises(ValueError, match=r"seeds\[0\] and seeds\[1\]"):
+                sim.run_many(pair, 4, seeds)
+        with pytest.raises(ValueError, match=r"seeds\[0\] and seeds\[2\]"):
+            sim.run_many(pair + [head_on_encounter()], 4, [rng, 1, rng])
+        assert rng.bit_generator.state == state
+        # Equal integer seeds are distinct generators: each slice is
+        # its solo run.
+        for params, result in zip(pair, sim.run_many(pair, 4, [7, 7])):
+            assert_results_equal(result, sim.run(params, 4, seed=7))
 
     def test_backend_simulate_matches_vectorized(self, test_table):
         # The "vectorized-batch" backend is the kernel itself, and its
